@@ -24,37 +24,18 @@
 // ratio in the JSON is the evidence. The batch alternative (relearning
 // the n-tuple window) is timed at w = n.
 //
-// Phase 3 measures sharded ingestion (ShardedOnlineIim) at S = 1, 2, 4,
-// 8: the same n-row stream is ingested through S shards (IngestBatch
-// chunks, per-shard parallel apply), then a probe set is imputed through
-// the cross-shard scatter/gather merge. The scaling gate runs with the
-// shard engines' admission bound OFF: there each arrival's learning-order
-// maintenance loop scans only its own shard's residents, an O(n/S) work
-// cut, not a parallelism trick. (With the bound on — the deployment
-// default, reported alongside — per-arrival work is already sublinear
-// and the single-core sharding win converges toward 1x; the wrapper's
-// global core always prunes in both regimes.) Query results must be
-// IDENTICAL at every S
-// and to a plain OnlineIim over the same rows (the merge reproduces the
-// global neighbor sets bit for bit). Steady-state query latency is
-// compared against that single engine: the wrapper's global models are
-// maintained incrementally by its order-maintenance core, so a sharded
-// query pays only the fan-out + merge on top of the same clean-model
-// predicts — NOT a refit of every neighbor model per quiescent span (the
-// regression this gate pins at p50 <= 3x the single engine).
-//
-// Phase 4 measures the durability tax: the same n-row ingest with the
+// Phase 3 measures the durability tax: the same n-row ingest with the
 // write-ahead log and periodic background snapshots on, compared at
 // p50/p99 against the persistence-off profile (the checkpoint "pause" is
 // only the in-memory serialize — the file write is backgrounded), plus
 // recovery wall-clock cells at three log-tail lengths (~n/10, ~n/2, n)
 // showing recovery scales with the tail, not the total history.
 //
-// Phase 5 meters the fail-point tax. The WAL append/fsync fail points
+// Phase 4 meters the fail-point tax. The WAL append/fsync fail points
 // ride the per-arrival durable path and are compiled into every build;
 // the contract (common/failpoint.h) is that inactive points are free.
 // One cell times the disarmed Inject call itself (a relaxed atomic load
-// and a predictable branch); the other re-runs the phase-4 durable
+// and a predictable branch); the other re-runs the phase-3 durable
 // ingest with the hot-path points ARMED at probability 0 — every
 // arrival then pays the full registry slow path without a single fire,
 // the worst case for points that never act — and the p50 must stay
@@ -62,7 +43,7 @@
 // doubles as coverage proof: a gate over a path the points are not on
 // would be vacuous.
 //
-// Phase 6 meters the masking-one-out monitoring tax: the same n-row
+// Phase 5 meters the masking-one-out monitoring tax: the same n-row
 // ingest with moo_sample_rate at the documented 1% deployment trickle,
 // against a fresh monitoring-off profile run back-to-back so machine
 // drift across the earlier phases cannot tilt the ratio. At 1% the
@@ -92,14 +73,11 @@
 // The acceptance bars at n = 10k: >= 10x per-arrival advantage,
 // per-eviction >= 10x cheaper than a window relearn, (whenever the
 // baseline actually rebuilt in-lock) a smaller worst-case ingest with
-// the background builder, sharded ingest at S=4 >= 1.3x the S=1
-// throughput, sharded query results bitwise unchanged across S, sharded
-// steady-state query p50 at S=4 within 3x of the single engine, ingest
-// p99 with checkpointing within 2x of checkpointing off, and inactive
-// fail points free (disarmed Inject <= 100 ns/call, armed-never-firing
-// durable ingest p50 within 1.5x of disarmed), and the 1%
-// masking-one-out trickle keeping ingest p50 within 1.05x of
-// monitoring off.
+// the background builder, ingest p99 with checkpointing within 2x of
+// checkpointing off, inactive fail points free (disarmed Inject <= 100
+// ns/call, armed-never-firing durable ingest p50 within 1.5x of
+// disarmed), and the 1% masking-one-out trickle keeping ingest p50
+// within 1.05x of monitoring off.
 // Results are written as JSON for BENCH_streaming.json.
 //
 //   ./bench_streaming [n] [arrivals] [out.json]
@@ -124,7 +102,6 @@
 #include "datasets/generator.h"
 #include "stream/online_iim.h"
 #include "stream/persist/io.h"
-#include "stream/sharded_iim.h"
 
 namespace {
 
@@ -497,283 +474,7 @@ int main(int argc, char** argv) {
       compact_hold_seconds <=
       std::max(istats.max_append_hold_seconds, kCompactHoldFloorSeconds);
 
-  // Phase 3: sharded ingestion at S = 1, 2, 4, 8. Each engine ingests
-  // the same n rows through IngestBatch chunks (the service's coalesced
-  // drive), then serves the same probe set through the cross-shard
-  // merge. The S=1 wrapper is the apples-to-apples baseline: same code
-  // path, no fan-out.
-  struct ShardCell {
-    size_t shards = 0;
-    double ingest_seconds = 0.0;
-    double rows_per_sec = 0.0;
-    double impute_p50 = 0.0;
-    double impute_p99 = 0.0;
-    double query_gap = 0.0;  // impute_p50 / single-engine impute_p50
-    bool identical = true;
-    std::vector<double> values;  // steady-state probe imputations
-  };
-  const size_t shard_counts[] = {1, 2, 4, 8};
-  const size_t kChunk = 512;
-  const size_t kShardProbes = 64;
-
-  auto make_probe = [&](size_t p, std::vector<double>* prow) {
-    *prow = data.Row(n + p % online_reps).ToVector();
-    (*prow)[static_cast<size_t>(target)] =
-        std::numeric_limits<double>::quiet_NaN();
-  };
-
-  // The query-gap gate runs on a level index footing: the single
-  // baseline and the gate's S=4 wrapper share a lowered KD-tree
-  // threshold, so n/S-resident shards sit on the same side of the
-  // tree/brute boundary as the n-resident single engine. With the
-  // default 4096-point threshold the gap conflates two unrelated
-  // effects: the fan-out + merge over maintained global models (what
-  // the gate pins) and a tree-vs-brute-scan constant for whichever
-  // engine happens to straddle the threshold. The throughput cells
-  // below keep the default threshold — the O(n/S) maintenance work cut
-  // is a brute-tail property, and lowering the threshold everywhere
-  // would shrink the very scan the scaling gate measures.
-  iim::core::IimOptions qopt = opt;
-  qopt.index_kdtree_threshold = 256;
-
-  // The single-engine query baseline the sharded gap is gated against: a
-  // plain OnlineIim over the same n rows, probed twice — the first pass
-  // pays the lazy model solves (every engine below gets the same warm-up),
-  // the second measures steady-state queries against clean maintained
-  // models. The gap under test is therefore the scatter/gather fan-out
-  // and merge, not first-touch solve cost.
-  std::vector<double> single_query_seconds;
-  std::vector<double> single_values;
-  {
-    IngestProfile sp = BuildEngine(data, target, features, qopt, n);
-    sp.engine->WaitForIndexRebuild();
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t p = 0; p < kShardProbes; ++p) {
-        std::vector<double> prow;
-        make_probe(p, &prow);
-        iim::data::RowView pv(prow.data(), prow.size());
-        timer.Restart();
-        iim::Result<double> v = sp.engine->ImputeOne(pv);
-        double seconds = timer.ElapsedSeconds();
-        if (!v.ok()) {
-          std::fprintf(stderr, "single impute: %s\n",
-                       v.status().ToString().c_str());
-          return 1;
-        }
-        if (pass == 1) {
-          single_query_seconds.push_back(seconds);
-          single_values.push_back(v.value());
-        }
-      }
-    }
-  }
-  iim::LatencySummary single_query = iim::Summarize(single_query_seconds);
-
-  // Two regimes per shard count. The PRUNED cells are the deployment
-  // default: every core's arrival scan rides its admission bound, so
-  // per-arrival maintenance is already sublinear and sharding's ingest
-  // win on one core converges toward 1x — these cells report absolute
-  // throughput and pin result identity. The FULL-SCAN cells disable the
-  // shard engines' admission bound (the wrapper's global core always
-  // prunes — that serial scan was the old 1.7x scaling cap), isolating
-  // the O(n/S) maintenance work-cut the scaling gate was built to pin:
-  // the shards' insertion scans shrink with S while everything else
-  // stays fixed.
-  auto run_shard_cell = [&](size_t S, bool admission,
-                            size_t passes) -> ShardCell {
-    iim::core::IimOptions sopt = opt;
-    sopt.shards = S;
-    // Deployment cells apply chunks with one worker per shard; the
-    // full-scan instrument cells run single-threaded so the measured
-    // drop is purely the per-shard work cut, not scheduler noise (this
-    // host has one core — S workers only add context switches).
-    sopt.threads = admission ? S : 1;
-    sopt.admission_bound = admission;
-    auto sharded_r = iim::stream::ShardedOnlineIim::Create(
-        data.schema(), target, features, sopt);
-    if (!sharded_r.ok()) {
-      std::fprintf(stderr, "sharded create: %s\n",
-                   sharded_r.status().ToString().c_str());
-      std::exit(1);
-    }
-    iim::stream::ShardedOnlineIim& sharded = *sharded_r.value();
-
-    ShardCell cell;
-    cell.shards = S;
-    iim::Stopwatch stimer;
-    std::vector<iim::data::RowView> chunk;
-    for (size_t pass = 0; pass < passes; ++pass) {
-      for (size_t i = 0; i < n; i += kChunk) {
-        chunk.clear();
-        for (size_t j = i; j < std::min(n, i + kChunk); ++j) {
-          chunk.push_back(data.Row(j));
-        }
-        for (const iim::Status& st : sharded.IngestBatch(chunk)) {
-          if (!st.ok()) {
-            std::fprintf(stderr, "sharded ingest: %s\n",
-                         st.ToString().c_str());
-            std::exit(1);
-          }
-        }
-      }
-    }
-    cell.ingest_seconds = stimer.ElapsedSeconds();
-    cell.rows_per_sec =
-        cell.ingest_seconds > 0.0
-            ? static_cast<double>(n * passes) / cell.ingest_seconds
-            : 0.0;
-    sharded.WaitForIndexRebuilds();
-
-    std::vector<double> probe_seconds;
-    std::vector<double> values;
-    probe_seconds.reserve(kShardProbes);
-    values.reserve(kShardProbes);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t p = 0; p < kShardProbes; ++p) {
-        std::vector<double> prow;
-        make_probe(p, &prow);
-        iim::data::RowView pv(prow.data(), prow.size());
-        timer.Restart();
-        iim::Result<double> v = sharded.ImputeOne(pv);
-        double seconds = timer.ElapsedSeconds();
-        if (!v.ok()) {
-          std::fprintf(stderr, "sharded impute: %s\n",
-                       v.status().ToString().c_str());
-          std::exit(1);
-        }
-        if (pass == 1) {
-          probe_seconds.push_back(seconds);
-          values.push_back(v.value());
-        }
-      }
-    }
-    iim::LatencySummary probe_lat = iim::Summarize(probe_seconds);
-    cell.impute_p50 = probe_lat.p50;
-    cell.impute_p99 = probe_lat.p99;
-    // The caller compares against the reference appropriate for the
-    // regime (deployment cells vs the single engine; multi-pass
-    // instrument cells against each other).
-    cell.values = std::move(values);
-    return cell;
-  };
-
-  std::vector<ShardCell> shard_cells;     // pruned (deployment default)
-  std::vector<ShardCell> fullscan_cells;  // shard admission bound off
-  for (size_t S : shard_counts) {
-    shard_cells.push_back(run_shard_cell(S, /*admission=*/true,
-                                         /*passes=*/1));
-    // The instrument cells ingest the stream TWICE: the unpruned
-    // insertion scan's total work is quadratic in the arrival count, so
-    // a second pass quadruples the work-cut term while the fixed
-    // per-arrival costs only double — the S=4-vs-S=1 ratio then reflects
-    // the O(n/S) cut instead of wrapper constants, and run-to-run noise
-    // on the long S=1 cell stops straddling the gate.
-    fullscan_cells.push_back(run_shard_cell(S, /*admission=*/false,
-                                            /*passes=*/2));
-  }
-  // Bitwise at EVERY S — and across index configs: the single baseline
-  // above runs a different KD-tree threshold, and exactness must not
-  // depend on where the tree/brute boundary falls. The two-pass
-  // full-scan cells hold a different (doubled) stream, so they pin
-  // sharded-vs-single-shard identity against their own S=1 cell; the
-  // pruned-vs-unpruned bitwise contract is pinned separately by the
-  // admission differential tests.
-  for (ShardCell& cell : shard_cells) {
-    cell.identical = cell.values == single_values;
-  }
-  for (ShardCell& cell : fullscan_cells) {
-    cell.identical = cell.values == fullscan_cells.front().values;
-  }
-  double shard_scaling = 0.0;         // full-scan regime: the work cut
-  double shard_scaling_pruned = 0.0;  // deployment default, informational
-  bool shard_identical = true;
-  for (size_t c = 0; c < shard_cells.size(); ++c) {
-    if (shard_cells[c].shards == 4) {
-      if (fullscan_cells[0].rows_per_sec > 0.0) {
-        shard_scaling =
-            fullscan_cells[c].rows_per_sec / fullscan_cells[0].rows_per_sec;
-      }
-      if (shard_cells[0].rows_per_sec > 0.0) {
-        shard_scaling_pruned =
-            shard_cells[c].rows_per_sec / shard_cells[0].rows_per_sec;
-      }
-    }
-    shard_identical = shard_identical && shard_cells[c].identical &&
-                      fullscan_cells[c].identical;
-  }
-  bool shard_scaling_ok = shard_scaling >= 1.3 && shard_identical;
-
-  // The query-gap gate cell: an S=4 wrapper on the same index footing as
-  // the single baseline. The maintained global core keeps sharded
-  // queries at fan-out + merge cost over the same clean-model predicts
-  // as the single engine — the old wrapper refit every global model per
-  // quiescent span and sat ~40x over the baseline here. A small absolute
-  // escape hatch keeps the gate meaningful on machines where both p50s
-  // are a few microseconds and the ratio is scheduling noise.
-  double shard_query_p50_s4 = 0.0;
-  double shard_query_p99_s4 = 0.0;
-  bool shard_query_identical = true;
-  {
-    iim::core::IimOptions gopt = qopt;
-    gopt.shards = 4;
-    gopt.threads = 4;
-    auto gated_r = iim::stream::ShardedOnlineIim::Create(
-        data.schema(), target, features, gopt);
-    if (!gated_r.ok()) {
-      std::fprintf(stderr, "gate-cell create: %s\n",
-                   gated_r.status().ToString().c_str());
-      return 1;
-    }
-    iim::stream::ShardedOnlineIim& gated = *gated_r.value();
-    std::vector<iim::data::RowView> chunk;
-    for (size_t i = 0; i < n; i += kChunk) {
-      chunk.clear();
-      for (size_t j = i; j < std::min(n, i + kChunk); ++j) {
-        chunk.push_back(data.Row(j));
-      }
-      for (const iim::Status& st : gated.IngestBatch(chunk)) {
-        if (!st.ok()) {
-          std::fprintf(stderr, "gate-cell ingest: %s\n",
-                       st.ToString().c_str());
-          return 1;
-        }
-      }
-    }
-    gated.WaitForIndexRebuilds();
-    std::vector<double> gate_seconds;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t p = 0; p < kShardProbes; ++p) {
-        std::vector<double> prow;
-        make_probe(p, &prow);
-        iim::data::RowView pv(prow.data(), prow.size());
-        timer.Restart();
-        iim::Result<double> v = gated.ImputeOne(pv);
-        double seconds = timer.ElapsedSeconds();
-        if (!v.ok()) {
-          std::fprintf(stderr, "gate-cell impute: %s\n",
-                       v.status().ToString().c_str());
-          return 1;
-        }
-        if (pass == 1) {
-          gate_seconds.push_back(seconds);
-          shard_query_identical =
-              shard_query_identical && v.value() == single_values[p];
-        }
-      }
-    }
-    iim::LatencySummary gate_lat = iim::Summarize(gate_seconds);
-    shard_query_p50_s4 = gate_lat.p50;
-    shard_query_p99_s4 = gate_lat.p99;
-  }
-  double shard_query_gap =
-      single_query.p50 > 0.0 ? shard_query_p50_s4 / single_query.p50 : 0.0;
-  const double kQueryGapFloorSeconds = 0.0005;  // 0.5 ms
-  bool shard_query_ok =
-      (shard_query_gap <= 3.0 ||
-       shard_query_p50_s4 <= kQueryGapFloorSeconds) &&
-      shard_query_identical;
-
-  // Phase 4: checkpoint pauses and recovery. The same n-row stream is
+  // Phase 3: checkpoint pauses and recovery. The same n-row stream is
   // ingested with durability on — every arrival appended to the
   // write-ahead log, a snapshot every n/10 ops — and the per-arrival
   // percentiles are compared against the persistence-off background-
@@ -865,7 +566,7 @@ int main(int argc, char** argv) {
   }
   ::rmdir(persist_root.c_str());
 
-  // Phase 5: the fail-point tax (see the header comment). Disarmed cell
+  // Phase 4: the fail-point tax (see the header comment). Disarmed cell
   // first: a tight loop over Inject on a never-armed name. The !ok()
   // branch keeps the compiler from discarding the call.
   iim::fail::DisableAll();
@@ -881,7 +582,7 @@ int main(int argc, char** argv) {
         timer.ElapsedSeconds() / static_cast<double>(kCalls) * 1e9;
   }
 
-  // Armed-never-firing cell: the phase-4 durable ingest again, with the
+  // Armed-never-firing cell: the phase-3 durable ingest again, with the
   // two points on its per-arrival path armed at probability 0. Every
   // append/fsync now takes the registry slow path (mutex + lookup +
   // trigger evaluation) and returns OK — the cost a deployment pays for
@@ -922,7 +623,7 @@ int main(int argc, char** argv) {
                                    ingest_persist.p50 +
                                        kFailpointFloorSeconds);
 
-  // Phase 6: the masking-one-out monitoring tax (see the header
+  // Phase 5: the masking-one-out monitoring tax (see the header
   // comment). A fresh back-to-back pair — monitoring off, then the 1%
   // holdout trickle — on the identical stream and options.
   IngestProfile moo_off = BuildEngine(data, target, features, opt, n);
@@ -1034,53 +735,11 @@ int main(int argc, char** argv) {
   std::printf("SHAPE CHECK: eviction >= 10x cheaper than window relearn and "
               "windowed matches batch refit ... %s\n",
               evict_fast_enough && windowed_matches ? "OK" : "DEVIATES");
-  std::printf("\nsharded ingestion (S = 1, 2, 4, 8; %zu-row chunks; "
-              "admission bound on — deployment default):\n",
-              kChunk);
-  for (const ShardCell& cell : shard_cells) {
-    std::printf("  S=%zu  ingest %8.3f s (%9.0f rows/s)  impute p50 "
-                "%8.4f ms  p99 %8.4f ms  results %s\n",
-                cell.shards, cell.ingest_seconds, cell.rows_per_sec,
-                cell.impute_p50 * 1e3, cell.impute_p99 * 1e3,
-                cell.identical ? "identical" : "DIVERGED");
-  }
-  std::printf("sharded ingestion, shard insertion scans UNPRUNED, stream "
-              "ingested twice (the O(n/S) work-cut regime the scaling "
-              "gate pins):\n");
-  for (const ShardCell& cell : fullscan_cells) {
-    std::printf("  S=%zu  ingest %8.3f s (%9.0f rows/s)  results %s\n",
-                cell.shards, cell.ingest_seconds, cell.rows_per_sec,
-                cell.identical ? "identical" : "DIVERGED");
-  }
-  std::printf("steady-state query gap on a level index footing (KD-tree "
-              "threshold %zu for both):\n",
-              qopt.index_kdtree_threshold);
-  std::printf("  single engine p50 %8.4f ms  p99 %8.4f ms\n",
-              single_query.p50 * 1e3, single_query.p99 * 1e3);
-  std::printf("  S=4 wrapper   p50 %8.4f ms  p99 %8.4f ms  gap %5.2fx  "
-              "results %s\n",
-              shard_query_p50_s4 * 1e3, shard_query_p99_s4 * 1e3,
-              shard_query_gap,
-              shard_query_identical ? "identical" : "DIVERGED");
-  std::printf("%-34s %12.2fx (work cut: each arrival scans only its own "
-              "shard's learning orders)\n",
-              "ingest throughput S=4 vs S=1", shard_scaling);
-  std::printf("%-34s %12.2fx (admission bound already makes per-arrival "
-              "maintenance sublinear)\n",
-              "  same, admission bound on", shard_scaling_pruned);
   std::printf("SHAPE CHECK: background rebuild shrinks the worst ingest "
               "critical section ... %s\n",
               !tail_check_applies ? "N/A (no in-lock rebuild at this n)"
               : tail_improved     ? "OK"
                                   : "DEVIATES");
-  std::printf("SHAPE CHECK: sharded ingest scales (S=4 >= 1.3x S=1, "
-              "full-scan regime) with query results unchanged ... %s\n",
-              shard_scaling_ok ? "OK" : "DEVIATES");
-  std::printf("SHAPE CHECK: sharded steady-state query p50 at S=4 within "
-              "3x of the single engine (or under %.2f ms absolute), "
-              "results identical ... %s\n",
-              kQueryGapFloorSeconds * 1e3,
-              shard_query_ok ? "OK" : "DEVIATES");
   std::printf("\ncheckpointing (WAL every arrival, snapshot every %zu ops):\n",
               snap_every);
   PrintLatency("  ingest, persistence off", built.seconds);
@@ -1294,49 +953,6 @@ int main(int argc, char** argv) {
                  c + 1 < recovery_cells.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"sharding\": [\n");
-  for (size_t c = 0; c < shard_cells.size(); ++c) {
-    const ShardCell& cell = shard_cells[c];
-    std::fprintf(out,
-                 "    {\"shards\": %zu, \"ingest_seconds\": %.6f, "
-                 "\"ingest_rows_per_sec\": %.1f, "
-                 "\"impute_p50_seconds\": %.9f, "
-                 "\"impute_p99_seconds\": %.9f, "
-                 "\"results_identical_to_single\": %s}%s\n",
-                 cell.shards, cell.ingest_seconds, cell.rows_per_sec,
-                 cell.impute_p50, cell.impute_p99,
-                 cell.identical ? "true" : "false",
-                 c + 1 < shard_cells.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"sharding_fullscan\": [\n");
-  for (size_t c = 0; c < fullscan_cells.size(); ++c) {
-    const ShardCell& cell = fullscan_cells[c];
-    std::fprintf(out,
-                 "    {\"shards\": %zu, \"ingest_seconds\": %.6f, "
-                 "\"ingest_rows_per_sec\": %.1f, "
-                 "\"results_identical_to_single\": %s}%s\n",
-                 cell.shards, cell.ingest_seconds, cell.rows_per_sec,
-                 cell.identical ? "true" : "false",
-                 c + 1 < fullscan_cells.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n"
-               "  \"sharding_ingest_scaling_s4_vs_s1\": %.2f,\n"
-               "  \"sharding_ingest_scaling_s4_vs_s1_pruned\": %.2f,\n"
-               "  \"sharding_results_identical\": %s,\n"
-               "  \"query_gap_kdtree_threshold\": %zu,\n"
-               "  \"single_query_p50_seconds\": %.9f,\n"
-               "  \"single_query_p99_seconds\": %.9f,\n"
-               "  \"sharded_query_p50_seconds_s4\": %.9f,\n"
-               "  \"sharded_query_p99_seconds_s4\": %.9f,\n"
-               "  \"sharding_query_gap_s4_vs_single\": %.2f,\n"
-               "  \"sharding_query_gap_within_3x\": %s,\n",
-               shard_scaling, shard_scaling_pruned,
-               shard_identical ? "true" : "false",
-               qopt.index_kdtree_threshold, single_query.p50,
-               single_query.p99, shard_query_p50_s4, shard_query_p99_s4,
-               shard_query_gap, shard_query_ok ? "true" : "false");
   std::fprintf(out,
                "  \"moo_sample_rate\": 0.01,\n"
                "  \"ingest_p50_seconds_moo_off\": %.9f,\n"
@@ -1356,9 +972,8 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return fast_enough && identical && evict_fast_enough && windowed_matches &&
-                 tail_improved && shard_scaling_ok && shard_query_ok &&
-                 checkpoint_ok && affected_ok && compact_hold_ok &&
-                 samples_ok && failpoint_ok && moo_ok
+                 tail_improved && checkpoint_ok && affected_ok &&
+                 compact_hold_ok && samples_ok && failpoint_ok && moo_ok
              ? 0
              : 1;
 }

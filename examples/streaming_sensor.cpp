@@ -24,13 +24,7 @@
 // says no), and memory stays bounded no matter how long the deployment
 // runs.
 //
-// Act three shards the deployment (ShardedOnlineIim): arrivals are
-// routed round-robin to 4 independent engines, imputation queries
-// scatter to every shard and gather through a global top-k merge — and
-// the answers still match act one's unsharded engine bit for bit, while
-// each arrival's maintenance loop only scans a quarter of the fleet.
-//
-// Act four makes the deployment durable (IimOptions::persist_dir): every
+// Act three makes the deployment durable (IimOptions::persist_dir): every
 // arrival is appended to a write-ahead log before it is applied, a
 // snapshot of the full engine lands in the background every few hundred
 // ops, and when the process "crashes" (the engine is destroyed with no
@@ -38,7 +32,15 @@
 // log tail, and answers every probe bit-for-bit as the engine that never
 // crashed.
 //
-// Act six breaks the disk under act four's deployment: the wal.append
+// Act four lets every reading choose its own neighborhood size l
+// (IimOptions::adaptive — the paper's Algorithm 3), online: each arrival
+// re-validates only the tuples whose validation lists it actually
+// enters, the per-tuple l is re-determined lazily at the next query that
+// needs the model, and the chosen values drift as the window slides off
+// old regimes — yet the imputations stay bit-identical to a batch
+// Algorithm 3 refit on the live window.
+//
+// Act five breaks the disk under act three's deployment: the wal.append
 // fail point (src/common/failpoint.h) injects IoError on every append,
 // bounded retries are exhausted, and the engine degrades — further
 // ingests are refused with Unavailable while imputations keep serving
@@ -47,15 +49,7 @@
 // to healthy, and the refused readings are re-ingested as if nothing
 // happened. Every transition and refusal is counted.
 //
-// Act five lets every reading choose its own neighborhood size l
-// (IimOptions::adaptive — the paper's Algorithm 3), online: each arrival
-// re-validates only the tuples whose validation lists it actually
-// enters, the per-tuple l is re-determined lazily at the next query that
-// needs the model, and the chosen values drift as the window slides off
-// old regimes — yet the imputations stay bit-identical to a batch
-// Algorithm 3 refit on the live window.
-//
-// Act seven asks the question the agreement checks above cannot: is the
+// Act six asks the question the agreement checks above cannot: is the
 // imputation any good *right now*? moo_sample_rate arms the
 // masking-one-out monitor — a deterministic hash picks 1% of arrivals,
 // holds one monitored cell out, and imputes it from the pre-arrival
@@ -89,7 +83,6 @@
 #include "stream/imputation_service.h"
 #include "stream/online_iim.h"
 #include "stream/persist/io.h"
-#include "stream/sharded_iim.h"
 
 int main() {
   // The deployment of examples/sensor_imputation.cpp: rooms with local
@@ -317,70 +310,15 @@ int main() {
                   : "MISMATCH");
   if (wmismatches != 0) return 1;
 
-  // Act three: shard the deployment. Four independent engines split the
-  // stream round-robin; queries scatter to every shard and merge into
-  // the GLOBAL top-k, so the sharded answers must equal act one's
-  // unsharded engine bit for bit — sharding moves work, not semantics.
-  iim::core::IimOptions shopt = opt;
-  shopt.window_size = 0;  // act one ran unwindowed; mirror it
-  shopt.shards = 4;
-  auto sharded_r = iim::stream::ShardedOnlineIim::Create(
-      readings.schema(), target, features, shopt);
-  if (!sharded_r.ok()) {
-    std::fprintf(stderr, "sharded create: %s\n",
-                 sharded_r.status().ToString().c_str());
-    return 1;
-  }
-  iim::stream::ShardedOnlineIim& sharded = *sharded_r.value();
-  // Replay exactly the readings act one ingested (the lost ones were
-  // imputed, never ingested), in IngestBatch chunks — the coalesced
-  // drive the sharded service uses.
+  // The readings act one ingested (the lost ones were imputed, never
+  // ingested), replayed by the durable act below.
   std::vector<std::vector<double>> replay;
   for (size_t i = 0; i < readings.NumRows(); ++i) {
     if (i > 60 && (i / 4) % 10 == 0) continue;
     replay.push_back(readings.Row(i).ToVector());
   }
-  for (size_t i = 0; i < replay.size(); i += 128) {
-    std::vector<iim::data::RowView> chunk;
-    for (size_t j = i; j < std::min(replay.size(), i + 128); ++j) {
-      chunk.emplace_back(replay[j].data(), replay[j].size());
-    }
-    for (const iim::Status& st : sharded.IngestBatch(chunk)) {
-      if (!st.ok()) {
-        std::fprintf(stderr, "sharded ingest: %s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-  }
-  size_t smismatches = 0;
-  for (size_t i = 0; i < readings.NumRows(); i += 97) {
-    std::vector<double> row = readings.Row(i).ToVector();
-    row[static_cast<size_t>(target)] =
-        std::numeric_limits<double>::quiet_NaN();
-    iim::data::RowView view(row.data(), row.size());
-    iim::Result<double> got = sharded.ImputeOne(view);
-    iim::Result<double> want = online.ImputeOne(view);
-    if (!got.ok() || !want.ok() || got.value() != want.value())
-      ++smismatches;
-  }
-  auto sstats = sharded.stats();
-  std::printf("\nSharded (S = %zu, round robin): ", sharded.shards());
-  for (size_t s = 0; s < sharded.shards(); ++s) {
-    std::printf("%s%zu", s == 0 ? "residents " : " / ",
-                sharded.shard(s).size());
-  }
-  std::printf("; %zu cross-shard merges; global order core: %zu model "
-              "solves, %zu served clean, %zu holders dirtied by arrivals\n",
-              sstats.merges, sstats.models_fitted, sstats.global_fits_reused,
-              sstats.holders_invalidated);
-  std::printf("Sharded-vs-unsharded agreement: %s\n",
-              smismatches == 0
-                  ? "bit-identical (the merge reproduces the global "
-                    "neighborhoods)"
-                  : "MISMATCH");
-  if (smismatches != 0) return 1;
 
-  // Act four: survive a crash. The same stream, but every arrival goes
+  // Act three: survive a crash. The same stream, but every arrival goes
   // through the write-ahead log before it is applied and a background
   // snapshot lands every 400 ops. Destroying the engine mid-flight (no
   // shutdown, no flush beyond the per-record log append) is the crash;
@@ -472,7 +410,7 @@ int main() {
   ::rmdir(tmpl);
   if (dmismatches != 0) return 1;
 
-  // Act five: adaptive neighborhood sizes, online. A fixed l treats every
+  // Act four: adaptive neighborhood sizes, online. A fixed l treats every
   // room alike; Algorithm 3 instead validates candidate prefixes of each
   // reading's learning order against its nearest neighbors and keeps the
   // cheapest. With options.adaptive the engine maintains that machinery
@@ -575,7 +513,7 @@ int main() {
                   : "MISMATCH");
   if (amismatches != 0) return 1;
 
-  // Act six: survive a failing disk. Act four showed the log replay;
+  // Act five: survive a failing disk. Act three showed the log replay;
   // this act shows the failure policy around the log. The disk "fills"
   // mid-stream — the wal.append fail point injects IoError on every
   // append — bounded retries find the fault persistent, and the engine
@@ -688,7 +626,7 @@ int main() {
     return 1;
   }
 
-  // Act seven: the masking-one-out quality monitor (see the header
+  // Act six: the masking-one-out quality monitor (see the header
   // comment). Four laps of the stream through a 500-reading window, 1%
   // holdout trickle, champion/challenger auto-routing; the power channel
   // recalibrates (y -> y/2 + 3) halfway through the deployment.

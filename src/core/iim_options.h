@@ -81,14 +81,6 @@ struct IimOptions {
   size_t index_kdtree_threshold = 0;
   size_t index_min_rebuild_tail = 0;
   size_t index_min_compact_tombstones = 0;
-  // Shard count for stream::ShardedOnlineIim: arrivals are routed to
-  // `shards` independent engines by a pluggable partitioner and
-  // imputation queries scatter to every shard, merging per-shard
-  // candidates into a global top-k that is bit-identical to an unsharded
-  // engine over the union of the data. Plain OnlineIim and the batch
-  // imputer ignore it. 1 = unsharded.
-  size_t shards = 1;
-
   // --- Durability (stream engines; the batch imputer ignores these) ---
   // Directory for snapshots and the write-ahead arrival log. Empty
   // disables persistence. When set, Create() first recovers from the

@@ -10,23 +10,14 @@
 namespace iim::stream {
 
 ImputationService::ImputationService(OnlineIim* engine)
-    : ImputationService(engine, nullptr, Options()) {}
+    : ImputationService(engine, Options()) {}
 
 ImputationService::ImputationService(OnlineIim* engine,
                                      const Options& options)
-    : ImputationService(engine, nullptr, options) {}
-
-ImputationService::ImputationService(ShardedOnlineIim* engine)
-    : ImputationService(nullptr, engine, Options()) {}
-
-ImputationService::ImputationService(ShardedOnlineIim* engine,
-                                     const Options& options)
-    : ImputationService(nullptr, engine, options) {}
-
-ImputationService::ImputationService(OnlineIim* engine,
-                                     ShardedOnlineIim* sharded,
-                                     const Options& options)
-    : engine_(engine), sharded_(sharded), options_(options) {
+    : engine_(engine), options_(options) {
+  // A zero batch bound would pop nothing and spin on the same impute
+  // forever; one request per engine call is its only sensible reading.
+  options_.max_batch = std::max<size_t>(options_.max_batch, 1);
   server_ = std::thread([this] { ServeLoop(); });
 }
 
@@ -62,11 +53,7 @@ void ImputationService::Shutdown() {
   }
   // Every acknowledged request is applied; make it durable (no-op for
   // engines without a persist_dir).
-  if (engine_ != nullptr) {
-    engine_->FlushPersistence();
-  } else {
-    sharded_->FlushPersistence();
-  }
+  engine_->FlushPersistence();
 }
 
 bool ImputationService::TryEnqueue(Request req) {
@@ -196,8 +183,8 @@ ImputationService::Stats ImputationService::stats() const {
     // Only the copies happen under mu_ — the nth_element passes run
     // unlocked so a polling monitor cannot stall Submit or the serve
     // loop (and thereby inflate the very latencies being summarized).
-    // shard_stats is refreshed by the server thread under this same
-    // mutex, so the per-shard counters cohere with the service counters.
+    // The engine counters are refreshed by the server thread under this
+    // same mutex, so they cohere with the service counters.
     std::lock_guard<std::mutex> lock(mu_);
     s = stats_;
     ingest_copy = ingest_seconds_;
@@ -214,44 +201,23 @@ HealthState ImputationService::Health() const {
 }
 
 void ImputationService::RefreshEngineStats() {
-  if (sharded_ != nullptr) {
-    ShardedOnlineIim::Stats es = sharded_->stats();
-    stats_.snapshots_written = es.snapshots_written;
-    stats_.snapshots_loaded = es.snapshots_loaded;
-    stats_.log_records_replayed = es.log_records_replayed;
-    stats_.holders_invalidated = es.holders_invalidated;
-    stats_.global_fits_reused = es.global_fits_reused;
-    stats_.adaptive_l_changes = es.adaptive_l_changes;
-    stats_.engine_wal_retries = es.wal_retries;
-    stats_.engine_nondurable_ops = es.nondurable_ops;
-    stats_.engine_health_transitions = es.health_transitions;
-    stats_.moo_probes = es.moo_probes;
-    stats_.moo_skipped = es.moo_skipped;
-    stats_.routed_serves = es.routed_serves;
-    stats_.ensemble_serves = es.ensemble_serves;
-    stats_.champion_switches = es.champion_switches;
-    stats_.quality = std::move(es.quality);
-    stats_.health = sharded_->Health();
-    stats_.shard_stats = std::move(es.per_shard);
-  } else {
-    const OnlineIim::Stats es = engine_->stats();
-    stats_.snapshots_written = es.snapshots_written;
-    stats_.snapshots_loaded = es.snapshots_loaded;
-    stats_.log_records_replayed = es.log_records_replayed;
-    stats_.holders_invalidated = es.holders_invalidated;
-    stats_.global_fits_reused = es.global_fits_reused;
-    stats_.adaptive_l_changes = es.adaptive_l_changes;
-    stats_.engine_wal_retries = es.wal_retries;
-    stats_.engine_nondurable_ops = es.nondurable_ops;
-    stats_.engine_health_transitions = es.health_transitions;
-    stats_.moo_probes = es.moo_probes;
-    stats_.moo_skipped = es.moo_skipped;
-    stats_.routed_serves = es.routed_serves;
-    stats_.ensemble_serves = es.ensemble_serves;
-    stats_.champion_switches = es.champion_switches;
-    stats_.quality = es.quality;
-    stats_.health = engine_->Health();
-  }
+  const OnlineIim::Stats es = engine_->stats();
+  stats_.snapshots_written = es.snapshots_written;
+  stats_.snapshots_loaded = es.snapshots_loaded;
+  stats_.log_records_replayed = es.log_records_replayed;
+  stats_.holders_invalidated = es.holders_invalidated;
+  stats_.global_fits_reused = es.global_fits_reused;
+  stats_.adaptive_l_changes = es.adaptive_l_changes;
+  stats_.engine_wal_retries = es.wal_retries;
+  stats_.engine_nondurable_ops = es.nondurable_ops;
+  stats_.engine_health_transitions = es.health_transitions;
+  stats_.moo_probes = es.moo_probes;
+  stats_.moo_skipped = es.moo_skipped;
+  stats_.routed_serves = es.routed_serves;
+  stats_.ensemble_serves = es.ensemble_serves;
+  stats_.champion_switches = es.champion_switches;
+  stats_.quality = es.quality;
+  stats_.health = engine_->Health();
 }
 
 void ImputationService::RecordLatency(std::vector<double>* ring,
@@ -272,16 +238,8 @@ void ImputationService::ServeImputeFallback(std::vector<Request>* taken) {
   // it, every backed-up batch re-scanned the whole window, so overload
   // latency grew with window size exactly when latency mattered most.
   if (!fallback_fit_valid_) {
-    if (sharded_ != nullptr) {
-      // Materialized by value into a member that outlives the fit — the
-      // imputer keeps a pointer into the relation it was fitted on.
-      fallback_window_ = sharded_->Window();
-      fallback_fit_ = fallback_imputer_.Fit(
-          fallback_window_, sharded_->target(), sharded_->features());
-    } else {
-      fallback_fit_ = fallback_imputer_.Fit(
-          engine_->table(), engine_->target(), engine_->features());
-    }
+    fallback_fit_ = fallback_imputer_.Fit(
+        engine_->table(), engine_->target(), engine_->features());
     fallback_fit_valid_ = true;
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.fallback_fits;
@@ -324,18 +282,14 @@ void ImputationService::ServeLoop() {
         idle_cv_.notify_all();
       } else {
         Kind head = queue_.front().kind;
-        if (head == Kind::kEvict ||
-            (head == Kind::kIngest && sharded_ == nullptr)) {
-          // Applied one at a time: later requests must see the relation
-          // exactly as their submission order implies, and the unsharded
-          // engine has no batched mutation entry point.
+        if (head != Kind::kImpute) {
+          // Mutations apply one at a time: later requests must see the
+          // relation exactly as their submission order implies.
           taken.push_back(std::move(queue_.front()));
           queue_.pop_front();
         } else {
-          // Coalesce the run of same-kind requests at the head into one
-          // micro-batch: imputations for either engine, ingests for the
-          // sharded engine (which applies the run with per-shard
-          // parallelism while preserving sequential semantics).
+          // Coalesce the run of imputations at the head into one
+          // micro-batch (max_batch >= 1, so the head always joins it).
           while (!queue_.empty() && queue_.front().kind == head &&
                  taken.size() < options_.max_batch &&
                  queue_.front().deadline > now) {
@@ -389,28 +343,13 @@ void ImputationService::ServeLoop() {
         }
       }
     } else if (kind == Kind::kIngest) {
-      if (sharded_ != nullptr) {
-        std::vector<data::RowView> rows;
-        rows.reserve(taken.size());
-        for (const Request& req : taken) {
-          rows.emplace_back(req.values.data(), req.values.size());
-        }
-        std::vector<Status> statuses = sharded_->IngestBatch(rows);
-        for (size_t i = 0; i < taken.size(); ++i) {
-          if (statuses[i].code() == StatusCode::kUnavailable) ++degraded;
-          taken[i].status_promise.set_value(std::move(statuses[i]));
-        }
-      } else {
-        data::RowView row(taken.front().values.data(),
-                          taken.front().values.size());
-        Status st = engine_->Ingest(row);
-        if (st.code() == StatusCode::kUnavailable) ++degraded;
-        taken.front().status_promise.set_value(std::move(st));
-      }
+      data::RowView row(taken.front().values.data(),
+                        taken.front().values.size());
+      Status st = engine_->Ingest(row);
+      if (st.code() == StatusCode::kUnavailable) ++degraded;
+      taken.front().status_promise.set_value(std::move(st));
     } else if (kind == Kind::kEvict) {
-      Status st = sharded_ != nullptr
-                      ? sharded_->Evict(taken.front().arrival)
-                      : engine_->Evict(taken.front().arrival);
+      Status st = engine_->Evict(taken.front().arrival);
       if (st.code() == StatusCode::kUnavailable) ++degraded;
       taken.front().status_promise.set_value(std::move(st));
     } else if (use_fallback) {
@@ -421,9 +360,7 @@ void ImputationService::ServeLoop() {
       for (const Request& req : taken) {
         rows.emplace_back(req.values.data(), req.values.size());
       }
-      std::vector<Result<double>> answers =
-          sharded_ != nullptr ? sharded_->ImputeBatch(rows)
-                              : engine_->ImputeBatch(rows);
+      std::vector<Result<double>> answers = engine_->ImputeBatch(rows);
       for (size_t i = 0; i < taken.size(); ++i) {
         taken[i].impute_promise.set_value(std::move(answers[i]));
       }
@@ -441,13 +378,8 @@ void ImputationService::ServeLoop() {
         // The engine never saw the batch: no serve counters, no latency
         // sample — only the quiesce/in-flight bookkeeping below.
       } else if (kind == Kind::kIngest) {
-        stats_.ingests += taken.size();
+        ++stats_.ingests;
         stats_.degraded_rejected += degraded;
-        if (sharded_ != nullptr) {
-          ++stats_.ingest_batches;
-          stats_.largest_ingest_batch =
-              std::max(stats_.largest_ingest_batch, taken.size());
-        }
         RecordLatency(&ingest_seconds_, &ingest_next_, serve_seconds);
       } else if (kind == Kind::kEvict) {
         ++stats_.evictions;
@@ -464,8 +396,8 @@ void ImputationService::ServeLoop() {
       }
       // Engine stats are only refreshed at quiesce points — the queue
       // going idle here, or inside Pause() itself — not per served
-      // request: copying S stats structs under mu_ on every drain would
-      // tax the same lock Submit* and the latency rings contend on.
+      // request: copying the engine's stats under mu_ on every drain
+      // would tax the same lock Submit* and the latency rings contend on.
       if (queue_.empty()) RefreshEngineStats();
       in_flight_ = 0;
       idle_cv_.notify_all();  // Drain (queue empty) and Pause (quiescent)

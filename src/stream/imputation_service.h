@@ -1,5 +1,5 @@
 // ImputationService: an async micro-batching front end over one streaming
-// engine — an OnlineIim, or a ShardedOnlineIim fanned out across shards.
+// engine (OnlineIim).
 //
 // Producers enqueue arrivals without blocking on the engine:
 //
@@ -13,15 +13,10 @@
 // A single server thread drains the queue in submission order. Consecutive
 // imputation requests are coalesced into one micro-batch (up to
 // Options::max_batch) and answered by a single ThreadPool-backed
-// ImputeBatch call. Against an OnlineIim, ingests and evictions apply one
-// at a time; against a ShardedOnlineIim, consecutive INGESTS also
-// coalesce — the engine routes the run onto per-shard op queues and
-// applies them with per-shard parallelism (scatter), then the service
-// resolves every row's future (gather). Either way each request observes
-// exactly the relation state its submission order implies: batching is
-// purely a throughput knob, because ImputeBatch is bit-identical to
-// per-row ImputeOne and IngestBatch is bit-identical to sequential
-// Ingest calls for every thread count.
+// ImputeBatch call; ingests and evictions apply one at a time. Each
+// request observes exactly the relation state its submission order
+// implies: batching is purely a throughput knob, because ImputeBatch is
+// bit-identical to per-row ImputeOne for every thread count.
 //
 // Backpressure: the queue is bounded (Options::max_queue). A submission
 // that would exceed it is load-shed — its future resolves immediately to
@@ -50,15 +45,14 @@
 #include "data/table.h"
 #include "stream/health.h"
 #include "stream/online_iim.h"
-#include "stream/sharded_iim.h"
 
 namespace iim::stream {
 
 class ImputationService {
  public:
   struct Options {
-    // Most imputation (or, sharded, ingestion) requests drained into one
-    // engine call.
+    // Most imputation requests drained into one engine call. 0 is
+    // treated as 1 (one request per call).
     size_t max_batch = 64;
     // Most requests pending at once; submissions beyond it are rejected
     // with kResourceExhausted. 0 = unbounded (the pre-backpressure
@@ -85,8 +79,6 @@ class ImputationService {
     size_t evictions = 0;
     size_t batches = 0;       // engine ImputeBatch calls issued
     size_t largest_batch = 0;
-    size_t ingest_batches = 0;       // engine IngestBatch calls (sharded)
-    size_t largest_ingest_batch = 0;
     // The rejection split: every request that resolved without reaching
     // the engine is exactly one of these.
     size_t queue_shed = 0;         // shed at the queue bound
@@ -109,15 +101,19 @@ class ImputationService {
     size_t engine_wal_retries = 0;
     size_t engine_nondurable_ops = 0;
     size_t engine_health_transitions = 0;
-    // Engine durability counters (see OnlineIim::Stats), refreshed at the
-    // same quiesce points as shard_stats — for BOTH engine kinds.
+    // Engine durability counters (see OnlineIim::Stats), refreshed at
+    // quiesce points (by Pause() once the engine is quiescent, and by the
+    // server thread when the queue goes idle) under the same mutex as the
+    // counters above — so a snapshot taken while Pause()d or after
+    // Drain() is both internally coherent and stable. Mid-stream reads
+    // may lag by the requests served since the last quiesce.
     size_t snapshots_written = 0;
     size_t snapshots_loaded = 0;
     size_t log_records_replayed = 0;
     // Engine model-maintenance counters (see OnlineIim::Stats), refreshed
-    // at the same quiesce points — for BOTH engine kinds. Together they
-    // gauge how often a served model was a still-clean cached fit versus
-    // how much churn arrivals inflicted on the maintained orders.
+    // at the same quiesce points. Together they gauge how often a served
+    // model was a still-clean cached fit versus how much churn arrivals
+    // inflicted on the maintained orders.
     size_t holders_invalidated = 0;
     size_t global_fits_reused = 0;
     size_t adaptive_l_changes = 0;
@@ -132,30 +128,16 @@ class ImputationService {
     std::vector<QualityColumnStats> quality;
     // Engine-serve latency (seconds) over the most recent requests of
     // each kind (bounded reservoir of kLatencySamples): ingest is
-    // per-arrival — the tail the background index rebuild bounds — or
-    // per coalesced ingest micro-batch when sharded; impute is per
-    // micro-batch.
+    // per-arrival — the tail the background index rebuild bounds;
+    // impute is per micro-batch.
     LatencySummary ingest_latency;
     LatencySummary impute_latency;
-    // Sharded engine only: one OnlineIim::Stats per shard, refreshed at
-    // quiesce points (by Pause() once the engine is quiescent, and by
-    // the server thread when the queue goes idle) under the same mutex
-    // as the counters above — so a snapshot taken while Pause()d or
-    // after Drain() is both internally coherent and stable. Mid-stream
-    // reads may lag by the requests served since the last quiesce.
-    // Empty for an unsharded engine.
-    std::vector<OnlineIim::Stats> shard_stats;
   };
 
   // The engine must outlive the service; the service is the engine's only
-  // caller while running (both engines are externally synchronized).
+  // caller while running (the engine is externally synchronized).
   explicit ImputationService(OnlineIim* engine);
   ImputationService(OnlineIim* engine, const Options& options);
-  // Sharded front end: consecutive ingests coalesce into per-shard
-  // parallel IngestBatch calls; imputations scatter/gather across shards
-  // inside the engine.
-  explicit ImputationService(ShardedOnlineIim* engine);
-  ImputationService(ShardedOnlineIim* engine, const Options& options);
   // Calls Shutdown().
   ~ImputationService();
 
@@ -174,7 +156,7 @@ class ImputationService {
   std::future<Result<double>> SubmitImpute(std::vector<double> tuple,
                                            double deadline_seconds);
   // Enqueues an eviction of the `arrival`-th ingested tuple (see
-  // OnlineIim::Evict / ShardedOnlineIim::Evict).
+  // OnlineIim::Evict).
   std::future<Status> SubmitEvict(uint64_t arrival);
   std::future<Status> SubmitEvict(uint64_t arrival, double deadline_seconds);
 
@@ -197,8 +179,8 @@ class ImputationService {
   // Blocks until every request submitted so far has been served.
   void Drain();
 
-  // One coherent snapshot: counters, latency reservoirs and (sharded)
-  // per-shard engine stats are all copied under one lock acquisition.
+  // One coherent snapshot: counters, latency reservoirs and engine
+  // counters are all copied under one lock acquisition.
   Stats stats() const;
 
   // The engine's health ladder as of the last quiesce point (the engine
@@ -224,9 +206,6 @@ class ImputationService {
   // summaries (a plain ring: old samples are overwritten).
   static constexpr size_t kLatencySamples = 4096;
 
-  ImputationService(OnlineIim* engine, ShardedOnlineIim* sharded,
-                    const Options& options);
-
   // Enqueues under the lock unless the queue is at the bound or the
   // service is shut down; returns whether the request was accepted.
   bool TryEnqueue(Request req);
@@ -238,23 +217,20 @@ class ImputationService {
   // request's absolute expiry.
   static std::chrono::steady_clock::time_point DeadlineFrom(
       double deadline_seconds);
-  // Copies the engine's durability counters (and, sharded, per-shard
-  // stats) into stats_ — caller holds mu_ at a quiesce point.
+  // Copies the engine's counters into stats_ — caller holds mu_ at a
+  // quiesce point.
   void RefreshEngineStats();
   // Appends one serve duration to a bounded ring (caller holds mu_).
   static void RecordLatency(std::vector<double>* ring, size_t* next,
                             double seconds);
 
-  OnlineIim* engine_ = nullptr;          // exactly one of these is set
-  ShardedOnlineIim* sharded_ = nullptr;
+  OnlineIim* engine_;
   Options options_;
 
   // Overload-fallback fit cache, server thread only: one column-mean fit
-  // per quiescent span, dropped by every served mutation. The sharded
-  // window is materialized by value and owned here so the imputer's
-  // table pointer stays valid for as long as the cached fit does.
+  // per quiescent span, dropped by every served mutation (which is also
+  // what invalidates the engine table the imputer points into).
   baselines::MeanImputer fallback_imputer_;
-  data::Table fallback_window_;
   Status fallback_fit_;
   bool fallback_fit_valid_ = false;
 

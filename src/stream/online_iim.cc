@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <thread>
 
 #include "common/stopwatch.h"
@@ -272,45 +271,6 @@ const data::Table& OnlineIim::table() const {
 
 bool OnlineIim::IsLive(uint64_t arrival) const {
   return core_.IsLive(arrival);
-}
-
-data::RowView OnlineIim::RowByArrival(uint64_t arrival) const {
-  return table_.Row(core_.SlotOf(arrival));
-}
-
-const double* OnlineIim::FeaturesByArrival(uint64_t arrival) const {
-  size_t slot = core_.SlotOf(arrival);
-  return slot == OrderCore::kNoSlot ? nullptr : core_.Features(slot);
-}
-
-double OnlineIim::TargetByArrival(uint64_t arrival) const {
-  size_t slot = core_.SlotOf(arrival);
-  return slot == OrderCore::kNoSlot
-             ? std::numeric_limits<double>::quiet_NaN()
-             : core_.Target(slot);
-}
-
-std::vector<neighbors::Neighbor> OnlineIim::QueryByArrival(
-    const data::RowView& tuple, size_t k, uint64_t exclude_arrival) const {
-  // The core's index covers the gathered projection, so probes are
-  // gathered once here — the same q doubles (same bytes) the engine's
-  // former full-row index gathered internally.
-  std::vector<double> probe(q_);
-  for (size_t j = 0; j < q_; ++j) {
-    probe[j] = tuple[static_cast<size_t>(features_[j])];
-  }
-  neighbors::QueryOptions qopt;
-  qopt.k = k;
-  if (exclude_arrival != kNoArrival) {
-    size_t slot = core_.SlotOf(exclude_arrival);
-    if (slot != OrderCore::kNoSlot) qopt.exclude = slot;
-  }
-  std::vector<neighbors::Neighbor> nbrs =
-      core_.index().Query(data::RowView(probe.data(), q_), qopt);
-  // Live slots ascend in arrival order (compaction preserves it), so this
-  // remap keeps the list sorted by (distance, arrival).
-  for (neighbors::Neighbor& nb : nbrs) nb.index = core_.SeqOf(nb.index);
-  return nbrs;
 }
 
 std::vector<neighbors::Neighbor> OnlineIim::LearningOrderByArrival(
@@ -697,6 +657,12 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
   size_t n = rows.U64();
   if (rows.U64() != m) {
     return Status::IoError("OnlineIim: snapshot row block shape mismatch");
+  }
+  // The payload must hold n rows of m doubles before anything is sized
+  // from n: a forged count would otherwise exhaust memory, or wrap n * m
+  // and overrun the buffer.
+  if (n > rows.remaining() / (m * sizeof(double))) {
+    return Status::IoError("OnlineIim: snapshot row count overruns its block");
   }
   std::vector<double> cells(n * m);
   for (size_t j = 0; j < m; ++j) {

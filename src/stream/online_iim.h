@@ -19,8 +19,7 @@
 // (src/stream/order_core.h); this engine owns one core over its own
 // arrivals and layers the schema-facing concerns on top: full-row
 // storage, tuple validation, Algorithm 2 aggregation, batching, and
-// durability (write-ahead log + snapshots). ShardedOnlineIim instantiates
-// the same core one level up, over the union of its shards.
+// durability (write-ahead log + snapshots).
 //
 // Adaptive per-tuple l (Algorithm 3, options.adaptive): supported online.
 // The core maintains each live tuple's validation order incrementally —
@@ -193,40 +192,18 @@ class OnlineIim {
   // the target column's champion method — see stream/quality.h.
   Result<double> ImputeOne(const data::RowView& tuple);
 
-  // --- Arrival-keyed accessors (cross-shard composition) ---------------
-  // ShardedOnlineIim addresses tuples across shards by arrival number —
-  // the only identifier stable across compaction; slots are private and
-  // move. All of these are read-only: safe to call concurrently with each
-  // other and with const queries, NOT with Ingest/Evict (the engine stays
-  // externally synchronized).
-
-  // Sentinel for "no exclusion" in QueryByArrival.
-  static constexpr uint64_t kNoArrival = static_cast<uint64_t>(-1);
+  // --- Arrival-keyed accessors (test and example hooks) ----------------
+  // Arrival numbers are the only tuple identifier stable across
+  // compaction; slots are private and move. Read-only: safe to call
+  // concurrently with each other and with const queries, NOT with
+  // Ingest/Evict (the engine stays externally synchronized).
 
   // Whether the tuple of the `arrival`-th ingest is still live.
   bool IsLive(uint64_t arrival) const;
-  // The live tuple's full row. The view is invalidated by the next Ingest
-  // or Evict; the arrival must be live.
-  data::RowView RowByArrival(uint64_t arrival) const;
-  // The live tuple's gathered feature projection (q contiguous values)
-  // and target — the exact values the engine's own folds consume, so a
-  // cross-shard fit sums bit-identical rows. nullptr / NaN if not live.
-  const double* FeaturesByArrival(uint64_t arrival) const;
-  double TargetByArrival(uint64_t arrival) const;
-  // The k nearest live tuples to `tuple`, identified by arrival number,
-  // ascending by (distance, arrival). Identical to an index Query plus a
-  // slot -> arrival remap: live slots ascend in arrival order, so the
-  // (distance, slot) tie order IS the (distance, arrival) tie order — a
-  // cross-shard merge over these lists reproduces the unsharded
-  // neighbor sets bit for bit. `exclude_arrival` removes one live tuple
-  // (a tuple querying for its own learning order excludes itself).
-  std::vector<neighbors::Neighbor> QueryByArrival(
-      const data::RowView& tuple, size_t k,
-      uint64_t exclude_arrival = kNoArrival) const;
   // The live tuple's current learning order (self first, then neighbors
   // ascending by (distance, arrival)) with entries remapped from slots to
   // arrival numbers. Empty if the arrival is not live. Test hook for the
-  // sharded-vs-single differential harness.
+  // order-maintenance differential tests.
   std::vector<neighbors::Neighbor> LearningOrderByArrival(
       uint64_t arrival) const;
   // Adaptive: the l the tuple's model used at its last (re)solve — 0 if
@@ -272,8 +249,7 @@ class OnlineIim {
   // Serializes the full engine state (window rows, arrival numbers,
   // learning orders, ridge accumulators, counters) into the sectioned
   // snapshot container; the image covers durable_ops() logged ops. Also
-  // usable without a persist_dir (the sharded wrapper embeds per-shard
-  // images in its own snapshot).
+  // usable without a persist_dir.
   std::string SerializeSnapshot();
   // Installs a serialized image into an EMPTY engine (same schema,
   // target, features and the options that shape results — mismatches are
@@ -350,7 +326,7 @@ class OnlineIim {
 
   // Full-arity rows, one per core slot (the core holds the gathered
   // (F, Am) projection; the engine keeps the schema-complete row for
-  // table() and RowByArrival).
+  // table()).
   data::Table table_;
   // The per-arrival maintenance machinery: orders, postings, index,
   // accumulators, models, adaptive sweeps. Slot-aligned with table_.

@@ -967,7 +967,7 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   if (adaptive) {
     ells_live = meta.U64();
     uint32_t elen = meta.U32();
-    if (!meta.ok() || elen > n + 1) {
+    if (!meta.ok() || elen > n + 1 || elen > meta.remaining() / 8) {
       return Status::IoError("OrderCore: snapshot candidate block overruns");
     }
     ells.resize(elen);
@@ -986,8 +986,27 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
     return Status::IoError("OrderCore: snapshot counters are inconsistent");
   }
 
+  // Every per-slot array below is sized from n, so n must first fit the
+  // payloads that back it (bytes per slot: alive + arrival + bound +
+  // q features + target; at least an order length; U/V, the model length
+  // and the cursors) — a forged count is an error, never an allocation.
   ASSIGN_OR_RETURN(persist::SectionReader rows,
                    view.Section(persist::kSecCoreRows));
+  ASSIGN_OR_RETURN(persist::SectionReader ords,
+                   view.Section(persist::kSecCoreOrders));
+  ASSIGN_OR_RETURN(persist::SectionReader mods,
+                   view.Section(persist::kSecCoreModels));
+  const size_t p1 = q_ + 1;
+  const size_t row_bytes = 1 + 8 + 8 + 8 * q_ + 8;
+  const size_t order_bytes = adaptive ? 8 : 4;
+  const size_t model_bytes =
+      8 + 1 + 8 + 8 * p1 * (p1 + 1) + 4 + (adaptive ? 8 + 1 + 4 : 0);
+  if (n > rows.remaining() / row_bytes ||
+      n > ords.remaining() / order_bytes ||
+      n > mods.remaining() / model_bytes) {
+    return Status::IoError("OrderCore: snapshot slot count overruns its "
+                           "sections");
+  }
   std::vector<uint8_t> alive(n);
   std::vector<uint64_t> seqs(n);
   for (size_t i = 0; i < n; ++i) alive[i] = rows.U8();
@@ -1002,14 +1021,12 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   }
   RETURN_IF_ERROR(rows.status());
 
-  ASSIGN_OR_RETURN(persist::SectionReader ords,
-                   view.Section(persist::kSecCoreOrders));
   auto read_orders =
       [&](std::vector<std::vector<neighbors::Neighbor>>* out) -> Status {
     out->assign(n, {});
     for (size_t i = 0; i < n; ++i) {
       uint32_t len = ords.U32();
-      if (!ords.ok() || len > n) {
+      if (!ords.ok() || len > n || len > ords.remaining() / 16) {
         return Status::IoError("OrderCore: snapshot order block overruns");
       }
       (*out)[i].resize(len);
@@ -1055,9 +1072,6 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
     }
   }
 
-  ASSIGN_OR_RETURN(persist::SectionReader mods,
-                   view.Section(persist::kSecCoreModels));
-  size_t p1 = q_ + 1;
   std::vector<regress::IncrementalRidge> accums;
   accums.reserve(n);
   std::vector<size_t> consumed(n);

@@ -1,22 +1,13 @@
-// OrderCore: the per-arrival order-maintenance machinery shared by the
-// shard-local streaming engine (OnlineIim) and the cross-shard wrapper
-// (ShardedOnlineIim).
+// OrderCore: the per-arrival order-maintenance machinery of the streaming
+// engine (OnlineIim).
 //
 // The paper's central object — the learning order NN(t_i, F, l) backing
-// each individual model — used to be maintained incrementally inside
-// OnlineIim only; one level up, the sharded wrapper refit every global
-// model from scratch each quiescent span (the 0.035 ms -> 1.4 ms query
-// regression of ROADMAP item 3). This class extracts the maintenance
-// state machine so both layers instantiate it:
-//
-//   shard-local  OnlineIim owns one core per shard; slots address the
-//                shard's own arrivals.
-//   cross-shard  ShardedOnlineIim owns ONE core over the union of all
-//                shards, addressed by global arrival number. An arrival
-//                invalidates only the holders whose global order it
-//                actually enters — the unsharded engine's trick lifted
-//                one level — so a query-time model is usually a cache
-//                hit (models_reused) instead of a fresh fold.
+// each individual model — is maintained incrementally here, one core per
+// engine, with slots addressing the engine's own arrivals. An arrival
+// invalidates only the holders whose order it actually enters, so a
+// query-time model is usually a cache hit (models_reused) instead of a
+// fresh fold. The engine layers the schema-facing concerns (full rows,
+// validation, Algorithm 2 aggregation, durability) on top.
 //
 // The core owns the gathered (F, Am) feature block and a DynamicIndex
 // built over identity columns {0..q-1} of those gathered rows. That is
@@ -105,7 +96,7 @@ class OrderCore {
     size_t models_invalidated = 0;
     size_t models_solved = 0;
     // EnsureModel calls answered by a still-clean cached model (the
-    // refit-vs-reuse gauge the sharded query path rides on).
+    // refit-vs-reuse gauge of the query path).
     size_t models_reused = 0;
     size_t downdates = 0;
     size_t downdate_fallbacks = 0;
@@ -338,8 +329,7 @@ class OrderCore {
   Counters counters_;
 };
 
-// The core configuration an engine derives from its IimOptions (shared by
-// OnlineIim and ShardedOnlineIim so both layers resolve identical cores).
+// The core configuration an engine derives from its IimOptions.
 OrderCore::Config MakeOrderCoreConfig(const core::IimOptions& options,
                                       size_t q);
 

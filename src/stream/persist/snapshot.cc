@@ -51,10 +51,6 @@ void SnapshotBuilder::PutDoubles(const double* p, size_t n) {
   AppendRaw(&sections_.back().second, p, n * sizeof(double));
 }
 
-void SnapshotBuilder::PutBytes(const std::string& bytes) {
-  sections_.back().second.append(bytes);
-}
-
 std::string SnapshotBuilder::Finish() {
   std::string out;
   size_t total = kHeaderLen + kFooterLen;
@@ -125,16 +121,6 @@ void SectionReader::Doubles(double* out, size_t n) {
   pos_ += n * sizeof(double);
 }
 
-std::string SectionReader::Bytes(size_t n) {
-  if (failed_ || len_ - pos_ < n) {
-    failed_ = true;
-    return std::string();
-  }
-  std::string out(data_ + pos_, n);
-  pos_ += n;
-  return out;
-}
-
 Status SectionReader::status() const {
   if (!failed_) return Status::OK();
   return Status::OutOfRange("snapshot section payload exhausted mid-decode");
@@ -198,14 +184,6 @@ Result<SectionReader> SnapshotView::Section(uint32_t tag) const {
     if (s.tag == tag) return SectionReader(s.data, s.len);
   }
   return Status::NotFound("snapshot has no section with the requested tag");
-}
-
-std::vector<SectionReader> SnapshotView::Sections(uint32_t tag) const {
-  std::vector<SectionReader> out;
-  for (const Span& s : spans_) {
-    if (s.tag == tag) out.emplace_back(s.data, s.len);
-  }
-  return out;
 }
 
 }  // namespace iim::stream::persist

@@ -30,21 +30,13 @@
 
 namespace iim::stream::persist {
 
-// Section tags. One snapshot never mixes the engine and wrapper layouts:
-// an OnlineIim writes kSecMeta..kSecModels; a ShardedOnlineIim writes
-// kSecMeta, kSecShardMeta and one kSecShardEngine per shard (each holding
-// a complete nested engine snapshot).
+// Section tags. An OnlineIim writes kSecMeta, kSecEngine and kSecRows,
+// its order-maintenance core (src/stream/order_core.h) writes the
+// kSecCore* sections beside them, and a monitored engine adds
+// kSecQuality.
 constexpr uint32_t kSecMeta = 1;         // config fingerprint
 constexpr uint32_t kSecEngine = 2;       // counters + cursors
 constexpr uint32_t kSecRows = 3;         // window rows, columnar
-constexpr uint32_t kSecSlots = 4;        // arrival numbers + tombstones
-constexpr uint32_t kSecOrders = 5;       // per-tuple learning orders
-constexpr uint32_t kSecModels = 6;       // ridge U/V + solved models
-constexpr uint32_t kSecShardMeta = 16;   // wrapper routing + counters
-constexpr uint32_t kSecShardEngine = 17; // nested shard snapshot (xS)
-// Order-maintenance core (src/stream/order_core.h). An OnlineIim writes
-// these beside kSecMeta/kSecEngine/kSecRows; a ShardedOnlineIim writes
-// them beside kSecShardMeta for its cross-shard global core.
 constexpr uint32_t kSecCoreMeta = 32;    // cursors + counters (+ adaptive)
 constexpr uint32_t kSecCoreRows = 33;    // gathered (F, Am) rows + slots
 constexpr uint32_t kSecCoreOrders = 34;  // learning (+ validation) orders
@@ -70,7 +62,6 @@ class SnapshotBuilder {
   void PutU64(uint64_t v);
   void PutF64(double v);
   void PutDoubles(const double* p, size_t n);
-  void PutBytes(const std::string& bytes);
 
   // Seals the snapshot (header + sections + footer). The builder is
   // spent afterwards.
@@ -96,8 +87,6 @@ class SectionReader {
   double F64();
   // Reads n doubles into out (which must hold n).
   void Doubles(double* out, size_t n);
-  // Copies `n` raw bytes out (the nested-snapshot payload path).
-  std::string Bytes(size_t n);
 
   size_t remaining() const { return len_ - pos_; }
   bool ok() const { return !failed_; }
@@ -125,9 +114,6 @@ class SnapshotView {
 
   // Reader over the unique section with `tag`; NotFound if absent.
   Result<SectionReader> Section(uint32_t tag) const;
-  // Readers over every section with `tag`, in file order (the repeated
-  // kSecShardEngine sections).
-  std::vector<SectionReader> Sections(uint32_t tag) const;
 
  private:
   struct Span {

@@ -1,7 +1,6 @@
 // StateStore: one engine's durable home directory (src/stream/persist).
 //
-// Directory layout (one directory per engine; a ShardedOnlineIim wrapper
-// owns ONE store — shard state is embedded in the wrapper snapshot):
+// Directory layout (one directory per engine):
 //
 //   snap-<P>.snap   full engine snapshot covering ops [0, P)
 //   wal-<P>.log     arrival-log segment starting at op P

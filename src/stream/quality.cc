@@ -15,7 +15,7 @@ namespace {
 
 // SplitMix64: the deterministic per-arrival hash behind holdout sampling.
 // Seeded by options.seed so two engines configured alike sample the same
-// arrivals — the sharded-vs-single differential tests depend on it.
+// arrivals — the restore and replay differential tests depend on it.
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -72,7 +72,7 @@ enum class QualityRoute {
 };
 
 // Per-monitored-column snapshot of the estimator state, surfaced through
-// OnlineIim::Stats / ShardedOnlineIim::Stats / ImputationService::stats().
+// OnlineIim::Stats and ImputationService::stats().
 struct QualityColumnStats {
   // Holdout probes that landed on this column.
   uint64_t holdouts = 0;

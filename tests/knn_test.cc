@@ -241,8 +241,8 @@ TEST(QueryManyTest, MatchesSingleQueries) {
   }
 }
 
-// The cross-shard merge primitive in isolation (the property the sharded
-// streaming engine rides on): split a point set across S shards, take
+// PushNeighborHeap as a top-k merge (the KD-tree leaf scan pushes its
+// candidates through the same heap): split a point set across S shards, take
 // each shard's top-k, push every candidate — remapped to its GLOBAL id —
 // through PushNeighborHeap, and the merged top-k must equal a global
 // BruteForceIndex query bit for bit, distance ties included. The tie

@@ -11,29 +11,16 @@
 // the engine down-dates fixed-mode accumulators (the sweeps themselves
 // never down-date; the tolerance cell simply pins the documented
 // contract).
-//
-// The suite also pins the cross-shard story: a ShardedOnlineIim and a
-// single OnlineIim run the SAME OrderCore state machine over the same
-// global arrival sequence, so sharded adaptive imputations, learning
-// orders, chosen l values and even the maintenance counters must equal
-// the single engine's exactly — and sharded FIXED-l queries must equal a
-// fresh batch refit on the live window while reusing (not refitting)
-// still-clean global models across quiescent spans.
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <limits>
 #include <string>
-#include <tuple>
-#include <unordered_map>
 
 #include <gtest/gtest.h>
 
 #include "core/iim_imputer.h"
 #include "stream/imputation_service.h"
 #include "stream/online_iim.h"
-#include "stream/sharded_iim.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -203,231 +190,6 @@ TEST(AdaptiveOnlineTest, ChosenEllsMatchBatchOnPureIngestStream) {
   EXPECT_EQ(astats.candidate_ells.back(), 6u);
 }
 
-// --- Sharded adaptive vs single adaptive ------------------------------
-
-// Both layers instantiate the same OrderCore over the same global arrival
-// sequence, so EVERYTHING must agree bitwise — values, learning orders,
-// chosen l, and even the maintenance counters (same solves, same reuses,
-// same invalidations, in the same order). Down-dating stays enabled:
-// adaptive sweeps never down-date, so this cell is exact regardless.
-void RunShardedAdaptiveDifferential(uint64_t seed, size_t shards,
-                                    size_t threads) {
-  const int target = 2;
-  const std::vector<int> features = {0, 1};
-  data::Table full = HeterogeneousTable(240, 3, seed);
-  core::IimOptions opt = AdaptiveOptions(/*downdate=*/true, threads);
-  opt.shards = shards;
-
-  Result<std::unique_ptr<OnlineIim>> single_r =
-      OnlineIim::Create(full.schema(), target, features, opt);
-  ASSERT_TRUE(single_r.ok());
-  OnlineIim& single = *single_r.value();
-  Result<std::unique_ptr<ShardedOnlineIim>> sharded_r =
-      ShardedOnlineIim::Create(full.schema(), target, features, opt);
-  ASSERT_TRUE(sharded_r.ok());
-  ShardedOnlineIim& sharded = *sharded_r.value();
-
-  data::Table probes(data::Schema::Default(3));
-  for (size_t i = 220; i < 232; ++i) {
-    ASSERT_TRUE(probes.AppendRow(Probe(full, i, target)).ok());
-  }
-  std::vector<data::RowView> probe_rows;
-  for (size_t p = 0; p < probes.NumRows(); ++p) {
-    probe_rows.push_back(probes.Row(p));
-  }
-
-  std::deque<uint64_t> expected_live;
-  std::vector<ScheduleOp> ops = MakeSchedule(
-      seed * 101 + shards, 220, /*min_live=*/12, /*evict_p=*/0.3,
-      /*impute_every=*/17);
-  for (size_t step = 0; step < ops.size(); ++step) {
-    const ScheduleOp& op = ops[step];
-    if (op.kind == ScheduleOp::kIngest) {
-      ASSERT_TRUE(single.Ingest(full.Row(op.src_row)).ok());
-      ASSERT_TRUE(sharded.Ingest(full.Row(op.src_row)).ok());
-      expected_live.push_back(op.arrival);
-      while (expected_live.size() > opt.window_size) {
-        expected_live.pop_front();
-      }
-    } else if (op.kind == ScheduleOp::kEvict) {
-      Status got_single = single.Evict(op.arrival);
-      Status got_sharded = sharded.Evict(op.arrival);
-      ASSERT_EQ(got_single.code(), got_sharded.code()) << "step " << step;
-      if (got_single.ok()) {
-        for (auto it = expected_live.begin(); it != expected_live.end();
-             ++it) {
-          if (*it == op.arrival) {
-            expected_live.erase(it);
-            break;
-          }
-        }
-      }
-    } else if (!expected_live.empty()) {
-      Result<double> want = single.ImputeOne(probes.Row(0));
-      Result<double> got = sharded.ImputeOne(probes.Row(0));
-      ASSERT_EQ(want.ok(), got.ok()) << "step " << step;
-      if (want.ok()) {
-        EXPECT_EQ(got.value(), want.value()) << "step " << step;
-      }
-    }
-
-    if (step % 70 != 0 && step + 1 != ops.size()) continue;
-    if (expected_live.empty()) continue;
-
-    // Maintained learning orders and chosen l values agree arrival by
-    // arrival — including STALE chosen values on dirty tuples, because
-    // the two cores are the same state machine in the same state.
-    for (uint64_t arrival : expected_live) {
-      std::vector<neighbors::Neighbor> wo =
-          single.LearningOrderByArrival(arrival);
-      std::vector<neighbors::Neighbor> go =
-          sharded.LearningOrderByArrival(arrival);
-      ASSERT_EQ(go.size(), wo.size()) << "arrival " << arrival;
-      for (size_t j = 0; j < go.size(); ++j) {
-        EXPECT_EQ(go[j].index, wo[j].index) << "arrival " << arrival;
-        EXPECT_EQ(go[j].distance, wo[j].distance) << "arrival " << arrival;
-      }
-      EXPECT_EQ(sharded.ChosenEllByArrival(arrival),
-                single.ChosenEllByArrival(arrival))
-          << "arrival " << arrival;
-    }
-
-    std::vector<Result<double>> want = single.ImputeBatch(probe_rows);
-    std::vector<Result<double>> got = sharded.ImputeBatch(probe_rows);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t p = 0; p < got.size(); ++p) {
-      ASSERT_TRUE(want[p].ok());
-      ASSERT_TRUE(got[p].ok());
-      EXPECT_EQ(got[p].value(), want[p].value())
-          << "seed " << seed << " shards " << shards << " step " << step
-          << " probe " << p;
-    }
-  }
-
-  // Same state machine, same drive => same counters, not just same
-  // answers.
-  EXPECT_TRUE(sharded.VerifyPostings());
-  OnlineIim::Stats ss = single.stats();
-  ShardedOnlineIim::Stats hs = sharded.stats();
-  EXPECT_EQ(hs.models_fitted, ss.models_solved);
-  EXPECT_EQ(hs.global_fits_reused, ss.global_fits_reused);
-  EXPECT_EQ(hs.holders_invalidated, ss.holders_invalidated);
-  EXPECT_EQ(hs.adaptive_l_changes, ss.adaptive_l_changes);
-  EXPECT_GT(hs.models_fitted, 0u);
-  EXPECT_GT(hs.global_fits_reused, 0u);
-}
-
-class ShardedAdaptiveDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t, size_t>> {
-};
-
-TEST_P(ShardedAdaptiveDifferentialTest, S4BitIdenticalToSingleEngine) {
-  auto [seed, shards, threads] = GetParam();
-  RunShardedAdaptiveDifferential(seed, shards, threads);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsShardsThreads, ShardedAdaptiveDifferentialTest,
-    ::testing::Combine(::testing::Values(uint64_t{17}, uint64_t{43}),
-                       ::testing::Values(size_t{2}, size_t{4}),
-                       ::testing::Values(size_t{1}, size_t{4})),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, size_t, size_t>>&
-           info) {
-      return "S" + std::to_string(std::get<1>(info.param)) + "T" +
-             std::to_string(std::get<2>(info.param)) + "Seed" +
-             std::to_string(std::get<0>(info.param));
-    });
-
-// --- Sharded incremental global models vs fresh refits ----------------
-
-// The query-path regression this PR removes: the wrapper used to refit
-// every global model from scratch each quiescent span. Now the global
-// core keeps models incrementally valid, so across window evictions,
-// shard compactions and KD-tree rebuilds, sharded imputations must equal
-// a fresh batch refit on the live window (bitwise, restream path) while
-// the stats prove models were REUSED across quiescent spans, not refit.
-TEST(ShardedIncrementalModelTest, GlobalModelsEqualFreshBatchRefits) {
-  const int target = 2;
-  const std::vector<int> features = {0, 1};
-  const uint64_t seed = 83;
-  data::Table full = HeterogeneousTable(320, 3, seed);
-  core::IimOptions opt;
-  opt.k = 4;
-  opt.ell = 8;
-  opt.downdate = false;
-  opt.shards = 4;
-  opt.window_size = 90;
-  opt.index_kdtree_threshold = 16;
-  opt.index_min_rebuild_tail = 8;
-  opt.index_min_compact_tombstones = 12;
-
-  Result<std::unique_ptr<ShardedOnlineIim>> sharded_r =
-      ShardedOnlineIim::Create(full.schema(), target, features, opt);
-  ASSERT_TRUE(sharded_r.ok());
-  ShardedOnlineIim& sharded = *sharded_r.value();
-
-  data::Table probes(data::Schema::Default(3));
-  for (size_t i = 300; i < 316; ++i) {
-    ASSERT_TRUE(probes.AppendRow(Probe(full, i, target)).ok());
-  }
-  std::vector<data::RowView> probe_rows;
-  for (size_t p = 0; p < probes.NumRows(); ++p) {
-    probe_rows.push_back(probes.Row(p));
-  }
-
-  std::vector<ScheduleOp> ops = MakeSchedule(
-      seed, 300, /*min_live=*/12, /*evict_p=*/0.3, /*impute_every=*/13);
-  size_t checked = 0;
-  for (size_t step = 0; step < ops.size(); ++step) {
-    const ScheduleOp& op = ops[step];
-    if (op.kind == ScheduleOp::kIngest) {
-      ASSERT_TRUE(sharded.Ingest(full.Row(op.src_row)).ok());
-    } else if (op.kind == ScheduleOp::kEvict) {
-      Status st = sharded.Evict(op.arrival);
-      ASSERT_TRUE(st.ok() || st.code() == StatusCode::kNotFound);
-    } else if (sharded.size() > 0) {
-      ASSERT_TRUE(sharded.ImputeOne(probes.Row(0)).ok());
-    }
-
-    if (step % 80 != 0 && step + 1 != ops.size()) continue;
-    if (sharded.size() == 0) continue;
-    ++checked;
-
-    data::Table snapshot = sharded.Window();
-    core::IimImputer batch(opt);
-    ASSERT_TRUE(batch.Fit(snapshot, target, features).ok());
-    std::vector<Result<double>> want = batch.ImputeBatch(probe_rows);
-    std::vector<Result<double>> got = sharded.ImputeBatch(probe_rows);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t p = 0; p < got.size(); ++p) {
-      ASSERT_TRUE(want[p].ok());
-      ASSERT_TRUE(got[p].ok());
-      EXPECT_EQ(got[p].value(), want[p].value())
-          << "step " << step << " probe " << p;
-    }
-  }
-  ASSERT_GE(checked, 3u);
-
-  sharded.WaitForIndexRebuilds();
-  EXPECT_TRUE(sharded.VerifyPostings());
-  ShardedOnlineIim::Stats stats = sharded.stats();
-  EXPECT_GT(stats.evicted, 0u);
-  EXPECT_GT(stats.models_fitted, 0u);
-  // The point of the maintained global core: clean models answered
-  // queries without a refit, and arrivals dirtied only the orders they
-  // actually entered.
-  EXPECT_GT(stats.global_fits_reused, 0u);
-  EXPECT_GT(stats.holders_invalidated, 0u);
-  size_t shard_compactions = 0;
-  size_t shard_rebuilds = 0;
-  for (size_t s = 0; s < stats.per_shard.size(); ++s) {
-    shard_compactions += stats.per_shard[s].compactions;
-    shard_rebuilds += sharded.shard(s).index().stats().rebuilds;
-  }
-  EXPECT_GT(shard_compactions, 0u) << "no shard ever compacted";
-  EXPECT_GT(shard_rebuilds, 0u) << "no shard ever built a KD-tree";
-}
-
 // --- Create validation ------------------------------------------------
 
 TEST(AdaptiveValidationTest, RejectsUnboundedCandidateBudget) {
@@ -440,12 +202,6 @@ TEST(AdaptiveValidationTest, RejectsUnboundedCandidateBudget) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("max_ell"), std::string::npos);
-  // The sharded wrapper pre-validates through the same probe.
-  opt.shards = 2;
-  Result<std::unique_ptr<ShardedOnlineIim>> s =
-      ShardedOnlineIim::Create(full.schema(), 2, {0, 1}, opt);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AdaptiveValidationTest, RejectsFromScratchFold) {
@@ -582,55 +338,6 @@ TEST(AdaptiveSnapshotTest, EngineRoundTripBitIdentical) {
   ASSERT_TRUE(c_r.ok());
   EXPECT_EQ(c_r.value()->RestoreFromSnapshot(bytes).code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(AdaptiveSnapshotTest, ShardedRoundTripBitIdentical) {
-  const int target = 2;
-  const std::vector<int> features = {0, 1};
-  data::Table full = HeterogeneousTable(140, 3, 33);
-  core::IimOptions opt = AdaptiveOptions(/*downdate=*/true);
-  opt.window_size = 40;
-  opt.shards = 3;
-
-  Result<std::unique_ptr<ShardedOnlineIim>> a_r =
-      ShardedOnlineIim::Create(full.schema(), target, features, opt);
-  ASSERT_TRUE(a_r.ok());
-  ShardedOnlineIim& a = *a_r.value();
-  for (size_t i = 0; i < 80; ++i) {
-    ASSERT_TRUE(a.Ingest(full.Row(i)).ok());
-  }
-  data::Table probe(data::Schema::Default(3));
-  ASSERT_TRUE(probe.AppendRow(Probe(full, 130, target)).ok());
-  ASSERT_TRUE(a.ImputeOne(probe.Row(0)).ok());
-
-  std::string bytes = a.SerializeSnapshot();
-  Result<std::unique_ptr<ShardedOnlineIim>> b_r =
-      ShardedOnlineIim::Create(full.schema(), target, features, opt);
-  ASSERT_TRUE(b_r.ok());
-  ShardedOnlineIim& b = *b_r.value();
-  ASSERT_TRUE(b.RestoreFromSnapshot(bytes).ok());
-
-  ASSERT_EQ(b.size(), a.size());
-  EXPECT_TRUE(b.VerifyPostings());
-  for (uint64_t arrival = 40; arrival < 80; ++arrival) {
-    EXPECT_EQ(b.ChosenEllByArrival(arrival), a.ChosenEllByArrival(arrival));
-    std::vector<neighbors::Neighbor> oa = a.LearningOrderByArrival(arrival);
-    std::vector<neighbors::Neighbor> ob = b.LearningOrderByArrival(arrival);
-    ASSERT_EQ(ob.size(), oa.size());
-    for (size_t j = 0; j < ob.size(); ++j) {
-      EXPECT_EQ(ob[j].index, oa[j].index);
-      EXPECT_EQ(ob[j].distance, oa[j].distance);
-    }
-  }
-  for (size_t i = 80; i < 110; ++i) {
-    ASSERT_TRUE(a.Ingest(full.Row(i)).ok());
-    ASSERT_TRUE(b.Ingest(full.Row(i)).ok());
-  }
-  Result<double> va = a.ImputeOne(probe.Row(0));
-  Result<double> vb = b.ImputeOne(probe.Row(0));
-  ASSERT_TRUE(va.ok());
-  ASSERT_TRUE(vb.ok());
-  EXPECT_EQ(vb.value(), va.value());
 }
 
 }  // namespace

@@ -37,7 +37,6 @@
 #include "stream/imputation_service.h"
 #include "stream/online_iim.h"
 #include "stream/persist/io.h"
-#include "stream/sharded_iim.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -504,33 +503,6 @@ TEST_F(HealthLadderTest, SnapshotPublishFaultIsCountedNotFatal) {
   }
   ExpectEngineStateEq(recovered.get(), reference.get(), MakeProbes(src, 3),
                       "snapshot-fault");
-}
-
-TEST_F(HealthLadderTest, ShardedWrapperRunsTheSameLadder) {
-  data::Table src = HeterogeneousTable(60, 4, 13);
-  ScopedTempDir dir;
-  core::IimOptions popt = ChaosOptions();
-  popt.persist_dir = dir.path();
-  popt.wal_fsync_every = 1;
-  popt.shards = 3;
-  Result<std::unique_ptr<ShardedOnlineIim>> made =
-      ShardedOnlineIim::Create(src.schema(), kTarget, Features(), popt);
-  ASSERT_TRUE(made.ok()) << made.status().ToString();
-  std::unique_ptr<ShardedOnlineIim> e = std::move(made).value();
-  for (size_t i = 0; i < 10; ++i) ASSERT_TRUE(e->Ingest(src.Row(i)).ok());
-  EXPECT_EQ(e->Health(), HealthState::kHealthy);
-
-  fail::Spec spec;
-  spec.once = true;
-  fail::Enable("wal.append", spec);
-  EXPECT_EQ(e->Ingest(src.Row(10)).code(), StatusCode::kUnavailable);
-  EXPECT_EQ(e->size(), 10u);
-  EXPECT_EQ(e->Health(), HealthState::kDegraded);
-  EXPECT_EQ(e->stats().degraded_rejected, 1u);
-
-  ASSERT_TRUE(e->RecoverDurability().ok());
-  EXPECT_EQ(e->Health(), HealthState::kHealthy);
-  EXPECT_TRUE(e->Ingest(src.Row(10)).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@
 //     impute bit-identically to a quality-disabled engine, and its core
 //     maintenance counters match exactly — monitoring must never perturb
 //     what it monitors.
-//   - The sharded wrapper: one global monitor fed by global arrival
-//     numbers reproduces the single engine's quality stats bitwise.
 //   - Routing: on a deliberately drifted stream the kAutoRoute engine
 //     switches at least one column's champion off IIM and serves the
 //     drifted tail with LOWER held-out error than the kObserveOnly twin.
-//   - Time-based eviction: EvictWhere / EvictOlderThan agree between the
-//     engines and tolerate holes anywhere in the window (no FIFO-prefix
-//     assumption), with imputations still bitwise equal afterwards.
+//   - Time-based eviction: EvictWhere / EvictOlderThan retire exactly the
+//     matching tuples, tolerate holes anywhere in the window (no
+//     FIFO-prefix assumption), and leave imputations bitwise equal to a
+//     batch refit on the surviving window.
 //   - The service's overload fallback: the column-mean fit is cached per
 //     quiescent span — fits advance with window *changes*, not with the
 //     number of fallback batches served.
@@ -27,19 +26,21 @@
 
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/iim_imputer.h"
 #include "data/table.h"
 #include "eval/metrics.h"
 #include "stream/imputation_service.h"
 #include "stream/online_iim.h"
-#include "stream/sharded_iim.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -53,8 +54,7 @@ core::IimOptions QualityOptions() {
   opt.k = 4;
   opt.ell = 8;
   opt.window_size = 128;
-  // Restream path: the sharded-vs-single cells assert bitwise equality,
-  // which is the downdate = false contract (see stream_shard_test.cc).
+  // Restream path: the bitwise contract (see stream/online_iim.h).
   opt.downdate = false;
   opt.moo_sample_rate = 1.0;
   return opt;
@@ -92,23 +92,20 @@ data::Table DriftTable(size_t head, size_t tail, uint64_t seed) {
   return t;
 }
 
-void ExpectSameQuality(const OnlineIim::Stats& single,
-                       const ShardedOnlineIim::Stats& sharded,
+void ExpectSameQuality(const OnlineIim::Stats& x, const OnlineIim::Stats& y,
                        const char* where) {
-  EXPECT_EQ(single.moo_probes, sharded.moo_probes) << where;
-  EXPECT_EQ(single.moo_skipped, sharded.moo_skipped) << where;
-  EXPECT_EQ(single.champion_switches, sharded.champion_switches) << where;
-  ASSERT_EQ(single.quality.size(), sharded.quality.size()) << where;
-  for (size_t c = 0; c < single.quality.size(); ++c) {
-    const QualityColumnStats& a = single.quality[c];
-    const QualityColumnStats& b = sharded.quality[c];
+  EXPECT_EQ(x.moo_probes, y.moo_probes) << where;
+  EXPECT_EQ(x.moo_skipped, y.moo_skipped) << where;
+  EXPECT_EQ(x.champion_switches, y.champion_switches) << where;
+  ASSERT_EQ(x.quality.size(), y.quality.size()) << where;
+  for (size_t c = 0; c < x.quality.size(); ++c) {
+    const QualityColumnStats& a = x.quality[c];
+    const QualityColumnStats& b = y.quality[c];
     EXPECT_EQ(a.holdouts, b.holdouts) << where << " col " << c;
     EXPECT_EQ(a.champion, b.champion) << where << " col " << c;
     EXPECT_EQ(a.switches, b.switches) << where << " col " << c;
     for (int m = 0; m < kQualityMethods; ++m) {
       EXPECT_EQ(a.samples[m], b.samples[m]) << where << " col " << c;
-      // Bitwise: the sharded wrapper's global monitor sees the exact
-      // arrival sequence the single engine sees.
       EXPECT_EQ(a.ewma_abs[m], b.ewma_abs[m]) << where << " col " << c;
       EXPECT_EQ(a.ewma_rms[m], b.ewma_rms[m]) << where << " col " << c;
       EXPECT_EQ(a.abs_error[m].p50, b.abs_error[m].p50)
@@ -118,63 +115,6 @@ void ExpectSameQuality(const OnlineIim::Stats& single,
     }
   }
 }
-
-// --- Sharded-vs-single differential -----------------------------------
-
-class QualityDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t, size_t>> {
-};
-
-TEST_P(QualityDifferentialTest, ShardedQualityStatsMatchSingleBitwise) {
-  const uint64_t seed = std::get<0>(GetParam());
-  const size_t shards = std::get<1>(GetParam());
-  const size_t threads = std::get<2>(GetParam());
-  data::Table full = HeterogeneousTable(300, 3, seed);
-  core::IimOptions opt = QualityOptions();
-  opt.window_size = 90;
-  opt.shards = shards;
-  opt.threads = threads;
-
-  auto single_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-  ASSERT_TRUE(single_r.ok());
-  auto sharded_r =
-      ShardedOnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-  ASSERT_TRUE(sharded_r.ok());
-  OnlineIim& single = *single_r.value();
-  ShardedOnlineIim& sharded = *sharded_r.value();
-
-  std::vector<ScheduleOp> ops = MakeSchedule(seed * 131 + shards, 280,
-                                             /*min_live=*/12, /*evict_p=*/0.25,
-                                             /*impute_every=*/31);
-  for (const ScheduleOp& op : ops) {
-    if (op.kind == ScheduleOp::kIngest) {
-      ASSERT_TRUE(single.Ingest(full.Row(op.src_row)).ok());
-      ASSERT_TRUE(sharded.Ingest(full.Row(op.src_row)).ok());
-    } else if (op.kind == ScheduleOp::kEvict) {
-      Status a = single.Evict(op.arrival);
-      Status b = sharded.Evict(op.arrival);
-      ASSERT_EQ(a.code(), b.code());
-    } else {
-      std::vector<double> probe = Probe(full, 290, kTarget);
-      Result<double> a = single.ImputeOne(
-          data::RowView(probe.data(), probe.size()));
-      Result<double> b = sharded.ImputeOne(
-          data::RowView(probe.data(), probe.size()));
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) EXPECT_EQ(a.value(), b.value());
-    }
-  }
-  OnlineIim::Stats ss = single.stats();
-  ShardedOnlineIim::Stats hs = sharded.stats();
-  EXPECT_GT(ss.moo_probes, 0u);
-  ExpectSameQuality(ss, hs, "final");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cells, QualityDifferentialTest,
-    ::testing::Combine(::testing::Values<uint64_t>(3, 11),
-                       ::testing::Values<size_t>(2, 3),
-                       ::testing::Values<size_t>(1, 4)));
 
 // --- Zero-impact contract ---------------------------------------------
 
@@ -232,30 +172,34 @@ TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngine) {
 class QualityConvergenceTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
+// The second axis streams through an ImputationService and reads the
+// estimates the service surfaces instead of the engine's own.
 TEST_P(QualityConvergenceTest, DecayedErrorTracksBatchMaskingError) {
   const uint64_t seed = std::get<0>(GetParam());
-  const bool use_sharded = std::get<1>(GetParam());
+  const bool via_service = std::get<1>(GetParam());
   const size_t n = 400;
   data::Table full = StationaryTable(n, seed);
   core::IimOptions opt = QualityOptions();
   opt.moo_decay = 0.05;
-  if (use_sharded) opt.shards = 3;
 
-  std::unique_ptr<OnlineIim> single;
-  std::unique_ptr<ShardedOnlineIim> sharded;
-  if (use_sharded) {
-    auto r = ShardedOnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-    ASSERT_TRUE(r.ok());
-    sharded = std::move(r.value());
+  auto r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(r.ok());
+  OnlineIim& engine = *r.value();
+  std::vector<QualityColumnStats> quality;
+  if (via_service) {
+    ImputationService service(&engine);
+    std::vector<std::future<Status>> acks;
+    for (size_t i = 0; i < n; ++i) {
+      acks.push_back(service.SubmitIngest(full.Row(i).ToVector()));
+    }
+    for (std::future<Status>& ack : acks) ASSERT_TRUE(ack.get().ok());
+    service.Drain();
+    quality = service.stats().quality;
   } else {
-    auto r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-    ASSERT_TRUE(r.ok());
-    single = std::move(r.value());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    Status st = use_sharded ? sharded->Ingest(full.Row(i))
-                            : single->Ingest(full.Row(i));
-    ASSERT_TRUE(st.ok());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(engine.Ingest(full.Row(i)).ok());
+    }
+    quality = engine.stats().quality;
   }
 
   // Batch masking-one-out over the FINAL window, mean method: hold each
@@ -275,8 +219,6 @@ TEST_P(QualityConvergenceTest, DecayedErrorTracksBatchMaskingError) {
   Result<double> batch_rms = eval::RmsError(cells);
   ASSERT_TRUE(batch_rms.ok());
 
-  std::vector<QualityColumnStats> quality =
-      use_sharded ? sharded->stats().quality : single->stats().quality;
   ASSERT_EQ(quality.size(), kFeatures.size() + 1);
   const QualityColumnStats& target_col = quality.back();
   ASSERT_GT(target_col.samples[kQualityMean], 30u);
@@ -387,58 +329,62 @@ TEST(QualityEvictionTest, EvictWhereAgreesAcrossEnginesWithHoles) {
   core::IimOptions opt;
   opt.k = 4;
   opt.ell = 8;
-  opt.downdate = false;  // bitwise sharded-vs-single cells
+  opt.downdate = false;  // restream path: the batch refit matches bitwise
   opt.timestamp_column = 3;
-  opt.shards = 3;
 
-  auto single_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-  auto sharded_r =
-      ShardedOnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-  ASSERT_TRUE(single_r.ok());
-  ASSERT_TRUE(sharded_r.ok());
-  OnlineIim& single = *single_r.value();
-  ShardedOnlineIim& sharded = *sharded_r.value();
-
+  auto e_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(e_r.ok());
+  OnlineIim& online = *e_r.value();
   for (size_t i = 0; i < 120; ++i) {
-    ASSERT_TRUE(single.Ingest(full.Row(i)).ok());
-    ASSERT_TRUE(sharded.Ingest(full.Row(i)).ok());
+    ASSERT_TRUE(online.Ingest(full.Row(i)).ok());
   }
   // Punch holes in the MIDDLE first — the sweep must not assume the
-  // predicate matches an oldest-first prefix of the window.
+  // predicate matches an oldest-first prefix of the window. Arrivals
+  // 3, 10, ..., 115 match.
   auto holes = [](uint64_t arrival, const data::RowView&) {
     return arrival % 7 == 3;
   };
-  Result<size_t> ha = single.EvictWhere(holes);
-  Result<size_t> hb = sharded.EvictWhere(holes);
-  ASSERT_TRUE(ha.ok());
-  ASSERT_TRUE(hb.ok());
-  EXPECT_EQ(ha.value(), hb.value());
-  EXPECT_GT(ha.value(), 0u);
+  Result<size_t> evicted = online.EvictWhere(holes);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_EQ(evicted.value(), 17u);
 
-  // Then retire everything older than t = 40 by timestamp.
-  Result<size_t> ta = single.EvictOlderThan(40.0);
-  Result<size_t> tb = sharded.EvictOlderThan(40.0);
-  ASSERT_TRUE(ta.ok());
-  ASSERT_TRUE(tb.ok());
-  EXPECT_EQ(ta.value(), tb.value());
-  EXPECT_GT(ta.value(), 0u);
-  EXPECT_EQ(single.size(), sharded.size());
+  // Then retire everything older than t = 40 by timestamp: the 40 oldest
+  // arrivals less the 6 holes already among them.
+  evicted = online.EvictOlderThan(40.0);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_EQ(evicted.value(), 34u);
 
-  // The engines still answer identically after the sweeps, and keep
-  // agreeing as the stream continues.
+  // Exactly the survivors remain, in arrival order.
+  std::vector<double> want_ts;
+  for (size_t i = 40; i < 120; ++i) {
+    if (i % 7 != 3) want_ts.push_back(static_cast<double>(i));
+  }
+  const data::Table& window = online.table();
+  ASSERT_EQ(window.NumRows(), want_ts.size());
+  for (size_t r = 0; r < want_ts.size(); ++r) {
+    EXPECT_EQ(window.At(r, 3), want_ts[r]) << "window row " << r;
+  }
+
+  // Imputations equal a batch refit on the surviving window right after
+  // the sweeps, and keep doing so as the stream continues.
+  auto expect_batch_parity = [&](size_t probe_row) {
+    std::vector<double> probe = full.Row(probe_row).ToVector();
+    probe[kTarget] = std::numeric_limits<double>::quiet_NaN();
+    data::RowView row(probe.data(), probe.size());
+    data::Table snapshot = online.table();
+    core::IimImputer batch(opt);
+    ASSERT_TRUE(batch.Fit(snapshot, kTarget, kFeatures).ok());
+    Result<double> got = online.ImputeOne(row);
+    Result<double> want = batch.ImputeOne(row);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got.value(), want.value())
+        << "probe row " << probe_row << ", " << online.size() << " live";
+  };
+  expect_batch_parity(149);
   for (size_t i = 120; i < 150; ++i) {
-    ASSERT_TRUE(single.Ingest(full.Row(i)).ok());
-    ASSERT_TRUE(sharded.Ingest(full.Row(i)).ok());
-    if (i % 6 == 0) {
-      std::vector<double> probe = full.Row(i).ToVector();
-      probe[kTarget] = std::numeric_limits<double>::quiet_NaN();
-      data::RowView row(probe.data(), probe.size());
-      Result<double> va = single.ImputeOne(row);
-      Result<double> vb = sharded.ImputeOne(row);
-      ASSERT_TRUE(va.ok());
-      ASSERT_TRUE(vb.ok());
-      EXPECT_EQ(va.value(), vb.value());
-    }
+    ASSERT_TRUE(online.Ingest(full.Row(i)).ok());
+    if (i % 6 == 0) expect_batch_parity(i);
   }
 }
 
@@ -551,18 +497,7 @@ TEST(QualitySnapshotTest, EstimatesRoundTripAndProbesStayDeterministic) {
   OnlineIim& restored = *b_r.value();
   ASSERT_TRUE(restored.RestoreFromSnapshot(bytes).ok());
   {
-    OnlineIim::Stats sa = original.stats();
-    OnlineIim::Stats sb = restored.stats();
-    ExpectSameQuality(sa,
-                      [&] {
-                        ShardedOnlineIim::Stats sh;
-                        sh.moo_probes = sb.moo_probes;
-                        sh.moo_skipped = sb.moo_skipped;
-                        sh.champion_switches = sb.champion_switches;
-                        sh.quality = sb.quality;
-                        return sh;
-                      }(),
-                      "post-restore");
+    ExpectSameQuality(original.stats(), restored.stats(), "post-restore");
   }
 
   // Feed both the same continuation: estimates restored bitwise and the

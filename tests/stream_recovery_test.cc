@@ -11,14 +11,16 @@
 // The harness attacks every layer: WAL truncation at every byte boundary,
 // snapshot byte flips, randomized kill points mid-schedule, disk-full /
 // short-write fault injection through the Writer factory, stray .tmp
-// files, and the sharded wrapper's single-store recovery. Nothing in here
+// files, and re-sealed snapshots whose counts are forged. Nothing in here
 // may crash, and no recovered engine may ever produce a wrong answer —
 // partial loss of the un-acked tail is the only permitted outcome.
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,7 +33,6 @@
 #include "stream/online_iim.h"
 #include "stream/persist/io.h"
 #include "stream/persist/snapshot.h"
-#include "stream/sharded_iim.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -243,6 +244,90 @@ TEST(SnapshotRoundTripTest, EveryByteFlipIsRejected) {
     std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
     EXPECT_FALSE(b->RestoreFromSnapshot(bad).ok()) << "byte " << i;
     EXPECT_EQ(b->size(), 0u);
+  }
+}
+
+// Re-seals a genuine snapshot with the u64 at `offset` of section `tag`
+// replaced by `value`. Every CRC in the result is valid, so only the
+// engine's own decode stands between a forged count and the allocator.
+std::string ForgeU64(const std::string& genuine, uint32_t tag, size_t offset,
+                     uint64_t value) {
+  Result<persist::SnapshotView> view = persist::SnapshotView::Parse(genuine);
+  EXPECT_TRUE(view.ok());
+  if (!view.ok()) return std::string();
+  persist::SnapshotBuilder b(view.value().ops_covered());
+  for (uint32_t t : {persist::kSecMeta, persist::kSecEngine, persist::kSecRows,
+                     persist::kSecCoreMeta, persist::kSecCoreRows,
+                     persist::kSecCoreOrders, persist::kSecCoreModels}) {
+    Result<persist::SectionReader> r = view.value().Section(t);
+    EXPECT_TRUE(r.ok()) << "section " << t;
+    if (!r.ok()) return std::string();
+    persist::SectionReader reader = r.value();
+    std::string payload;
+    while (reader.remaining() > 0) {
+      payload.push_back(static_cast<char>(reader.U8()));
+    }
+    if (t == tag) {
+      EXPECT_LE(offset + sizeof(value), payload.size());
+      std::memcpy(&payload[offset], &value, sizeof(value));
+    }
+    b.BeginSection(t);
+    for (char c : payload) b.PutU8(static_cast<uint8_t>(c));
+  }
+  return b.Finish();
+}
+
+// A forged slot or row count must be an error, never an allocation sized
+// from it: 2^40 rows used to abort with bad_alloc, and a count whose
+// product with the row width wraps (n * m == 2 for m = 3) used to write
+// past the buffer it sized.
+TEST(SnapshotRoundTripTest, ForgedCountsAreRejectedBeforeAllocation) {
+  // Three columns, so the wrapping count below is the m = 3 one.
+  data::Table src = HeterogeneousTable(40, 3, 13);
+  core::IimOptions opt = RecoveryOptions();
+  Result<std::unique_ptr<OnlineIim>> a_r =
+      OnlineIim::Create(src.schema(), 2, {0, 1}, opt);
+  ASSERT_TRUE(a_r.ok());
+  OnlineIim& a = *a_r.value();
+  for (size_t i = 0; i < 30; ++i) ASSERT_TRUE(a.Ingest(src.Row(i)).ok());
+  const std::string genuine = a.SerializeSnapshot();
+  // No evictions yet, so every slot is live.
+  const uint64_t slots = a.size();
+  // Restores `bytes` into a fresh engine and reports its live count.
+  auto restore = [&](const std::string& bytes, size_t* live) -> Status {
+    Result<std::unique_ptr<OnlineIim>> b_r =
+        OnlineIim::Create(src.schema(), 2, {0, 1}, opt);
+    if (!b_r.ok()) return b_r.status();
+    Status st = b_r.value()->RestoreFromSnapshot(bytes);
+    *live = b_r.value()->size();
+    return st;
+  };
+
+  // The row block opens with its slot count; the core meta holds the
+  // slot count after its u32 layout version and u64 feature arity.
+  const size_t kRowsCount = 0;
+  const size_t kCoreCount = 4 + 8;
+  size_t live = 0;
+  // Control: re-sealing the genuine count restores fine.
+  ASSERT_TRUE(
+      restore(ForgeU64(genuine, persist::kSecRows, kRowsCount, slots), &live)
+          .ok());
+  EXPECT_EQ(live, slots);
+
+  const uint64_t kHuge = uint64_t{1} << 40;
+  const uint64_t kWrapsRows = 0x5555555555555556ULL;  // x 3 == 2 (mod 2^64)
+  const uint64_t kWrapsCore = (uint64_t{1} << 63) + 1;  // x 2 == 2
+  for (uint64_t forged : {kHuge, kWrapsRows, kWrapsCore, slots + 1}) {
+    Status st = restore(
+        ForgeU64(genuine, persist::kSecRows, kRowsCount, forged), &live);
+    EXPECT_EQ(st.code(), StatusCode::kIoError)
+        << "row count " << forged << ": " << st.ToString();
+    EXPECT_EQ(live, 0u);
+    st = restore(
+        ForgeU64(genuine, persist::kSecCoreMeta, kCoreCount, forged), &live);
+    EXPECT_EQ(st.code(), StatusCode::kIoError)
+        << "core count " << forged << ": " << st.ToString();
+    EXPECT_EQ(live, 0u);
   }
 }
 
@@ -642,93 +727,6 @@ TEST(FaultInjectionTest, FailedSnapshotWriteIsCountedNotFatal) {
   EXPECT_EQ(rec.value()->stats().snapshots_loaded, 1u);
   ExpectEngineStateEq(rec.value().get(), ref.get(), probes,
                       "post-snapshot-fault");
-}
-
-// ---------------------------------------------------------------------------
-// Sharded wrapper: one store, partitioner-replayed recovery
-
-void ExpectShardedStateEq(ShardedOnlineIim* got, ShardedOnlineIim* want,
-                          const std::vector<std::vector<double>>& probes,
-                          const std::string& where) {
-  ASSERT_EQ(got->size(), want->size()) << where;
-  data::Table tg = got->Window();
-  data::Table tw = want->Window();
-  ASSERT_EQ(tg.NumRows(), tw.NumRows()) << where;
-  for (size_t i = 0; i < tw.NumRows(); ++i) {
-    for (size_t j = 0; j < tw.NumCols(); ++j) {
-      ASSERT_EQ(tg.At(i, j), tw.At(i, j)) << where << " row " << i;
-    }
-  }
-  for (uint64_t a = 0; a < want->stats().ingested; ++a) {
-    std::vector<neighbors::Neighbor> og = got->LearningOrderByArrival(a);
-    std::vector<neighbors::Neighbor> ow = want->LearningOrderByArrival(a);
-    ASSERT_EQ(og.size(), ow.size()) << where << " arrival " << a;
-    for (size_t j = 0; j < ow.size(); ++j) {
-      ASSERT_EQ(og[j].index, ow[j].index) << where << " arrival " << a;
-      ASSERT_EQ(og[j].distance, ow[j].distance) << where << " arrival " << a;
-    }
-  }
-  for (size_t p = 0; p < probes.size(); ++p) {
-    data::RowView view(probes[p].data(), probes[p].size());
-    Result<double> rg = got->ImputeOne(view);
-    Result<double> rw = want->ImputeOne(view);
-    ASSERT_EQ(rg.ok(), rw.ok()) << where << " probe " << p;
-    if (rw.ok()) ASSERT_EQ(rg.value(), rw.value()) << where << " probe " << p;
-  }
-}
-
-TEST(ShardedRecoveryTest, KillPointsMatchNeverCrashedWrapper) {
-  data::Table src = HeterogeneousTable(160, 4, 9);
-  core::IimOptions opt = RecoveryOptions();
-  opt.shards = 3;
-  opt.window_size = 36;
-  std::vector<ScheduleOp> ops = MakeSchedule(5, 120, 12, 0.25, 0);
-  std::vector<std::vector<double>> probes = MakeProbes(src, 3);
-
-  ScopedTempDir dir;
-  core::IimOptions popt = opt;
-  popt.persist_dir = dir.path();
-  popt.snapshot_every = 19;
-  popt.wal_fsync_every = 1;
-
-  Result<std::unique_ptr<ShardedOnlineIim>> c =
-      ShardedOnlineIim::Create(src.schema(), kTarget, Features(), popt);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  std::unique_ptr<ShardedOnlineIim> crashy = std::move(c).value();
-  Result<std::unique_ptr<ShardedOnlineIim>> s =
-      ShardedOnlineIim::Create(src.schema(), kTarget, Features(), opt);
-  ASSERT_TRUE(s.ok());
-  std::unique_ptr<ShardedOnlineIim> steady = std::move(s).value();
-
-  std::vector<size_t> kills = {23, 61, 104};
-  size_t applied = 0;
-  size_t next_kill = 0;
-  for (const ScheduleOp& op : ops) {
-    if (op.kind == ScheduleOp::kImpute) continue;
-    if (next_kill < kills.size() && applied >= kills[next_kill]) {
-      ++next_kill;
-      crashy.reset();
-      Result<std::unique_ptr<ShardedOnlineIim>> rec =
-          ShardedOnlineIim::Create(src.schema(), kTarget, Features(), popt);
-      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-      crashy = std::move(rec).value();
-      ASSERT_EQ(crashy->durable_ops(), applied);
-      if (applied >= popt.snapshot_every) {
-        EXPECT_EQ(crashy->stats().snapshots_loaded, 1u);
-      }
-      ExpectShardedStateEq(crashy.get(), steady.get(), probes,
-                           "kill at " + std::to_string(applied));
-    }
-    Status sc = op.kind == ScheduleOp::kIngest
-                    ? crashy->Ingest(src.Row(op.src_row))
-                    : crashy->Evict(op.arrival);
-    Status ss = op.kind == ScheduleOp::kIngest
-                    ? steady->Ingest(src.Row(op.src_row))
-                    : steady->Evict(op.arrival);
-    ASSERT_EQ(sc.ok(), ss.ok()) << "applied " << applied;
-    if (ss.ok()) ++applied;
-  }
-  ExpectShardedStateEq(crashy.get(), steady.get(), probes, "final");
 }
 
 // ---------------------------------------------------------------------------

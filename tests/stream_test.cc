@@ -8,6 +8,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -531,78 +532,41 @@ TEST(ImputationServiceTest, StatsSnapshotStableAndCoherentWhilePaused) {
   EXPECT_EQ(service.stats().ingests, 100u);
 }
 
-// The sharded front end: consecutive ingests coalesce into per-shard
-// parallel IngestBatch calls, imputations scatter/gather across shards —
-// and every answer is bit-identical to an UNSHARDED engine driven
-// synchronously with the same sequence. Aggregated per-shard stats ride
-// along in the same coherent snapshot.
-TEST(ImputationServiceTest, ShardedServiceMatchesUnshardedDirectDrive) {
-  data::Table full = HeterogeneousTable(200, 3, 89);
-  core::IimOptions opt = StreamOptions(2);
-
-  // Reference: one UNSHARDED engine, driven synchronously.
-  Result<std::unique_ptr<OnlineIim>> ref =
+// Regression: max_batch = 0 used to pop an empty impute batch and spin on
+// it forever — the future never resolved and Drain()/Shutdown() hung. The
+// service now reads 0 as 1.
+TEST(ImputationServiceTest, ZeroMaxBatchStillAnswersImputes) {
+  data::Table full = HeterogeneousTable(60, 3, 61);
+  core::IimOptions opt = StreamOptions(1);
+  Result<std::unique_ptr<OnlineIim>> engine =
       OnlineIim::Create(full.schema(), 2, {0, 1}, opt);
-  ASSERT_TRUE(ref.ok());
-  for (size_t i = 0; i < 120; ++i) {
-    ASSERT_TRUE(ref.value()->Ingest(full.Row(i)).ok());
-  }
-  std::vector<double> want;
-  data::Table probes(data::Schema::Default(3));
-  for (size_t p = 0; p < 10; ++p) {
-    ASSERT_TRUE(probes.AppendRow(Probe(full, 150 + p, 2)).ok());
-  }
-  for (size_t p = 0; p < probes.NumRows(); ++p) {
-    Result<double> v = ref.value()->ImputeOne(probes.Row(p));
-    ASSERT_TRUE(v.ok());
-    want.push_back(v.value());
-  }
-
-  core::IimOptions sharded_opt = opt;
-  sharded_opt.shards = 3;
-  Result<std::unique_ptr<ShardedOnlineIim>> engine = ShardedOnlineIim::Create(
-      full.schema(), 2, {0, 1}, sharded_opt);
   ASSERT_TRUE(engine.ok());
+  for (size_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(engine.value()->Ingest(full.Row(i)).ok());
+  }
+  std::vector<double> probe = Probe(full, 50, 2);
+  Result<double> want =
+      engine.value()->ImputeOne(data::RowView(probe.data(), probe.size()));
+  ASSERT_TRUE(want.ok());
 
   ImputationService::Options sopt;
-  sopt.max_batch = 16;
-  ImputationService service(engine.value().get(), sopt);
-  // Park the server so the queue holds one long run of ingests followed
-  // by a run of imputations: the drain must coalesce 120 consecutive
-  // ingests into exactly ceil(120/16) per-shard-parallel batches.
-  service.Pause();
-  std::vector<std::future<Status>> ingests;
-  for (size_t i = 0; i < 120; ++i) {
-    ingests.push_back(service.SubmitIngest(full.Row(i).ToVector()));
+  sopt.max_batch = 0;
+  auto service =
+      std::make_unique<ImputationService>(engine.value().get(), sopt);
+  std::future<Result<double>> got = service->SubmitImpute(probe);
+  if (got.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // A stuck server thread would also hang Shutdown(): leak the service
+    // and its engine so the regression fails instead of timing out.
+    (void)service.release();
+    (void)engine.value().release();
+    FAIL() << "max_batch = 0 never answered the impute";
   }
-  std::vector<std::future<Result<double>>> futures;
-  for (size_t p = 0; p < probes.NumRows(); ++p) {
-    futures.push_back(service.SubmitImpute(Probe(full, 150 + p, 2)));
-  }
-  service.Resume();
-  service.Drain();
-
-  for (auto& f : ingests) EXPECT_TRUE(f.get().ok());
-  ASSERT_EQ(futures.size(), want.size());
-  for (size_t p = 0; p < futures.size(); ++p) {
-    Result<double> got = futures[p].get();
-    ASSERT_TRUE(got.ok()) << p;
-    EXPECT_EQ(got.value(), want[p]) << p;
-  }
-
-  service.Pause();  // stats below are stable and coherent
-  ImputationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.ingests, 120u);
-  EXPECT_EQ(stats.ingest_batches, 8u);  // ceil(120 / 16)
-  EXPECT_EQ(stats.largest_ingest_batch, 16u);
-  EXPECT_EQ(stats.imputations, futures.size());
-  ASSERT_EQ(stats.shard_stats.size(), 3u);
-  uint64_t shard_ingested = 0;
-  for (const OnlineIim::Stats& s : stats.shard_stats) {
-    shard_ingested += s.ingested;
-  }
-  EXPECT_EQ(shard_ingested, 120u);
-  EXPECT_EQ(engine.value()->size(), 120u);
+  Result<double> r = got.get();
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), want.value());
+  service->Drain();
+  EXPECT_EQ(service->stats().batches, 1u);
+  EXPECT_EQ(service->stats().largest_batch, 1u);
 }
 
 TEST(ImputationServiceTest, ShutdownDrainsBacklogAndRejectsLateSubmits) {

@@ -1,9 +1,7 @@
-// Shared fixtures for the streaming test suites (tests/stream_test.cc,
-// tests/stream_window_test.cc and tests/stream_shard_test.cc): one
-// heterogeneous-relation generator so the suites agree on what a hard
+// Shared fixtures for the streaming test suites (tests/stream_*_test.cc):
+// one heterogeneous-relation generator so the suites agree on what a hard
 // multi-regime table looks like, the incomplete-probe constructor, and a
-// randomized arrival/evict/impute schedule generator whose ops can be
-// shard-tagged for the sharded-engine suites.
+// randomized arrival/evict/impute schedule generator.
 
 #ifndef IIM_TESTS_STREAM_TEST_UTIL_H_
 #define IIM_TESTS_STREAM_TEST_UTIL_H_
@@ -45,18 +43,13 @@ inline std::vector<double> Probe(const data::Table& source, size_t row,
 }
 
 // One step of a randomized streaming schedule. Evictions name the victim
-// by GLOBAL arrival number (the numbering every engine shares); imputes
-// mark points where the driving test should serve a probe. `shard_tag`
-// is filled by TagShards for the sharded suites: the shard a round-robin
-// partitioner routes the ingest to (and, for evictions, the shard that
-// owns the victim) — so a stress test can assert the router really
-// placed every op where the schedule says.
+// by arrival number (the numbering every engine assigns alike); imputes
+// mark points where the driving test should serve a probe.
 struct ScheduleOp {
   enum Kind { kIngest, kEvict, kImpute };
   Kind kind = kIngest;
   size_t src_row = 0;       // ingest: source-table row
   uint64_t arrival = 0;     // ingest: assigned / evict: victim
-  size_t shard_tag = 0;     // TagShards output
 };
 
 // Generates the randomized arrival/evict/impute shape the windowed
@@ -98,19 +91,6 @@ inline std::vector<ScheduleOp> MakeSchedule(uint64_t seed, size_t n_src,
     }
   }
   return ops;
-}
-
-// Tags each op with its shard under a round-robin partitioner over
-// `shards`: ingests go to arrival % shards, and an eviction is owned by
-// the shard its victim was routed to. (A FIFO window evicting extra
-// tuples inside the engine does not disturb the tags — arrival numbers
-// are assigned by ingest order alone.)
-inline void TagShards(std::vector<ScheduleOp>* ops, size_t shards) {
-  for (ScheduleOp& op : *ops) {
-    if (op.kind != ScheduleOp::kImpute) {
-      op.shard_tag = static_cast<size_t>(op.arrival % shards);
-    }
-  }
 }
 
 }  // namespace iim::stream

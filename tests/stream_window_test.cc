@@ -19,7 +19,6 @@
 #include "core/iim_imputer.h"
 #include "stream/dynamic_index.h"
 #include "stream/online_iim.h"
-#include "stream/sharded_iim.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -397,92 +396,18 @@ TEST(StreamWindowTest, PostingsMatchRecomputationAfterEveryStep) {
           << "seed " << seed << " after arrival " << arrivals << " ("
           << explicit_evicts << " explicit evicts, "
           << online.stats().compactions << " compactions)";
+      // DynamicIndex live-size accounting balances under the same
+      // non-FIFO evictions and compactions.
+      DynamicIndex::Stats istats = online.index().stats();
+      ASSERT_EQ(istats.live, online.size())
+          << "seed " << seed << " after arrival " << arrivals;
+      ASSERT_EQ(istats.slots, istats.live + istats.tombstones)
+          << "seed " << seed << " after arrival " << arrivals;
     }
     EXPECT_GT(explicit_evicts, 0u);
     EXPECT_GT(online.stats().compactions, 0u)
         << "schedule never exercised the compaction remap";
     EXPECT_GT(online.stats().postings_edges, 0u);
-  }
-}
-
-// Shard-local windows under randomized eviction schedules: the same
-// schedule shape the differential harness drives, emitted by the shared
-// generator with shard tags, at S > 1. The global FIFO window retires
-// tuples out of whichever shard owns them, so every shard sees an
-// arbitrary (non-FIFO!) eviction pattern locally — after every step each
-// shard must still hold exact reverse-neighbor postings and a
-// DynamicIndex whose live/slots/tombstones accounting balances, the
-// router must have placed every op where its tag says, and the global
-// live count must equal the sum of the shards'.
-TEST(StreamWindowTest, ShardLocalWindowInvariantsUnderRandomEvictions) {
-  const int target = 2;
-  const std::vector<int> features = {0, 1};
-  data::Table full = HeterogeneousTable(260, 3, 211);
-
-  for (size_t shards : {size_t{2}, size_t{4}}) {
-    core::IimOptions opt = WindowOptions(1, shards == 4);
-    opt.shards = shards;
-    opt.window_size = 64;  // FIFO auto-evictions on top of explicit ones
-    opt.index_min_compact_tombstones = 8;  // shard-local compactions fire
-    Result<std::unique_ptr<ShardedOnlineIim>> engine =
-        ShardedOnlineIim::Create(full.schema(), target, features, opt);
-    ASSERT_TRUE(engine.ok());
-    ShardedOnlineIim& sharded = *engine.value();
-
-    data::Table probe(data::Schema::Default(3));
-    ASSERT_TRUE(probe.AppendRow(Probe(full, 250, target)).ok());
-
-    std::vector<ScheduleOp> ops = MakeSchedule(
-        77 + shards, 240, /*min_live=*/16, /*evict_p=*/0.35,
-        /*impute_every=*/31);
-    TagShards(&ops, shards);
-
-    std::vector<uint64_t> want_ingested(shards, 0);
-    size_t explicit_evicts = 0;
-    for (size_t step = 0; step < ops.size(); ++step) {
-      const ScheduleOp& op = ops[step];
-      if (op.kind == ScheduleOp::kIngest) {
-        ASSERT_TRUE(sharded.Ingest(full.Row(op.src_row)).ok());
-        ++want_ingested[op.shard_tag];
-      } else if (op.kind == ScheduleOp::kEvict) {
-        // The victim may already be gone (window-retired); either way the
-        // owning shard is the tagged one.
-        if (sharded.Evict(op.arrival).ok()) ++explicit_evicts;
-      } else {
-        (void)sharded.ImputeOne(probe.Row(0));
-        continue;  // imputation mutates nothing; invariants unchanged
-      }
-
-      size_t live_total = 0;
-      for (size_t s = 0; s < shards; ++s) {
-        const OnlineIim& shard = sharded.shard(s);
-        ASSERT_TRUE(shard.VerifyPostings())
-            << "shards " << shards << " step " << step << " shard " << s;
-        // Router placement: exactly the tagged ingests landed here.
-        ASSERT_EQ(shard.stats().ingested, want_ingested[s])
-            << "shards " << shards << " step " << step << " shard " << s;
-        // DynamicIndex live-size accounting balances on every shard.
-        DynamicIndex::Stats istats = shard.index().stats();
-        ASSERT_EQ(istats.live, shard.size())
-            << "shards " << shards << " step " << step << " shard " << s;
-        ASSERT_EQ(istats.slots, istats.live + istats.tombstones)
-            << "shards " << shards << " step " << step << " shard " << s;
-        live_total += shard.size();
-      }
-      ASSERT_EQ(live_total, sharded.size())
-          << "shards " << shards << " step " << step;
-      ASSERT_LE(sharded.size(), opt.window_size);
-    }
-    EXPECT_GT(explicit_evicts, 0u);
-    ShardedOnlineIim::Stats stats = sharded.stats();
-    size_t compactions = 0;
-    for (const OnlineIim::Stats& s : stats.per_shard) {
-      compactions += s.compactions;
-    }
-    EXPECT_GT(compactions, 0u)
-        << "schedule never exercised a shard-local compaction";
-    EXPECT_GT(stats.evicted, static_cast<size_t>(explicit_evicts))
-        << "the FIFO window never auto-evicted";
   }
 }
 
