@@ -8,7 +8,7 @@
 // KD-tree rebuild: once with background_rebuild off (the tree is built
 // inside Append under the writer lock — the pre-overhaul behavior) and
 // once with the double-buffered background rebuild. Means hide the
-// rebuild spikes entirely (they are ~5 arrivals out of 10k), so the
+// rebuild spikes entirely (they are ~15 arrivals out of 10k), so the
 // comparison is made at p50/p99/p99.9/max.
 //
 // Phase 1 measures the cost of serving one more arrival online — Ingest
@@ -21,8 +21,9 @@
 // auto-evicting the oldest tuple), then explicit Evict calls are timed
 // in isolation. The reverse-neighbor postings make eviction O(l), so the
 // per-eviction cost must NOT scale with the window — the two-window
-// ratio in the JSON is the evidence. The batch alternative (relearning
-// the n-tuple window) is timed at w = n.
+// ratio in the JSON is the evidence, next to the brute-tail rows each
+// eviction's backfill queries scanned at either window. The batch
+// alternative (relearning the n-tuple window) is timed at w = n.
 //
 // Phase 3 measures the durability tax: the same n-row ingest with the
 // write-ahead log and periodic background snapshots on, compared at
@@ -329,7 +330,8 @@ int main(int argc, char** argv) {
   // Evict calls are then timed in isolation; comparing the two windows
   // shows whether eviction cost scales with the window.
   auto run_window = [&](size_t w, std::vector<double>* arrival_seconds,
-                        std::vector<double>* evict_seconds)
+                        std::vector<double>* evict_seconds,
+                        double* evict_tail_rows)
       -> std::unique_ptr<iim::stream::OnlineIim> {
     iim::core::IimOptions wopt = opt;
     wopt.window_size = w;
@@ -367,6 +369,7 @@ int main(int argc, char** argv) {
         std::exit(1);
       }
     }
+    uint64_t scanned_before = windowed.index().stats().tail_rows_scanned;
     for (size_t e = 0; e < evict_reps; ++e) {
       wtimer.Restart();
       iim::Status st = windowed.Evict(online_reps + e);
@@ -376,17 +379,23 @@ int main(int argc, char** argv) {
       }
       evict_seconds->push_back(wtimer.ElapsedSeconds());
     }
+    *evict_tail_rows =
+        static_cast<double>(windowed.index().stats().tail_rows_scanned -
+                            scanned_before) /
+        static_cast<double>(std::max<size_t>(evict_reps, 1));
     return std::move(wp.engine);
   };
 
   std::vector<double> windowed_seconds, evict_seconds;
+  double evict_tail_rows = 0.0, half_evict_tail_rows = 0.0;
   std::unique_ptr<iim::stream::OnlineIim> wengine =
-      run_window(n, &windowed_seconds, &evict_seconds);
+      run_window(n, &windowed_seconds, &evict_seconds, &evict_tail_rows);
   iim::stream::OnlineIim& windowed = *wengine;
   std::vector<double> half_arrival_seconds, half_evict_seconds;
   size_t n_half = n / 2;
   std::unique_ptr<iim::stream::OnlineIim> hengine =
-      run_window(n_half, &half_arrival_seconds, &half_evict_seconds);
+      run_window(n_half, &half_arrival_seconds, &half_evict_seconds,
+                 &half_evict_tail_rows);
 
   // Batch alternative: relearn the live window from scratch (at w = n).
   std::vector<double> window_relearn_seconds;
@@ -717,11 +726,12 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12.6f ms (window %zu)\n", "explicit eviction",
               half_evict_mean * 1e3, n_half);
   iim::stream::DynamicIndex::Stats histats = hengine->index().stats();
-  std::printf("%-34s %12.2fx (1.0 = flat in window size; backfill cost "
-              "follows the brute-force tail — %zu vs %zu points — not the "
-              "window)\n",
+  std::printf("%-34s %12.2fx (1.0 = flat in window size; backfill "
+              "queries scanned %.0f vs %.0f brute-tail rows per eviction, "
+              "tails now %zu vs %zu)\n",
               "eviction cost ratio n vs n/2", evict_window_ratio,
-              wistats.tail_size, histats.tail_size);
+              evict_tail_rows, half_evict_tail_rows, wistats.tail_size,
+              histats.tail_size);
   std::printf("%-34s %12.6f ms\n", "window relearn", window_relearn_mean * 1e3);
   std::printf("%-34s %12.1fx\n", "eviction speedup", evict_speedup);
   std::printf("windowed engine: %zu evictions (%zu down-dates, %zu restream "
@@ -858,6 +868,8 @@ int main(int argc, char** argv) {
                "  \"windowed_kdtree_swaps\": %zu,\n"
                "  \"windowed_tail_size\": %zu,\n"
                "  \"windowed_half_tail_size\": %zu,\n"
+               "  \"eviction_tail_rows_scanned\": %.1f,\n"
+               "  \"eviction_tail_rows_scanned_window_half\": %.1f,\n"
                "  \"windowed_half_evictions\": %zu,\n",
                n, online_reps, built.total_seconds, inlock.total_seconds,
                ingest_inlock.p50, ingest_inlock.p99, ingest_inlock_p999,
@@ -881,7 +893,8 @@ int main(int argc, char** argv) {
                windowed_matches ? "true" : "false", wstats.evicted,
                wstats.downdates, wstats.downdate_fallbacks, wstats.backfills,
                wstats.compactions, wstats.postings_edges, wistats.swaps,
-               wistats.tail_size, histats.tail_size, hstats.evicted);
+               wistats.tail_size, histats.tail_size, evict_tail_rows,
+               half_evict_tail_rows, hstats.evicted);
   std::fprintf(out,
                "  \"online_samples\": %zu,\n"
                "  \"eviction_samples\": %zu,\n"

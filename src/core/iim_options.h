@@ -75,11 +75,12 @@ struct IimOptions {
   bool background_rebuild = true;
   // Streaming index tuning, forwarded to stream::DynamicIndex::Options
   // when nonzero (0 keeps that option's default). Results are identical
-  // at every setting — these move only WHEN trees are rebuilt and
-  // tombstones compacted. Tests and benches lower them so small-n
-  // schedules still cross KD-tree rebuilds and compactions.
+  // at every setting — these move only WHEN a KD-tree first appears and
+  // when tombstones are compacted. Once a tree exists, rebuilds follow
+  // the index's own work rule (tail scans paid for one build), which has
+  // no knob. Tests lower these so small-n schedules still cross KD-tree
+  // rebuilds and compactions.
   size_t index_kdtree_threshold = 0;
-  size_t index_min_rebuild_tail = 0;
   size_t index_min_compact_tombstones = 0;
   // --- Durability (stream engines; the batch imputer ignores these) ---
   // Directory for snapshots and the write-ahead arrival log. Empty

@@ -11,6 +11,18 @@
 
 namespace iim::stream {
 
+namespace {
+
+// Slot visits one KD-tree build over n points costs: n·⌈log2 n⌉ (each
+// point is partitioned once per tree level).
+uint64_t BuildCost(size_t n) {
+  uint64_t levels = 0;
+  while (levels < 64 && (uint64_t{1} << levels) < n) ++levels;
+  return static_cast<uint64_t>(n) * levels;
+}
+
+}  // namespace
+
 DynamicIndex::DynamicIndex(std::vector<int> cols)
     : DynamicIndex(std::move(cols), Options()) {}
 
@@ -58,7 +70,13 @@ void DynamicIndex::InstallLocked() {
   pending_.reset();
 }
 
-void DynamicIndex::LaunchRebuildLocked() {
+void DynamicIndex::RebuildLocked() {
+  scanned_at_launch_ = tail_scanned_.load(std::memory_order_relaxed);
+  if (!options_.background_rebuild) {
+    tree_.Build(points_.data(), n_, cols_.size());
+    ++rebuilds_;
+    return;
+  }
   pending_ = std::make_shared<PendingBuild>();
   pending_->n = n_;
   pending_->epoch = prefix_epoch_;
@@ -102,17 +120,14 @@ void DynamicIndex::LaunchRebuildLocked() {
 
 void DynamicIndex::MaybeRebuildLocked() {
   if (pending_ != nullptr) return;  // one build in flight at a time
-  size_t d = cols_.size();
-  size_t tail = n_ - tree_.size();
-  if (n_ - dead_ < options_.kdtree_threshold ||
-      tail < std::max(options_.min_rebuild_tail, tree_.size() / 4)) {
-    return;
-  }
-  if (options_.background_rebuild) {
-    LaunchRebuildLocked();
-  } else {
-    tree_.Build(points_.data(), n_, d);
-    ++rebuilds_;
+  if (n_ - dead_ < options_.kdtree_threshold) return;
+  // Work rule: the tail scans since the last launch cost as much as the
+  // build that ends them. Ceiling: a quarter of the tree, for append
+  // bursts that no query reads (they never advance the count).
+  uint64_t scanned =
+      tail_scanned_.load(std::memory_order_relaxed) - scanned_at_launch_;
+  if (scanned >= BuildCost(n_) || n_ - tree_.size() >= tree_.size() / 4) {
+    RebuildLocked();
   }
 }
 
@@ -210,17 +225,10 @@ std::vector<size_t> DynamicIndex::Compact() {
     pending_.reset();
   }
   tree_.Clear();
-  if (n_ >= options_.kdtree_threshold) {
-    if (options_.background_rebuild) {
-      // Same double-buffered machinery as Append: queries scan the whole
-      // (now dense) buffer brute-force — still exact — until the
-      // replacement tree lands.
-      LaunchRebuildLocked();
-    } else {
-      tree_.Build(points_.data(), n_, d);
-      ++rebuilds_;
-    }
-  }
+  // Same double-buffered machinery as Append: queries scan the whole (now
+  // dense) buffer brute-force — still exact — until the replacement tree
+  // lands.
+  if (n_ >= options_.kdtree_threshold) RebuildLocked();
   max_compact_hold_seconds_ =
       std::max(max_compact_hold_seconds_, hold.ElapsedSeconds());
   return remap;
@@ -288,15 +296,13 @@ Status DynamicIndex::RestoreState(std::vector<double> points,
     if (a == 0) ++dead_;
   }
   ++state_restores_;
-  if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) {
-    if (options_.background_rebuild) {
-      LaunchRebuildLocked();
-    } else {
-      tree_.Build(points_.data(), n_, d);
-      ++rebuilds_;
-    }
-  }
+  if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) RebuildLocked();
   return Status::OK();
+}
+
+void DynamicIndex::CountTailScan() const {
+  size_t tail = n_ - tree_.size();
+  if (tail > 0) tail_scanned_.fetch_add(tail, std::memory_order_relaxed);
 }
 
 void DynamicIndex::Collect(const std::vector<double>& q,
@@ -311,6 +317,7 @@ void DynamicIndex::Collect(const std::vector<double>& q,
   // heap front unless it actually belongs in the top k. The kept set is
   // the k smallest in the (distance, slot) total order either way, so
   // every downstream result is unchanged bit for bit.
+  CountTailScan();
   for (size_t i = tree_.size(); i < n_; ++i) {
     if (i == options.exclude || alive_[i] == 0) continue;
     neighbors::PushNeighborHeap(
@@ -355,6 +362,7 @@ std::vector<neighbors::Neighbor> DynamicIndex::RangeQuery(
     }
     return out;
   }
+  CountTailScan();
   for (size_t i = tree_.size(); i < n_; ++i) {
     if (alive_[i] == 0) continue;
     double dist =
@@ -389,6 +397,7 @@ void DynamicIndex::QueryWithRange(
   // distance evaluation; the kernel and both merge/ordering rules are
   // exactly Query's and RangeQuery's, so each output is bitwise the
   // respective standalone call.
+  CountTailScan();
   for (size_t i = tree_.size(); i < n_; ++i) {
     if (alive_[i] == 0) continue;
     double dist =
@@ -452,6 +461,7 @@ DynamicIndex::Stats DynamicIndex::stats() const {
   s.discarded = discarded_;
   s.compactions = compactions_;
   s.rebuild_in_flight = pending_ != nullptr;
+  s.tail_rows_scanned = tail_scanned_.load(std::memory_order_relaxed);
   s.max_append_hold_seconds = max_append_hold_seconds_;
   s.max_compact_hold_seconds = max_compact_hold_seconds_;
   s.state_snapshots = state_snapshots_;

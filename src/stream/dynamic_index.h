@@ -5,9 +5,17 @@
 // growth. A FlatKdTree covers the immutable prefix that existed at the
 // last rebuild; arrivals since then sit in an unindexed tail that queries
 // scan brute-force. Once the relation crosses the same 4096-point
-// threshold MakeIndex uses and the tail has grown past a fraction of the
-// tree, the tree is rebuilt over everything — amortized O(log n) rebuilds
-// over the stream's lifetime.
+// threshold MakeIndex uses, the tree is rebuilt over everything as soon
+// as the tail has cost as much as the rebuild would: every Query,
+// RangeQuery and QueryWithRange adds the tail slots it scanned to a
+// counter, and Append launches a rebuild once the scans since the last
+// launch reach the build's own n·⌈log2 n⌉ slot visits. Those builds
+// never cost more than the scans that paid for them, and a stream
+// issuing q tail-scanning queries per append keeps its tail near
+// sqrt(2·n·log2 n / q) rows instead of letting it grow with n. Appends
+// no query reads never advance the counter, so a ceiling catches them:
+// a tail past a quarter of the tree also triggers a rebuild, which
+// keeps query-free bursts at amortized O(log n) rebuilds.
 //
 // Rebuilds happen OFF the ingest path (Options::background_rebuild, on by
 // default): the replacement tree is built double-buffered on a ThreadPool
@@ -66,11 +74,10 @@ class DynamicIndex final : public neighbors::NeighborIndex {
  public:
   struct Options {
     // Minimum live size before any KD-tree is built (matches the
-    // MakeIndex default: brute force is faster below it).
+    // MakeIndex default: brute force is faster below it). Above it,
+    // rebuilds follow the work rule and tree/4 ceiling described at the
+    // top of this file, neither of which is an option.
     size_t kdtree_threshold = 4096;
-    // Rebuild once the unindexed tail exceeds both this floor and a
-    // quarter of the indexed prefix.
-    size_t min_rebuild_tail = 1024;
     // NeedsCompaction() once tombstones exceed both this floor and this
     // fraction of the live rows.
     size_t min_compact_tombstones = 64;
@@ -99,6 +106,11 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     size_t discarded = 0;   // background builds dropped (compaction raced)
     size_t compactions = 0;
     bool rebuild_in_flight = false;
+    // Lifetime brute-tail slots visited by Query, RangeQuery and
+    // QueryWithRange (tombstones included; QueryAll and the unbounded
+    // RangeQuery scan everything and do not count). The work rule
+    // launches a rebuild once this advances by one build's cost.
+    uint64_t tail_rows_scanned = 0;
     // Longest writer-lock hold inside one Append — the ingest critical
     // section that bounds both arrival latency and how long concurrent
     // queries can be blocked. In-lock rebuilds land their O(n log n)
@@ -242,11 +254,16 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   void Collect(const std::vector<double>& q,
                const neighbors::QueryOptions& options,
                std::vector<neighbors::Neighbor>* heap) const;
+  // Adds the current tail to tail_scanned_ (reader or writer lock held by
+  // caller): every tail-scanning query calls it once.
+  void CountTailScan() const;
   // Adopts a finished background build (writer lock held by caller).
   void InstallLocked();
-  // Launches a background build over the current slots (writer lock held
-  // by caller; no build may be pending).
-  void LaunchRebuildLocked();
+  // Starts a rebuild over the current slots and restarts the work rule's
+  // count: launched on the builder when background_rebuild is on, built
+  // in place otherwise (writer lock held by caller; no build may be
+  // pending).
+  void RebuildLocked();
   // Applies the tail policy after an append (writer lock held by caller).
   void MaybeRebuildLocked();
 
@@ -271,6 +288,12 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   size_t swaps_ = 0;
   size_t discarded_ = 0;
   size_t compactions_ = 0;
+  // Lifetime tail slots scanned (Stats::tail_rows_scanned). Queries bump
+  // it under the READER lock, concurrently with each other, hence the
+  // relaxed atomic (a count, ordering nothing else).
+  mutable std::atomic<uint64_t> tail_scanned_{0};
+  // tail_scanned_ when the last rebuild started (writer lock).
+  uint64_t scanned_at_launch_ = 0;
   double max_append_hold_seconds_ = 0.0;
   double max_compact_hold_seconds_ = 0.0;
   size_t state_snapshots_ = 0;

@@ -49,9 +49,6 @@ OrderCore::Config MakeOrderCoreConfig(const core::IimOptions& options,
   if (options.index_kdtree_threshold > 0) {
     c.index.kdtree_threshold = options.index_kdtree_threshold;
   }
-  if (options.index_min_rebuild_tail > 0) {
-    c.index.min_rebuild_tail = options.index_min_rebuild_tail;
-  }
   if (options.index_min_compact_tombstones > 0) {
     c.index.min_compact_tombstones = options.index_min_compact_tombstones;
   }

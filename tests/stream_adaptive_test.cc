@@ -40,7 +40,6 @@ core::IimOptions AdaptiveOptions(bool downdate, size_t threads = 1) {
   // rebuilds and tombstone compactions (results are identical at any
   // setting — that is exactly what is under test).
   opt.index_kdtree_threshold = 16;
-  opt.index_min_rebuild_tail = 8;
   opt.index_min_compact_tombstones = 12;
   return opt;
 }

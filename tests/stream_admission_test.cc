@@ -58,7 +58,6 @@ namespace {
 TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
-  dopt.min_rebuild_tail = 8;
   dopt.min_compact_tombstones = 8;
   dopt.background_rebuild = false;  // deterministic tree coverage
   DynamicIndex index({0, 1}, dopt);
@@ -147,7 +146,6 @@ TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
 TEST(DynamicIndexAdmissionTest, SpuriousCompactNeverDiscardsBuilds) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 16;
-  dopt.min_rebuild_tail = 8;
   dopt.background_rebuild = true;
   DynamicIndex index({0, 1}, dopt);
 
@@ -217,7 +215,6 @@ core::IimOptions AdmissionOptions(size_t threads, bool downdate,
   // Low index thresholds so small-n schedules still cross KD-tree
   // rebuilds and physical compactions mid-stream.
   opt.index_kdtree_threshold = 48;
-  opt.index_min_rebuild_tail = 16;
   opt.index_min_compact_tombstones = 8;
   return opt;
 }

@@ -81,7 +81,6 @@ core::IimOptions ChaosOptions() {
   opt.downdate = false;  // restream path: the bitwise contract
   opt.window_size = 40;
   opt.index_kdtree_threshold = 32;
-  opt.index_min_rebuild_tail = 8;
   opt.index_min_compact_tombstones = 4;
   return opt;
 }

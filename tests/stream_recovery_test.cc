@@ -81,7 +81,6 @@ core::IimOptions RecoveryOptions() {
   // Low thresholds so small schedules still cross KD-tree rebuilds and
   // physical compactions (results are invariant to both).
   opt.index_kdtree_threshold = 32;
-  opt.index_min_rebuild_tail = 8;
   opt.index_min_compact_tombstones = 4;
   return opt;
 }

@@ -31,7 +31,6 @@ TEST(DynamicIndexTest, MatchesBruteForceUnderInterleavedAppendsAndQueries) {
   // rebuild regimes well inside 300 appends.
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
-  dopt.min_rebuild_tail = 16;
   DynamicIndex dynamic({0, 2}, dopt);
 
   data::Table grown(data::Schema::Default(3));
@@ -91,7 +90,6 @@ TEST(DynamicIndexTest, BackgroundAndInLockRebuildsAgreeBitwise) {
   // matter when the swap lands.
   DynamicIndex::Options sync_opt;
   sync_opt.kdtree_threshold = 40;
-  sync_opt.min_rebuild_tail = 12;
   sync_opt.background_rebuild = false;
   DynamicIndex::Options bg_opt = sync_opt;
   bg_opt.background_rebuild = true;
@@ -134,7 +132,6 @@ TEST(DynamicIndexTest, BackgroundAndInLockRebuildsAgreeBitwise) {
 TEST(DynamicIndexTest, StatsSnapshotIsCoherent) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
-  dopt.min_rebuild_tail = 8;
   DynamicIndex index({0, 1}, dopt);
   data::Table t = HeterogeneousTable(120, 3, 9);
   for (size_t i = 0; i < t.NumRows(); ++i) index.Append(t.Row(i));
@@ -164,6 +161,223 @@ TEST(DynamicIndexTest, StaysBruteForceBelowThreshold) {
   EXPECT_EQ(index.Query(t.Row(0), qopt).size(), 50u);
   qopt.k = 0;
   EXPECT_TRUE(index.Query(t.Row(0), qopt).empty());
+}
+
+// The work rule's threshold: slot visits of one KD-tree build over n
+// points, n·⌈log2 n⌉.
+uint64_t BuildCost(size_t n) {
+  uint64_t levels = 0;
+  while ((uint64_t{1} << levels) < n) ++levels;
+  return n * levels;
+}
+
+// Ground truth for RangeQuery: every row within `radius` (ties included),
+// ascending by slot.
+std::vector<neighbors::Neighbor> BruteRange(
+    const neighbors::BruteForceIndex& brute, const data::RowView& query,
+    double radius) {
+  std::vector<neighbors::Neighbor> out;
+  for (const neighbors::Neighbor& nb :
+       brute.QueryAll(query, neighbors::QueryOptions::kNoExclusion)) {
+    if (nb.distance <= radius) out.push_back(nb);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const neighbors::Neighbor& a, const neighbors::Neighbor& b) {
+              return a.index < b.index;
+            });
+  return out;
+}
+
+void ExpectSameNeighbors(const std::vector<neighbors::Neighbor>& got,
+                         const std::vector<neighbors::Neighbor>& want,
+                         size_t step) {
+  ASSERT_EQ(got.size(), want.size()) << "append " << step;
+  for (size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].index, want[j].index) << "append " << step << " j " << j;
+    EXPECT_EQ(got[j].distance, want[j].distance);  // bit-identical
+  }
+}
+
+TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
+  // In-lock rebuilds make every rebuild point exact: the tail is empty
+  // right after one, and the work count restarts there.
+  DynamicIndex::Options dopt;
+  dopt.kdtree_threshold = 32;
+  dopt.background_rebuild = false;
+  DynamicIndex index({0, 2}, dopt);
+  // Every query below scans the tail: k >= 1 and finite radii only.
+  constexpr size_t kQueriesPerAppend = 12;
+
+  data::Table grown(data::Schema::Default(3));
+  data::Table full = HeterogeneousTable(1000, 3, 61);
+  Rng rng(5);
+  uint64_t scanned_at_rebuild = 0;
+  size_t work_rebuilds = 0;
+  for (size_t i = 0; i < full.NumRows(); ++i) {
+    DynamicIndex::Stats before = index.stats();
+    ASSERT_TRUE(grown.AppendRow(full.Row(i).ToVector()).ok());
+    index.Append(full.Row(i));
+    DynamicIndex::Stats after = index.stats();
+    uint64_t scanned = after.tail_rows_scanned - scanned_at_rebuild;
+    uint64_t cost = BuildCost(after.slots);
+    if (after.rebuilds > before.rebuilds) {
+      ASSERT_EQ(after.rebuilds, before.rebuilds + 1);
+      EXPECT_EQ(after.tail_size, 0u);
+      if (before.rebuilds > 0) {
+        // Every rebuild after the first is the work rule's: the tail it
+        // ended was still short of the tree/4 ceiling.
+        EXPECT_LT(before.tail_size + 1, before.tree_size / 4)
+            << "append " << i;
+        EXPECT_GE(scanned, cost) << "append " << i;
+        ++work_rebuilds;
+      }
+      scanned_at_rebuild = after.tail_rows_scanned;
+    } else if (after.tree_size > 0) {
+      EXPECT_LT(scanned, cost) << "append " << i;
+      EXPECT_LT(after.tail_size, after.tree_size / 4) << "append " << i;
+      // The bound the rule implies: a tail of t rows has drawn
+      // q·(1 + ... + (t-1)) = q·t(t-1)/2 slot visits since the rebuild
+      // that emptied it, and that stays below one build's cost.
+      EXPECT_LE(static_cast<double>(after.tail_size),
+                1.0 + std::sqrt(2.0 * static_cast<double>(cost) /
+                                kQueriesPerAppend))
+          << "append " << i;
+    }
+
+    neighbors::BruteForceIndex brute(&grown, {0, 2});
+    for (size_t q = 0; q < kQueriesPerAppend; ++q) {
+      std::vector<double> probe_values = {rng.Uniform(-5.0, 15.0), 0.0,
+                                          rng.Uniform(-5.0, 15.0)};
+      data::RowView probe(probe_values.data(), probe_values.size());
+      neighbors::QueryOptions qopt;
+      qopt.k = 1 + static_cast<size_t>(rng.UniformInt(0, 7));
+      if (q % 3 == 0) qopt.exclude = i / 2;
+      double radius = rng.Uniform(0.0, 2.0);
+      if (q == kQueriesPerAppend - 2) {
+        ExpectSameNeighbors(index.RangeQuery(probe, radius),
+                            BruteRange(brute, probe, radius), i);
+      } else if (q == kQueriesPerAppend - 1) {
+        std::vector<neighbors::Neighbor> nearest, in_range;
+        index.QueryWithRange(probe, qopt, radius, &nearest, &in_range);
+        ExpectSameNeighbors(nearest, brute.Query(probe, qopt), i);
+        ExpectSameNeighbors(in_range, BruteRange(brute, probe, radius), i);
+      } else {
+        ExpectSameNeighbors(index.Query(probe, qopt), brute.Query(probe, qopt),
+                            i);
+      }
+    }
+  }
+  EXPECT_GE(work_rebuilds, 20u);
+}
+
+TEST(DynamicIndexTest, QueryFreeBurstRebuildsAtQuarterTreeCeiling) {
+  // No query ever scans the tail, so the work count never moves and the
+  // tree/4 ceiling alone schedules rebuilds: the first at the threshold,
+  // then each once the tail reaches a quarter of the tree.
+  DynamicIndex::Options dopt;
+  dopt.kdtree_threshold = 32;
+  dopt.background_rebuild = false;
+  DynamicIndex index({0, 1}, dopt);
+  data::Table full = HeterogeneousTable(2000, 3, 13);
+  size_t tree = 0;
+  std::vector<size_t> rebuilt_at;
+  for (size_t i = 0; i < full.NumRows(); ++i) {
+    index.Append(full.Row(i));
+    size_t n = i + 1;
+    if (n >= dopt.kdtree_threshold && n - tree >= tree / 4) {
+      tree = n;
+      rebuilt_at.push_back(n);
+    }
+    DynamicIndex::Stats s = index.stats();
+    ASSERT_EQ(s.tree_size, tree) << "append " << i;
+    ASSERT_EQ(s.rebuilds, rebuilt_at.size()) << "append " << i;
+  }
+  ASSERT_GE(rebuilt_at.size(), 4u);
+  EXPECT_EQ(rebuilt_at[0], 32u);
+  EXPECT_EQ(rebuilt_at[1], 40u);  // 32 + 32/4
+  EXPECT_EQ(rebuilt_at[2], 50u);  // 40 + 40/4
+  EXPECT_EQ(rebuilt_at[3], 62u);  // 50 + 50/4
+  // Amortized O(log n): a geometric 1.25x schedule, not one per append.
+  EXPECT_LE(rebuilt_at.size(), 20u);
+  EXPECT_EQ(index.stats().tail_rows_scanned, 0u);
+}
+
+TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
+  DynamicIndex::Options dopt;
+  dopt.kdtree_threshold = 32;
+  dopt.min_compact_tombstones = 16;
+  dopt.background_rebuild = false;
+  DynamicIndex index({0, 1}, dopt);
+  ThreadPool pool(4);
+  data::Table full = HeterogeneousTable(600, 3, 23);
+  Rng rng(41);
+  std::vector<uint8_t> live;
+  uint64_t visited = 0;  // tail slots this test's queries scanned
+  for (size_t i = 0; i < full.NumRows(); ++i) {
+    index.Append(full.Row(i));
+    live.push_back(1);
+    if (i > 40 && rng.Bernoulli(0.3)) {
+      size_t victim = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      if (live[victim] != 0 && index.Remove(victim)) live[victim] = 0;
+    }
+    if (index.NeedsCompaction()) {
+      std::vector<size_t> remap = index.Compact();
+      std::vector<uint8_t> packed;
+      for (size_t s = 0; s < live.size(); ++s) {
+        if (remap[s] != DynamicIndex::kGone) packed.push_back(live[s]);
+      }
+      live.swap(packed);
+    }
+    // Tombstoned tail slots count too: the scan visits them to skip them.
+    uint64_t tail = index.stats().tail_size;
+    data::RowView probe = full.Row(i / 2);
+    neighbors::QueryOptions qopt;
+    qopt.k = 3;
+    switch (i % 7) {
+      case 0:
+        index.Query(probe, qopt);
+        visited += tail;
+        break;
+      case 1:
+        index.RangeQuery(probe, 0.5);
+        visited += tail;
+        break;
+      case 2: {
+        std::vector<neighbors::Neighbor> nearest, in_range;
+        index.QueryWithRange(probe, qopt, 0.5, &nearest, &in_range);
+        visited += tail;  // one pass feeds both outputs
+        break;
+      }
+      case 3: {
+        // Concurrent readers bump the counter under the shared lock.
+        std::vector<neighbors::BatchQuery> batch;
+        for (size_t b = 0; b < 24; ++b) {
+          batch.push_back({full.Row((i + b) % full.NumRows()), b});
+        }
+        index.QueryMany(batch, 3, &pool);
+        visited += tail * batch.size();
+        break;
+      }
+      case 4:
+        // Full scans, not tail scans: QueryAll, the unbounded range.
+        index.QueryAll(probe, neighbors::QueryOptions::kNoExclusion);
+        index.RangeQuery(probe, std::numeric_limits<double>::infinity());
+        break;
+      case 5:
+        // Nothing to scan: k == 0, a negative radius.
+        qopt.k = 0;
+        index.Query(probe, qopt);
+        index.RangeQuery(probe, -1.0);
+        break;
+      default:
+        break;
+    }
+    ASSERT_EQ(index.stats().tail_rows_scanned, visited) << "append " << i;
+  }
+  EXPECT_GT(visited, 0u);
+  EXPECT_GE(index.compactions(), 1u);
+  EXPECT_GE(index.rebuilds(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ namespace {
 TEST(DynamicIndexWindowTest, QueriesNeverReturnEvictedRows) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
-  dopt.min_rebuild_tail = 8;
   dopt.min_compact_tombstones = 1u << 30;  // no compaction in this test
   DynamicIndex index({0, 1}, dopt);
 
@@ -100,7 +99,6 @@ TEST(DynamicIndexWindowTest, QueriesNeverReturnEvictedRows) {
 TEST(DynamicIndexWindowTest, CompactionPreservesQueryResultsBitwise) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 48;
-  dopt.min_rebuild_tail = 16;
   dopt.min_compact_tombstones = 20;
   dopt.max_tombstone_fraction = 0.25;
   DynamicIndex index({0, 2}, dopt);
