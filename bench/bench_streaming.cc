@@ -25,6 +25,13 @@
 // eviction's backfill queries scanned at either window. The batch
 // alternative (relearning the n-tuple window) is timed at w = n.
 //
+// Phase 2 also carries an eviction-scaling cell: engines over the same
+// n-row window at l = 10, 50 and 200, and with adaptive l (max_ell 100,
+// step_h 2 — the paper benches' budget), each time the same oldest-first
+// Evict calls after warming the models around the departing tuples. An
+// eviction repairs about l orders, so the cell reports p50/p99, repairs
+// per eviction and p50 per unit of l: the cost of each repair.
+//
 // Phase 3 measures the durability tax: the same n-row ingest with the
 // write-ahead log and periodic background snapshots on, compared at
 // p50/p99 against the persistence-off profile (the checkpoint "pause" is
@@ -144,6 +151,68 @@ IngestProfile BuildEngine(const iim::data::Table& data, int target,
   }
   out.total_seconds = total.ElapsedSeconds();
   return out;
+}
+
+// One row of the eviction-scaling cell.
+struct EvictScalingCell {
+  const char* config = "";
+  size_t ell = 0;  // order length: l, or max_ell in adaptive mode
+  size_t samples = 0;
+  double p50_seconds = 0.0;
+  double p99_seconds = 0.0;
+  double backfills_per_evict = 0.0;
+};
+
+// Ingests rows [0, n) into an engine with window n, imputes the first
+// `reps` rows with their target masked (so the orders around them hold
+// folded models, as in a serving deployment), then times `reps`
+// oldest-first Evict calls.
+EvictScalingCell MeasureEvictScaling(const iim::data::Table& data, int target,
+                                     const std::vector<int>& features,
+                                     iim::core::IimOptions opt, size_t n,
+                                     size_t reps, const char* config) {
+  opt.window_size = n;
+  IngestProfile p = BuildEngine(data, target, features, opt, n);
+  iim::stream::OnlineIim& engine = *p.engine;
+  std::vector<std::vector<double>> warm(reps);
+  std::vector<iim::data::RowView> warm_rows;
+  for (size_t e = 0; e < reps; ++e) {
+    warm[e] = data.Row(e).ToVector();
+    warm[e][static_cast<size_t>(target)] =
+        std::numeric_limits<double>::quiet_NaN();
+    warm_rows.emplace_back(warm[e].data(), warm[e].size());
+  }
+  for (const iim::Result<double>& v : engine.ImputeBatch(warm_rows)) {
+    if (!v.ok()) {
+      std::fprintf(stderr, "scaling warm impute: %s\n",
+                   v.status().ToString().c_str());
+      std::exit(1);
+    }
+  }
+  size_t backfills_before = engine.stats().backfills;
+  std::vector<double> seconds;
+  seconds.reserve(reps);
+  iim::Stopwatch timer;
+  for (size_t e = 0; e < reps; ++e) {
+    timer.Restart();
+    iim::Status st = engine.Evict(e);
+    seconds.push_back(timer.ElapsedSeconds());
+    if (!st.ok()) {
+      std::fprintf(stderr, "scaling evict: %s\n", st.ToString().c_str());
+      std::exit(1);
+    }
+  }
+  EvictScalingCell cell;
+  cell.config = config;
+  cell.ell = opt.adaptive ? opt.max_ell : opt.ell;
+  cell.samples = reps;
+  iim::LatencySummary lat = iim::Summarize(seconds);
+  cell.p50_seconds = lat.p50;
+  cell.p99_seconds = lat.p99;
+  cell.backfills_per_evict =
+      static_cast<double>(engine.stats().backfills - backfills_before) /
+      static_cast<double>(std::max<size_t>(reps, 1));
+  return cell;
 }
 
 void PrintLatency(const char* label, const std::vector<double>& seconds) {
@@ -425,6 +494,26 @@ int main(int argc, char** argv) {
     iim::Result<double> v = windowed.ImputeOne(probe);
     if (!v.ok()) return 1;
     check_windowed = v.value();
+  }
+
+  // Eviction cost as l grows (same window, same data, same evictions).
+  size_t scaling_reps = std::min<size_t>(400, n / 4);
+  std::vector<EvictScalingCell> scaling;
+  for (size_t ell : {size_t{10}, size_t{50}, size_t{200}}) {
+    iim::core::IimOptions sopt = opt;
+    sopt.ell = ell;
+    const char* name = ell == 10 ? "ell10" : ell == 50 ? "ell50" : "ell200";
+    scaling.push_back(MeasureEvictScaling(data, target, features, sopt, n,
+                                          scaling_reps, name));
+  }
+  {
+    iim::core::IimOptions sopt = opt;
+    sopt.adaptive = true;
+    sopt.max_ell = 100;
+    sopt.step_h = 2;
+    scaling.push_back(MeasureEvictScaling(data, target, features, sopt, n,
+                                          scaling_reps,
+                                          "adaptive_max_ell100_step2"));
   }
 
   double windowed_mean = Mean(windowed_seconds);
@@ -739,6 +828,15 @@ int main(int argc, char** argv) {
               "edges live)\n",
               wstats.evicted, wstats.downdates, wstats.downdate_fallbacks,
               wstats.backfills, wstats.compactions, wstats.postings_edges);
+  std::printf("eviction cost vs l (window %zu, %zu evictions each):\n", n,
+              scaling_reps);
+  for (const EvictScalingCell& cell : scaling) {
+    std::printf("  %-26s l %4zu  p50 %9.4f  p99 %9.4f ms  %6.2f "
+                "backfills/evict  p50 %8.3f us per unit of l\n",
+                cell.config, cell.ell, cell.p50_seconds * 1e3,
+                cell.p99_seconds * 1e3, cell.backfills_per_evict,
+                cell.p50_seconds * 1e6 / static_cast<double>(cell.ell));
+  }
   std::printf("SHAPE CHECK: online update >= 10x full relearn and "
               "bit-identical to batch ... %s\n",
               fast_enough && identical ? "OK" : "DEVIATES");
@@ -953,6 +1051,25 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(append_point.hits),
                static_cast<unsigned long long>(append_point.fires),
                failpoint_overhead_p50, failpoint_ok ? "true" : "false");
+  std::fprintf(out,
+               "  \"evict_scaling_window\": %zu,\n"
+               "  \"evict_scaling_samples\": %zu,\n"
+               "  \"evict_scaling\": [\n",
+               n, scaling_reps);
+  for (size_t c = 0; c < scaling.size(); ++c) {
+    const EvictScalingCell& cell = scaling[c];
+    std::fprintf(out,
+                 "    {\"config\": \"%s\", \"ell\": %zu, "
+                 "\"evict_p50_seconds\": %.9f, "
+                 "\"evict_p99_seconds\": %.9f, "
+                 "\"backfills_per_evict\": %.4f, "
+                 "\"evict_p50_seconds_per_ell\": %.9f}%s\n",
+                 cell.config, cell.ell, cell.p50_seconds, cell.p99_seconds,
+                 cell.backfills_per_evict,
+                 cell.p50_seconds / static_cast<double>(cell.ell),
+                 c + 1 < scaling.size() ? "," : "");
+  }
+  std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"recovery\": [\n");
   for (size_t c = 0; c < recovery_cells.size(); ++c) {
     const RecoveryCell& cell = recovery_cells[c];

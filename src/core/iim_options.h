@@ -59,13 +59,13 @@ struct IimOptions {
   // surviving window.
   bool downdate = true;
   // Prune the per-arrival insertion scan with each live order's admission
-  // bound (its worst kept distance; infinite below capacity): arrivals
-  // find candidate orders by one radius query against the streaming index
-  // at the exact global max bound, then filter each candidate by its own
-  // bound, so per-arrival maintenance cost scales with the AFFECTED
-  // orders instead of n. Results are bit-identical at both settings —
-  // false keeps the O(n) full scan as the differential baseline (see
-  // stream::OrderCore).
+  // bound (its worst kept distance; infinite below capacity): the
+  // streaming index holds every bound as its slot's radius, and one walk
+  // that prunes subtrees by their max radius returns exactly the orders
+  // an arrival could enter, so per-arrival maintenance cost scales with
+  // the AFFECTED orders instead of n. Results are bit-identical at both
+  // settings — false keeps the O(n) full scan as the differential
+  // baseline (see stream::OrderCore).
   bool admission_bound = true;
   // Build replacement KD-trees for the streaming index on a background
   // thread and install them with a brief writer-lock swap, bounding

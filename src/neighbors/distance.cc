@@ -70,8 +70,7 @@ double SquaredL2Gather(const data::RowView& a, const data::RowView& b,
 double NormalizedEuclidean(const data::RowView& a, const data::RowView& b,
                            const std::vector<int>& cols) {
   assert(!cols.empty());
-  return std::sqrt(SquaredL2Gather(a, b, cols) /
-                   static_cast<double>(cols.size()));
+  return DistanceFromSquared(SquaredL2Gather(a, b, cols), cols.size());
 }
 
 double NormalizedEuclidean(const std::vector<double>& a,
@@ -82,7 +81,7 @@ double NormalizedEuclidean(const std::vector<double>& a,
 
 double NormalizedEuclidean(const double* a, const double* b, size_t d) {
   assert(d > 0);
-  return std::sqrt(SquaredL2(a, b, d) / static_cast<double>(d));
+  return DistanceFromSquared(SquaredL2(a, b, d), d);
 }
 
 double Euclidean(const data::RowView& a, const data::RowView& b,

@@ -14,6 +14,7 @@
 #ifndef IIM_NEIGHBORS_DISTANCE_H_
 #define IIM_NEIGHBORS_DISTANCE_H_
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -25,6 +26,38 @@ namespace iim::neighbors {
 // (lanes 0..3 then pairwise lane merge; the shared kernel every distance
 // overload reduces to).
 double SquaredL2(const double* a, const double* b, size_t d);
+
+// Formula 1 from a SquaredL2 sum over d coordinates. Every NormalizedEuclidean
+// overload and every index scan that compares squared sums first goes
+// through this one helper, so a distance derived after a squared-sum test
+// carries the same bits as one computed directly.
+inline double DistanceFromSquared(double sq, size_t d) {
+  return std::sqrt(sq / static_cast<double>(d));
+}
+
+// Squared-sum thresholds for scans that test SquaredL2 before paying for
+// the square root. Both err toward "maybe": the relative slack absorbs the
+// rounding of r * r * d against the rounded sqrt(sq / d), and the absolute
+// one the underflow of tiny radii, so a point exactly at distance r is
+// never rejected by the squared test.
+//
+// SquaredCeiling(r, d): DistanceFromSquared(sq, d) <= r implies
+// sq <= SquaredCeiling(r, d). Negative r admits nothing (-1), infinite r
+// everything.
+inline double SquaredCeiling(double r, size_t d) {
+  if (r < 0.0) return -1.0;
+  double b = r * r * static_cast<double>(d);
+  return b + b * 1e-12 + 1e-300;
+}
+
+// SquaredFloor(r, d): sq < SquaredFloor(r, d) implies
+// DistanceFromSquared(sq, d) < r (0 or below when nothing can be ruled
+// out that way).
+inline double SquaredFloor(double r, size_t d) {
+  double b = r * r * static_cast<double>(d);
+  if (std::isinf(b)) return b;
+  return b - b * 1e-12 - 1e-300;
+}
 
 // Formula 1. Attributes listed in `cols`; both rows must be non-NaN there.
 double NormalizedEuclidean(const data::RowView& a, const data::RowView& b,

@@ -7,11 +7,93 @@
 
 namespace iim::neighbors {
 
+KnnScan::KnnScan(const double* points, const double* q, size_t d,
+                 const QueryOptions& options, std::vector<Neighbor>* heap,
+                 const uint8_t* alive)
+    : points_(points),
+      q_(q),
+      d_(d),
+      k_(options.k),
+      exclude_(options.exclude),
+      heap_(heap),
+      alive_(alive) {
+  if (k_ == 0) {
+    ceil_ = -1.0;
+  } else if (heap_->size() < k_) {
+    ceil_ = std::numeric_limits<double>::infinity();
+  } else {
+    ceil_ = SquaredCeiling(heap_->front().distance, d_);
+  }
+}
+
+void KnnScan::Push(size_t row, double dist) {
+  PushNeighborHeap(heap_, k_, Neighbor{row, dist});
+  if (heap_->size() == k_) {
+    ceil_ = SquaredCeiling(heap_->front().distance, d_);
+  }
+}
+
+void KnnScan::Visit(size_t row) {
+  if (row == exclude_ || (alive_ != nullptr && alive_[row] == 0)) return;
+  double sq = SquaredL2(q_, points_ + row * d_, d_);
+  // A row past the ceiling is strictly farther than the k-th kept
+  // neighbor, so it cannot displace it even on the slot tie-break.
+  if (sq > ceil_) return;
+  Push(row, DistanceFromSquared(sq, d_));
+}
+
+AdmitScan::AdmitScan(const double* points, const double* q, size_t d,
+                     const QueryOptions& options,
+                     std::vector<Neighbor>* heap, const uint8_t* alive,
+                     const double* radius, std::vector<Neighbor>* admitters)
+    : KnnScan(points, q, d, options, heap, alive),
+      radius_(radius),
+      admitters_(admitters) {}
+
+void AdmitScan::Visit(size_t row) {
+  if (alive_ != nullptr && alive_[row] == 0) return;
+  double sq = SquaredL2(q_, points_ + row * d_, d_);
+  bool knn = row != exclude_ && sq <= ceil_;
+  double r = radius_[row];
+  bool admit = sq <= SquaredCeiling(r, d_);
+  if (!knn && !admit) return;
+  double dist = DistanceFromSquared(sq, d_);
+  if (admit && dist <= r) admitters_->push_back(Neighbor{row, dist});
+  if (knn) Push(row, dist);
+}
+
+SuccessorScan::SuccessorScan(const double* points, const double* q, size_t d,
+                             const Neighbor& after, size_t exclude,
+                             const uint8_t* alive)
+    : points_(points),
+      q_(q),
+      d_(d),
+      after_(after),
+      exclude_(exclude),
+      alive_(alive),
+      floor_(SquaredFloor(after.distance, d)),
+      ceil_(std::numeric_limits<double>::infinity()) {}
+
+void SuccessorScan::Visit(size_t row) {
+  if (row == exclude_ || (alive_ != nullptr && alive_[row] == 0)) return;
+  double sq = SquaredL2(q_, points_ + row * d_, d_);
+  if (sq < floor_ || sq > ceil_) return;
+  Neighbor cand{row, DistanceFromSquared(sq, d_)};
+  if (!NeighborLess(after_, cand)) return;  // ranked at or before `after`
+  if (found_ && !NeighborLess(cand, best_)) return;
+  best_ = cand;
+  found_ = true;
+  ceil_ = SquaredCeiling(cand.distance, d_);
+}
+
 void FlatKdTree::Clear() {
   n_ = 0;
   d_ = 0;
   order_.clear();
   nodes_.clear();
+  parent_.clear();
+  leaf_of_.clear();
+  max_radius_.clear();
   root_ = -1;
 }
 
@@ -21,18 +103,23 @@ void FlatKdTree::Build(const double* points, size_t n, size_t d) {
   d_ = d;
   order_.resize(n);
   for (size_t i = 0; i < n; ++i) order_[i] = i;
+  leaf_of_.resize(n);
   nodes_.reserve(n / kLeafSize * 2 + 1);
-  if (n > 0) root_ = BuildRange(points, 0, n, 0);
+  parent_.reserve(n / kLeafSize * 2 + 1);
+  if (n > 0) root_ = BuildRange(points, 0, n, 0, -1);
 }
 
 int FlatKdTree::BuildRange(const double* points, size_t begin, size_t end,
-                           int depth) {
+                           int depth, int parent) {
   Node node;
   if (end - begin <= kLeafSize) {
     node.begin = begin;
     node.end = end;
     nodes_.push_back(node);
-    return static_cast<int>(nodes_.size() - 1);
+    parent_.push_back(parent);
+    int id = static_cast<int>(nodes_.size() - 1);
+    for (size_t i = begin; i < end; ++i) leaf_of_[order_[i]] = id;
+    return id;
   }
   // Split on the axis with the largest spread in this range.
   int best_axis = depth % static_cast<int>(d_);
@@ -60,92 +147,58 @@ int FlatKdTree::BuildRange(const double* points, size_t begin, size_t end,
   node.axis = best_axis;
   node.split = points[order_[mid] * d_ + axis];
   nodes_.push_back(node);
+  parent_.push_back(parent);
   int id = static_cast<int>(nodes_.size() - 1);
-  int left = BuildRange(points, begin, mid, depth + 1);
-  int right = BuildRange(points, mid, end, depth + 1);
+  int left = BuildRange(points, begin, mid, depth + 1, id);
+  int right = BuildRange(points, mid, end, depth + 1, id);
   nodes_[static_cast<size_t>(id)].left = left;
   nodes_[static_cast<size_t>(id)].right = right;
   return id;
 }
 
-void FlatKdTree::SearchNode(int node_id, const double* points,
-                            const double* q, const QueryOptions& options,
-                            std::vector<Neighbor>* heap,
-                            const uint8_t* alive) const {
-  const Node& node = nodes_[static_cast<size_t>(node_id)];
-  if (node.IsLeaf()) {
-    for (size_t i = node.begin; i < node.end; ++i) {
-      size_t row = order_[i];
-      if (row == options.exclude) continue;
-      if (alive != nullptr && alive[row] == 0) continue;
-      PushNeighborHeap(
-          heap, options.k,
-          Neighbor{row, NormalizedEuclidean(q, points + row * d_, d_)});
+void FlatKdTree::SetRadii(const double* radius) {
+  max_radius_.assign(nodes_.size(), -std::numeric_limits<double>::infinity());
+  // Children follow their parent in nodes_, so one reverse pass sees every
+  // child before its parent.
+  for (size_t v = nodes_.size(); v-- > 0;) {
+    const Node& node = nodes_[v];
+    double m = -std::numeric_limits<double>::infinity();
+    if (node.IsLeaf()) {
+      for (size_t i = node.begin; i < node.end; ++i) {
+        m = std::max(m, radius[order_[i]]);
+      }
+    } else {
+      m = std::max(max_radius_[static_cast<size_t>(node.left)],
+                   max_radius_[static_cast<size_t>(node.right)]);
     }
-    return;
-  }
-  double delta = q[static_cast<size_t>(node.axis)] - node.split;
-  int near = delta <= 0.0 ? node.left : node.right;
-  int far = delta <= 0.0 ? node.right : node.left;
-  SearchNode(near, points, q, options, heap, alive);
-  // The normalized distance from q to the splitting plane is
-  // |delta| / sqrt(|F|). Visit the far side unless the plane is strictly
-  // farther than the current worst neighbor; equality keeps ties exact.
-  if (heap->size() < options.k) {
-    SearchNode(far, points, q, options, heap, alive);
-  } else {
-    double worst = heap->front().distance;
-    // Conservative slack: squaring `worst` can round below the true
-    // worst^2, which on exact distance ties would prune a subtree holding
-    // an equidistant smaller-index neighbor. The relative epsilon makes
-    // the bound err toward visiting.
-    double bound = worst * worst * static_cast<double>(d_);
-    if (delta * delta <= bound + bound * 1e-12) {
-      SearchNode(far, points, q, options, heap, alive);
-    }
+    max_radius_[v] = m;
   }
 }
 
-void FlatKdTree::Search(const double* points, const double* q,
-                        const QueryOptions& options,
-                        std::vector<Neighbor>* heap,
-                        const uint8_t* alive) const {
-  if (root_ < 0 || options.k == 0) return;
-  SearchNode(root_, points, q, options, heap, alive);
+void FlatKdTree::RaiseRadius(size_t row, double r) {
+  if (row >= n_ || max_radius_.empty()) return;
+  // An ancestor's max is >= its descendants', so the climb stops at the
+  // first node that already covers r.
+  for (int v = leaf_of_[row]; v >= 0 && max_radius_[static_cast<size_t>(v)] < r;
+       v = parent_[static_cast<size_t>(v)]) {
+    max_radius_[static_cast<size_t>(v)] = r;
+  }
 }
 
-void FlatKdTree::RangeNode(int node_id, const double* points,
-                           const double* q, double r,
-                           std::vector<Neighbor>* out,
-                           const uint8_t* alive) const {
-  const Node& node = nodes_[static_cast<size_t>(node_id)];
-  if (node.IsLeaf()) {
-    for (size_t i = node.begin; i < node.end; ++i) {
-      size_t row = order_[i];
-      if (alive != nullptr && alive[row] == 0) continue;
-      double dist = NormalizedEuclidean(q, points + row * d_, d_);
-      if (dist <= r) out->push_back(Neighbor{row, dist});
+bool FlatKdTree::RadiiCovered(const double* radius) const {
+  if (max_radius_.empty()) return true;  // the walk reads +inf
+  for (size_t v = 0; v < nodes_.size(); ++v) {
+    const Node& node = nodes_[v];
+    if (node.IsLeaf()) {
+      for (size_t i = node.begin; i < node.end; ++i) {
+        if (radius[order_[i]] > max_radius_[v]) return false;
+      }
+    } else if (max_radius_[static_cast<size_t>(node.left)] > max_radius_[v] ||
+               max_radius_[static_cast<size_t>(node.right)] > max_radius_[v]) {
+      return false;
     }
-    return;
   }
-  double delta = q[static_cast<size_t>(node.axis)] - node.split;
-  int near = delta <= 0.0 ? node.left : node.right;
-  int far = delta <= 0.0 ? node.right : node.left;
-  RangeNode(near, points, q, r, out, alive);
-  // A far-side point within radius r needs |delta| / sqrt(|F|) <= r; the
-  // same relative slack as SearchNode keeps a rounded-down r^2 * |F| from
-  // pruning a point sitting exactly on the radius.
-  double bound = r * r * static_cast<double>(d_);
-  if (delta * delta <= bound + bound * 1e-12) {
-    RangeNode(far, points, q, r, out, alive);
-  }
-}
-
-void FlatKdTree::RangeSearch(const double* points, const double* q,
-                             double r, std::vector<Neighbor>* out,
-                             const uint8_t* alive) const {
-  if (root_ < 0 || r < 0.0) return;
-  RangeNode(root_, points, q, r, out, alive);
+  return true;
 }
 
 KdTreeIndex::KdTreeIndex(const data::Table* table, std::vector<int> cols)
@@ -171,7 +224,9 @@ std::vector<Neighbor> KdTreeIndex::Query(const data::RowView& query,
   if (tree_.empty() || options.k == 0) return heap;
   heap.reserve(options.k);
   std::vector<double> q = query.Gather(cols_);
-  tree_.Search(points_.data(), q.data(), options, &heap);
+  KnnScan scan(points_.data(), q.data(), cols_.size(), options, &heap,
+               nullptr);
+  tree_.Walk(&scan);
   std::sort(heap.begin(), heap.end(), NeighborLess);
   return heap;
 }

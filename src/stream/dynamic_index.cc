@@ -56,8 +56,11 @@ void DynamicIndex::InstallLocked() {
     // The prefix the build covered is bit-unchanged (appends only extend
     // it), so the tree's point ids and split planes are valid against the
     // live buffer. The swap is the only tree mutation queries can ever
-    // observe, and it is O(1).
+    // observe, and it is O(1) plus the radius raises that landed after
+    // the task copied the radii (the builder computed the maxima from its
+    // copy; lowered radii stay stale-high, which only costs visits).
     tree_ = std::move(pending_->tree);
+    for (size_t s : raised_) tree_.RaiseRadius(s, radius_[s]);
     ++rebuilds_;
     ++swaps_;
   } else {
@@ -68,38 +71,53 @@ void DynamicIndex::InstallLocked() {
     ++discarded_;
   }
   pending_.reset();
+  raised_.clear();
 }
 
-void DynamicIndex::RebuildLocked() {
+std::shared_ptr<DynamicIndex::PendingBuild> DynamicIndex::RebuildLocked() {
   scanned_at_launch_ = tail_scanned_.load(std::memory_order_relaxed);
   if (!options_.background_rebuild) {
     tree_.Build(points_.data(), n_, cols_.size());
+    tree_.SetRadii(radius_.data());
     ++rebuilds_;
-    return;
+    return nullptr;
   }
   pending_ = std::make_shared<PendingBuild>();
   pending_->n = n_;
   pending_->epoch = prefix_epoch_;
-  // The constructor created and prestarted the builder for every
-  // background_rebuild index — creating it here would put OS thread
-  // spawning inside the writer-lock hold.
-  assert(builder_ != nullptr);
+  raised_.clear();
+  // The future exists before the lock drops, so WaitForRebuild never sees
+  // a pending build without one; the task itself is submitted by Launch.
+  build_future_ = pending_->finished.get_future().share();
   ++launches_;
-  std::shared_ptr<PendingBuild> p = pending_;
-  build_future_ = builder_->Submit([this, p] {
+  return pending_;
+}
+
+void DynamicIndex::Launch(std::shared_ptr<PendingBuild> p) {
+  if (p == nullptr) return;
+  // The constructor created and prestarted the builder for every
+  // background_rebuild index, so no Submit ever spawns a thread.
+  assert(builder_ != nullptr);
+  builder_->Submit([this, p] {
     size_t d = cols_.size();
+    auto finish = [&p] {
+      p->done.store(true, std::memory_order_release);
+      p->finished.set_value();
+    };
     {
-      // Brief reader-side pass: copy the prefix while writers are out.
-      // Queries (also readers) proceed concurrently. Rows [0, p->n) are
-      // bit-stable until a compaction, which bumps the epoch and turns
-      // this build into a discard.
+      // Brief reader-side pass: copy the prefix and its radii while
+      // writers are out. Queries (also readers) proceed concurrently.
+      // Rows [0, p->n) are bit-stable until a compaction, which bumps the
+      // epoch and turns this build into a discard.
       std::shared_lock<std::shared_mutex> lock(mu_);
       if (p->epoch != prefix_epoch_) {
-        p->done.store(true, std::memory_order_release);
+        finish();
         return;
       }
       p->snapshot.assign(points_.begin(),
                          points_.begin() + static_cast<long>(p->n * d));
+      p->radii.assign(radius_.begin(),
+                      radius_.begin() + static_cast<long>(p->n));
     }
     // Fault-injection site for the background task itself: an injected
     // error abandons this build (the live tree keeps serving and the
@@ -107,53 +125,80 @@ void DynamicIndex::RebuildLocked() {
     // no-lock build window; crash kills the process mid-rebuild.
     if (!iim::fail::Inject("index.rebuild").ok()) {
       p->abandoned.store(true, std::memory_order_release);
-      p->done.store(true, std::memory_order_release);
+      finish();
       return;
     }
     // The O(n log n) build runs with no lock held.
     p->tree.Build(p->snapshot.data(), p->n, d);
+    p->tree.SetRadii(p->radii.data());
     p->snapshot.clear();
     p->snapshot.shrink_to_fit();
-    p->done.store(true, std::memory_order_release);
+    p->radii.clear();
+    p->radii.shrink_to_fit();
+    finish();
   });
 }
 
-void DynamicIndex::MaybeRebuildLocked() {
-  if (pending_ != nullptr) return;  // one build in flight at a time
-  if (n_ - dead_ < options_.kdtree_threshold) return;
+std::shared_ptr<DynamicIndex::PendingBuild>
+DynamicIndex::MaybeRebuildLocked() {
+  if (pending_ != nullptr) return nullptr;  // one build in flight at a time
+  if (n_ - dead_ < options_.kdtree_threshold) return nullptr;
   // Work rule: the tail scans since the last launch cost as much as the
   // build that ends them. Ceiling: a quarter of the tree, for append
   // bursts that no query reads (they never advance the count).
   uint64_t scanned =
       tail_scanned_.load(std::memory_order_relaxed) - scanned_at_launch_;
   if (scanned >= BuildCost(n_) || n_ - tree_.size() >= tree_.size() / 4) {
-    RebuildLocked();
+    return RebuildLocked();
   }
+  return nullptr;
 }
 
-void DynamicIndex::Append(const data::RowView& row) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Stopwatch hold;  // writer-lock hold: the ingest critical section
-  size_t d = cols_.size();
-  // Plain push_back: capacity doubling keeps appends amortized O(1). (An
-  // exact-size reserve here would force a full copy on every arrival.)
-  for (size_t j = 0; j < d; ++j) {
-    points_.push_back(row[static_cast<size_t>(cols_[j])]);
+void DynamicIndex::Append(const data::RowView& row, double radius) {
+  std::shared_ptr<PendingBuild> launch;
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    Stopwatch hold;  // writer-lock hold: the ingest critical section
+    size_t d = cols_.size();
+    // Plain push_back: capacity doubling keeps appends amortized O(1).
+    // (An exact-size reserve here would force a full copy on every
+    // arrival.)
+    for (size_t j = 0; j < d; ++j) {
+      points_.push_back(row[static_cast<size_t>(cols_[j])]);
+    }
+    alive_.push_back(1);
+    radius_.push_back(radius);
+    ++n_;
+    // Adopt a finished build first: the swap shrinks the tail, which may
+    // make the launch below unnecessary.
+    InstallLocked();
+    launch = MaybeRebuildLocked();
+    max_append_hold_seconds_ =
+        std::max(max_append_hold_seconds_, hold.ElapsedSeconds());
   }
-  alive_.push_back(1);
-  ++n_;
-  // Adopt a finished build first: the swap shrinks the tail, which may
-  // make the launch below unnecessary.
-  InstallLocked();
-  MaybeRebuildLocked();
-  max_append_hold_seconds_ =
-      std::max(max_append_hold_seconds_, hold.ElapsedSeconds());
+  Launch(std::move(launch));
+}
+
+void DynamicIndex::SetRadius(size_t slot, double radius) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (slot >= n_ || alive_[slot] == 0 || radius_[slot] == radius) return;
+  if (radius > radius_[slot]) {
+    tree_.RaiseRadius(slot, radius);
+    if (pending_ != nullptr && slot < pending_->n) raised_.push_back(slot);
+  }
+  radius_[slot] = radius;
+}
+
+double DynamicIndex::radius(size_t slot) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return slot < n_ ? radius_[slot] : kNoRadius;
 }
 
 bool DynamicIndex::Remove(size_t slot) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (slot >= n_ || alive_[slot] == 0) return false;
   alive_[slot] = 0;
+  radius_[slot] = kNoRadius;
   ++dead_;
   InstallLocked();  // opportunistic, O(1)
   return true;
@@ -178,6 +223,7 @@ std::vector<size_t> DynamicIndex::Compact() {
   std::vector<size_t> remap;
   std::vector<double> packed;
   std::vector<uint8_t> alive;
+  std::vector<double> radii;
   size_t live = 0;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -192,6 +238,7 @@ std::vector<size_t> DynamicIndex::Compact() {
     live = n_ - dead_;
     remap.assign(n_, kGone);
     packed.reserve(live * d);
+    radii.reserve(live);
     size_t next = 0;
     for (size_t i = 0; i < n_; ++i) {
       if (alive_[i] == 0) continue;
@@ -199,38 +246,45 @@ std::vector<size_t> DynamicIndex::Compact() {
       packed.insert(packed.end(),
                     points_.begin() + static_cast<long>(i * d),
                     points_.begin() + static_cast<long>((i + 1) * d));
+      radii.push_back(radius_[i]);
     }
     alive.assign(live, 1);
   }
 
   // Install: the writer lock holds only for the O(1) buffer swap and the
-  // rebuild launch — the same install discipline as a background-build
+  // rebuild record — the same install discipline as a background-build
   // swap, so concurrent queries are never blocked behind the O(n·d)
-  // slide above.
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Stopwatch hold;
-  points_.swap(packed);
-  alive_.swap(alive);
-  n_ = live;
-  dead_ = 0;
-  ++compactions_;
-  // The prefix moved: any in-flight build is now stale. Bumping the epoch
-  // makes the builder abandon (if it has not copied yet) or the installer
-  // discard (if it has); dropping our pending_ reference frees the slot
-  // for the post-compaction build. The orphaned task only touches its own
-  // snapshot.
-  ++prefix_epoch_;
-  if (pending_ != nullptr) {
-    ++discarded_;
-    pending_.reset();
+  // slide above. The build itself is submitted after the lock drops.
+  std::shared_ptr<PendingBuild> launch;
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    Stopwatch hold;
+    points_.swap(packed);
+    alive_.swap(alive);
+    radius_.swap(radii);
+    n_ = live;
+    dead_ = 0;
+    ++compactions_;
+    // The prefix moved: any in-flight build is now stale. Bumping the epoch
+    // makes the builder abandon (if it has not copied yet) or the installer
+    // discard (if it has); dropping our pending_ reference frees the slot
+    // for the post-compaction build. The orphaned task only touches its own
+    // snapshot.
+    ++prefix_epoch_;
+    if (pending_ != nullptr) {
+      ++discarded_;
+      pending_.reset();
+      raised_.clear();
+    }
+    tree_.Clear();
+    // Same double-buffered machinery as Append: queries scan the whole (now
+    // dense) buffer brute-force — still exact — until the replacement tree
+    // lands.
+    if (n_ >= options_.kdtree_threshold) launch = RebuildLocked();
+    max_compact_hold_seconds_ =
+        std::max(max_compact_hold_seconds_, hold.ElapsedSeconds());
   }
-  tree_.Clear();
-  // Same double-buffered machinery as Append: queries scan the whole (now
-  // dense) buffer brute-force — still exact — until the replacement tree
-  // lands.
-  if (n_ >= options_.kdtree_threshold) RebuildLocked();
-  max_compact_hold_seconds_ =
-      std::max(max_compact_hold_seconds_, hold.ElapsedSeconds());
+  Launch(std::move(launch));
   return remap;
 }
 
@@ -243,10 +297,12 @@ void DynamicIndex::WaitForRebuild() {
       if (pending_ == nullptr) return;
       f = build_future_;  // copy: concurrent waiters share the handle
       if (!f.valid()) {
-        // A pending build with no task behind it can never complete;
-        // looping on it would re-acquire the lock forever. Treat the
-        // stale pending_ as "no build" and clear it.
+        // A pending build with no future can never be waited on; looping
+        // on it would re-acquire the lock forever. Launches create the
+        // future under the lock, so only a corrupted state gets here:
+        // treat the stale pending_ as "no build" and clear it.
         pending_.reset();
+        raised_.clear();
         return;
       }
     }
@@ -256,13 +312,15 @@ void DynamicIndex::WaitForRebuild() {
 }
 
 void DynamicIndex::SnapshotState(std::vector<double>* points,
-                                 std::vector<uint8_t>* alive) const {
+                                 std::vector<uint8_t>* alive,
+                                 std::vector<double>* radii) const {
   Stopwatch hold;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     points->assign(points_.begin(),
                    points_.begin() + static_cast<long>(n_ * cols_.size()));
     alive->assign(alive_.begin(), alive_.begin() + static_cast<long>(n_));
+    radii->assign(radius_.begin(), radius_.begin() + static_cast<long>(n_));
   }
   double held = hold.ElapsedSeconds();
   // Counters are written under the writer lock like every other mutation;
@@ -276,27 +334,37 @@ void DynamicIndex::SnapshotState(std::vector<double>* points,
 }
 
 Status DynamicIndex::RestoreState(std::vector<double> points,
-                                  std::vector<uint8_t> alive) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  size_t d = cols_.size();
-  if (points.size() != alive.size() * d) {
-    return Status::InvalidArgument(
-        "DynamicIndex::RestoreState: point buffer does not match the alive "
-        "bitmap times the indexed dimensionality");
+                                  std::vector<uint8_t> alive,
+                                  std::vector<double> radii) {
+  std::shared_ptr<PendingBuild> launch;
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    size_t d = cols_.size();
+    if (points.size() != alive.size() * d || radii.size() != alive.size()) {
+      return Status::InvalidArgument(
+          "DynamicIndex::RestoreState: point buffer or radii do not match "
+          "the alive bitmap times the indexed dimensionality");
+    }
+    if (n_ != 0) {
+      return Status::FailedPrecondition(
+          "DynamicIndex::RestoreState: index is not empty");
+    }
+    points_ = std::move(points);
+    alive_ = std::move(alive);
+    radius_ = std::move(radii);
+    n_ = alive_.size();
+    dead_ = 0;
+    for (size_t i = 0; i < n_; ++i) {
+      if (alive_[i] != 0) continue;
+      ++dead_;
+      radius_[i] = kNoRadius;
+    }
+    ++state_restores_;
+    if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) {
+      launch = RebuildLocked();
+    }
   }
-  if (n_ != 0) {
-    return Status::FailedPrecondition(
-        "DynamicIndex::RestoreState: index is not empty");
-  }
-  points_ = std::move(points);
-  alive_ = std::move(alive);
-  n_ = alive_.size();
-  dead_ = 0;
-  for (uint8_t a : alive_) {
-    if (a == 0) ++dead_;
-  }
-  ++state_restores_;
-  if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) RebuildLocked();
+  Launch(std::move(launch));
   return Status::OK();
 }
 
@@ -308,26 +376,18 @@ void DynamicIndex::CountTailScan() const {
 void DynamicIndex::Collect(const std::vector<double>& q,
                            const neighbors::QueryOptions& options,
                            std::vector<neighbors::Neighbor>* heap) const {
-  size_t d = cols_.size();
-  // Unindexed tail first (it is usually the smaller side), then the tree;
-  // PushNeighborHeap's (distance, index) order makes the merge exact
-  // regardless of which side a neighbor came from. The bounded push keeps
-  // at most k entries alive instead of materialising the whole tail:
-  // once the first k fill, a tail point costs one comparison against the
-  // heap front unless it actually belongs in the top k. The kept set is
-  // the k smallest in the (distance, slot) total order either way, so
-  // every downstream result is unchanged bit for bit.
+  // The tree first: its near-first walk tightens the k-th distance
+  // quickly, so most tail points then fail one squared-sum comparison
+  // without a square root or a heap push. PushNeighborHeap's
+  // (distance, index) order makes the merge exact regardless of which
+  // side a neighbor came from: the kept set is the k smallest in the
+  // (distance, slot) total order either way, so every downstream result
+  // is unchanged bit for bit. The same holds for the scans below.
+  neighbors::KnnScan scan(points_.data(), q.data(), cols_.size(), options,
+                          heap, AliveFilter());
   CountTailScan();
-  for (size_t i = tree_.size(); i < n_; ++i) {
-    if (i == options.exclude || alive_[i] == 0) continue;
-    neighbors::PushNeighborHeap(
-        heap, options.k,
-        neighbors::Neighbor{
-            i, neighbors::NormalizedEuclidean(q.data(),
-                                              points_.data() + i * d, d)});
-  }
-  tree_.Search(points_.data(), q.data(), options, heap,
-               dead_ > 0 ? alive_.data() : nullptr);
+  tree_.Walk(&scan);
+  for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
 }
 
 std::vector<neighbors::Neighbor> DynamicIndex::Query(
@@ -343,86 +403,48 @@ std::vector<neighbors::Neighbor> DynamicIndex::Query(
   return heap;
 }
 
-std::vector<neighbors::Neighbor> DynamicIndex::RangeQuery(
-    const data::RowView& query, double radius) const {
+void DynamicIndex::QueryAdmitters(
+    const data::RowView& query, const neighbors::QueryOptions& options,
+    std::vector<neighbors::Neighbor>* nearest,
+    std::vector<neighbors::Neighbor>* admitters) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<neighbors::Neighbor> out;
-  size_t d = cols_.size();
-  if (radius < 0.0 || n_ - dead_ == 0) return out;
+  nearest->clear();
+  admitters->clear();
+  if (n_ - dead_ == 0) return;
   std::vector<double> q = query.Gather(cols_);
-  if (!std::isfinite(radius)) {
-    // Unbounded: every live slot qualifies, so skip the tree and scan —
-    // already ascending by slot.
-    out.reserve(n_ - dead_);
-    for (size_t i = 0; i < n_; ++i) {
-      if (alive_[i] == 0) continue;
-      out.push_back(neighbors::Neighbor{
-          i, neighbors::NormalizedEuclidean(q.data(),
-                                            points_.data() + i * d, d)});
-    }
-    return out;
-  }
+  if (options.k > 0) nearest->reserve(options.k + 1);
+  // One scan object serves the tail and the tree: each row's squared sum
+  // is computed once and tested against both the kNN ceiling and the
+  // row's own radius, and the walk enters a subtree if either test could
+  // pass there.
+  neighbors::AdmitScan scan(points_.data(), q.data(), cols_.size(), options,
+                            nearest, AliveFilter(), radius_.data(),
+                            admitters);
   CountTailScan();
-  for (size_t i = tree_.size(); i < n_; ++i) {
-    if (alive_[i] == 0) continue;
-    double dist =
-        neighbors::NormalizedEuclidean(q.data(), points_.data() + i * d, d);
-    if (dist <= radius) out.push_back(neighbors::Neighbor{i, dist});
-  }
-  tree_.RangeSearch(points_.data(), q.data(), radius, &out,
-                    dead_ > 0 ? alive_.data() : nullptr);
-  // Tree hits come out in traversal order and tail hits precede them;
-  // ascending slot order is what callers replaying a scan need.
-  std::sort(out.begin(), out.end(),
+  tree_.Walk(&scan);
+  for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
+  std::sort(nearest->begin(), nearest->end(), neighbors::NeighborLess);
+  // Tree hits come out in walk order, followed by tail hits; ascending
+  // slot order is what callers replaying a scan need.
+  std::sort(admitters->begin(), admitters->end(),
             [](const neighbors::Neighbor& a, const neighbors::Neighbor& b) {
               return a.index < b.index;
             });
-  return out;
 }
 
-void DynamicIndex::QueryWithRange(
-    const data::RowView& query, const neighbors::QueryOptions& options,
-    double radius, std::vector<neighbors::Neighbor>* nearest,
-    std::vector<neighbors::Neighbor>* in_range) const {
+bool DynamicIndex::Successor(const data::RowView& query,
+                             const neighbors::Neighbor& after, size_t exclude,
+                             neighbors::Neighbor* out) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  nearest->clear();
-  in_range->clear();
-  size_t d = cols_.size();
-  if (n_ - dead_ == 0) return;
+  if (n_ - dead_ == 0) return false;
   std::vector<double> q = query.Gather(cols_);
-  bool want_knn = options.k > 0;
-  bool want_range = radius >= 0.0 && std::isfinite(radius);
-  if (want_knn) nearest->reserve(options.k + 1);
-  // One pass over the brute tail feeds both consumers from a single
-  // distance evaluation; the kernel and both merge/ordering rules are
-  // exactly Query's and RangeQuery's, so each output is bitwise the
-  // respective standalone call.
+  neighbors::SuccessorScan scan(points_.data(), q.data(), cols_.size(), after,
+                                exclude, AliveFilter());
   CountTailScan();
-  for (size_t i = tree_.size(); i < n_; ++i) {
-    if (alive_[i] == 0) continue;
-    double dist =
-        neighbors::NormalizedEuclidean(q.data(), points_.data() + i * d, d);
-    if (want_range && dist <= radius) {
-      in_range->push_back(neighbors::Neighbor{i, dist});
-    }
-    if (want_knn && i != options.exclude) {
-      neighbors::PushNeighborHeap(nearest, options.k,
-                                  neighbors::Neighbor{i, dist});
-    }
-  }
-  if (want_knn) {
-    tree_.Search(points_.data(), q.data(), options, nearest,
-                 dead_ > 0 ? alive_.data() : nullptr);
-    std::sort(nearest->begin(), nearest->end(), neighbors::NeighborLess);
-  }
-  if (want_range) {
-    tree_.RangeSearch(points_.data(), q.data(), radius, in_range,
-                      dead_ > 0 ? alive_.data() : nullptr);
-    std::sort(in_range->begin(), in_range->end(),
-              [](const neighbors::Neighbor& a, const neighbors::Neighbor& b) {
-                return a.index < b.index;
-              });
-  }
+  tree_.Walk(&scan);
+  for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
+  if (scan.found()) *out = scan.best();
+  return scan.found();
 }
 
 std::vector<neighbors::Neighbor> DynamicIndex::QueryAll(
@@ -493,6 +515,15 @@ size_t DynamicIndex::rebuilds() const {
 size_t DynamicIndex::compactions() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return compactions_;
+}
+
+bool DynamicIndex::VerifyRadii() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (radius_.size() != n_) return false;
+  for (size_t i = 0; i < n_; ++i) {
+    if (alive_[i] == 0 && radius_[i] != kNoRadius) return false;
+  }
+  return tree_.RadiiCovered(radius_.data());
 }
 
 }  // namespace iim::stream

@@ -7,7 +7,7 @@
 // scan brute-force. Once the relation crosses the same 4096-point
 // threshold MakeIndex uses, the tree is rebuilt over everything as soon
 // as the tail has cost as much as the rebuild would: every Query,
-// RangeQuery and QueryWithRange adds the tail slots it scanned to a
+// QueryAdmitters and Successor adds the tail slots it scanned to a
 // counter, and Append launches a rebuild once the scans since the last
 // launch reach the build's own n·⌈log2 n⌉ slot visits. Those builds
 // never cost more than the scans that paid for them, and a stream
@@ -17,13 +17,35 @@
 // a tail past a quarter of the tree also triggers a rebuild, which
 // keeps query-free bursts at amortized O(log n) rebuilds.
 //
+// Besides plain kNN, the index answers the two questions the streaming
+// order maintenance asks:
+//   - QueryAdmitters: the newcomer's kNN plus every live slot whose
+//     distance to it is <= that slot's own radius (ties included). Each
+//     slot carries one radius (SetRadius; the owner's admission bound),
+//     the tree keeps each subtree's max radius, and the walk skips any
+//     subtree whose box lies beyond that max — the subtree-max pruning of
+//     the RdNN-tree (Yang & Lin, ICDE 2001). A raised radius lifts the
+//     maxima on its leaf-to-root path at once; a lowered one leaves them
+//     stale-high (extra visits only) until the next tree install
+//     recomputes them. An infinite radius simply disables pruning above
+//     its slot.
+//   - Successor: the nearest live slot ranked strictly after a given
+//     (distance, slot) pair — one k = 1 style walk where a full query
+//     would fetch every neighbor up to it.
+// Every scan, tree leaf and tail alike, tests SquaredL2 against a
+// conservatively widened squared threshold and takes the square root only
+// for rows that pass (neighbors/distance.h).
+//
 // Rebuilds happen OFF the ingest path (Options::background_rebuild, on by
 // default): the replacement tree is built double-buffered on a ThreadPool
-// task — a brief shared-lock pass copies the prefix, the O(n log n) build
-// runs with no lock held — while arrivals keep landing in the brute-force
-// tail and queries keep hitting old-tree + tail. The next writer
-// operation installs the finished tree with a pointer swap, instantly
-// shrinking the tail to the arrivals that came in during the build. A
+// task — a brief shared-lock pass copies the prefix and its radii, the
+// O(n log n) build runs with no lock held — while arrivals keep landing in
+// the brute-force tail and queries keep hitting old-tree + tail. Writers
+// record the build and its future under the lock but hand the task to the
+// builder only after releasing it, so a preempted launcher never holds the
+// lock. The next writer operation installs the finished tree with a
+// pointer swap, replaying the radius raises that landed during the build,
+// and the tail shrinks to the arrivals that came in meanwhile. A
 // compaction racing the build bumps the prefix epoch, and the stale
 // result is discarded at install time. Per-arrival cost is thereby
 // bounded: the worst Append does an O(1) push plus a swap, never an
@@ -35,10 +57,10 @@
 // an alive-filter. Once tombstones pile up past a fraction of the live
 // rows (NeedsCompaction), the owner calls Compact(): dead rows are
 // physically dropped, survivors slide onto a dense prefix in their
-// original relative order, a rebuild over the survivors is launched
-// through the same background machinery (queries scan brute-force until
-// it lands), and the old-slot -> new-slot map is returned so the owner
-// can remap its own slot-indexed state.
+// original relative order (radii with them), a rebuild over the survivors
+// is launched through the same background machinery (queries scan
+// brute-force until it lands), and the old-slot -> new-slot map is
+// returned so the owner can remap its own slot-indexed state.
 //
 // Results are bit-identical to a BruteForceIndex over the live points for
 // every append/remove/compact interleaving AND every rebuild timing: tree
@@ -47,12 +69,12 @@
 // and compaction preserves relative slot order so ties keep breaking the
 // same way.
 //
-// Concurrency: appends, removals and compaction take the writer side of a
-// shared_mutex, queries the reader side for their whole duration, so an
-// in-flight query always sees a consistent snapshot — it can never observe
-// a half-appended point, a buffer mid-reallocation, or a half-compacted
-// slot mapping. The background builder reads only its own prefix copy
-// (taken under a reader lock), so it races with nothing.
+// Concurrency: appends, removals, radius updates and compaction take the
+// writer side of a shared_mutex, queries the reader side for their whole
+// duration, so an in-flight query always sees a consistent snapshot — it
+// can never observe a half-appended point, a buffer mid-reallocation, or
+// a half-compacted slot mapping. The background builder reads only its
+// own prefix copy (taken under a reader lock), so it races with nothing.
 
 #ifndef IIM_STREAM_DYNAMIC_INDEX_H_
 #define IIM_STREAM_DYNAMIC_INDEX_H_
@@ -60,6 +82,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <shared_mutex>
 #include <vector>
@@ -106,10 +129,10 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     size_t discarded = 0;   // background builds dropped (compaction raced)
     size_t compactions = 0;
     bool rebuild_in_flight = false;
-    // Lifetime brute-tail slots visited by Query, RangeQuery and
-    // QueryWithRange (tombstones included; QueryAll and the unbounded
-    // RangeQuery scan everything and do not count). The work rule
-    // launches a rebuild once this advances by one build's cost.
+    // Lifetime brute-tail slots visited by Query, QueryAdmitters and
+    // Successor (tombstones included; QueryAll scans everything and does
+    // not count). The work rule launches a rebuild once this advances by
+    // one build's cost.
     uint64_t tail_rows_scanned = 0;
     // Longest writer-lock hold inside one Append — the ingest critical
     // section that bounds both arrival latency and how long concurrent
@@ -133,6 +156,9 @@ class DynamicIndex final : public neighbors::NeighborIndex {
 
   // Compact()'s remap value for evicted slots.
   static constexpr size_t kGone = static_cast<size_t>(-1);
+  // The radius of a slot that admits nothing: every slot's radius until
+  // set, and a tombstoned slot's from Remove on.
+  static constexpr double kNoRadius = -std::numeric_limits<double>::infinity();
 
   // Indexes attribute subset `cols` of rows appended later; `cols` must be
   // non-empty. Starts empty.
@@ -141,15 +167,21 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   ~DynamicIndex() override;
 
   // Appends one full-arity row (its `cols` values are gathered, matching
-  // the BruteForceIndex constructor), growing the buffer amortized-O(1);
-  // the new row's slot id is the current slots() count. May launch (or
-  // install) a background rebuild per the tail policy — but never blocks
-  // on one.
-  void Append(const data::RowView& row);
+  // the BruteForceIndex constructor) with its admission radius, growing
+  // the buffer amortized-O(1); the new row's slot id is the current
+  // slots() count. May launch (or install) a background rebuild per the
+  // tail policy — but never blocks on one.
+  void Append(const data::RowView& row, double radius = kNoRadius);
 
-  // Tombstones one slot: it disappears from every subsequent query but
-  // keeps occupying its slot until Compact(). Returns false (a no-op) for
-  // an out-of-range or already-dead slot.
+  // Sets one live slot's radius (a no-op for an out-of-range or dead
+  // slot). Raising it lifts the tree's subtree maxima on the slot's path.
+  void SetRadius(size_t slot, double radius);
+  double radius(size_t slot) const;
+
+  // Tombstones one slot: it disappears from every subsequent query (its
+  // radius drops to kNoRadius) but keeps occupying its slot until
+  // Compact(). Returns false (a no-op) for an out-of-range or already-dead
+  // slot.
   bool Remove(size_t slot);
 
   // True once the tombstone pile is worth a physical compaction.
@@ -173,26 +205,24 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // the prefix epoch and any in-flight build untouched.
   std::vector<size_t> Compact();
 
-  // Every live slot whose Formula 1 distance to `query` is <= radius
+  // The arrival hot path under ONE shared lock and one brute-tail pass:
+  // `nearest` gets exactly Query(query, options), and `admitters` every
+  // live slot whose Formula 1 distance to `query` is <= radius(slot)
   // (ties INCLUDED), ascending by slot with exact distances attached —
-  // the same (value, order) a full scan over slots would produce, so a
-  // caller iterating candidates visits them in scan order. Exact over
-  // tree prefix + brute tail like Query; an infinite radius degenerates
-  // to the full live scan, a negative one returns nothing.
-  std::vector<neighbors::Neighbor> RangeQuery(const data::RowView& query,
-                                              double radius) const;
-
-  // The arrival hot path's two lookups under ONE shared lock and one
-  // brute-tail pass: `nearest` gets exactly Query(query, options) and
-  // `in_range` exactly RangeQuery(query, radius), each tail distance
-  // computed once and fed to both. Bitwise identical to the standalone
-  // calls. A negative or non-finite radius leaves `in_range` empty (the
-  // infinite-radius degenerate case stays on RangeQuery's full scan);
-  // options.k == 0 leaves `nearest` empty.
-  void QueryWithRange(const data::RowView& query,
-                      const neighbors::QueryOptions& options, double radius,
+  // the (value, order) a full scan filtering each slot by its own radius
+  // would produce. options.k == 0 leaves `nearest` empty.
+  void QueryAdmitters(const data::RowView& query,
+                      const neighbors::QueryOptions& options,
                       std::vector<neighbors::Neighbor>* nearest,
-                      std::vector<neighbors::Neighbor>* in_range) const;
+                      std::vector<neighbors::Neighbor>* admitters) const;
+
+  // The live slot other than `exclude` nearest to `query` among those
+  // ranked strictly after `after` in NeighborLess order, into *out.
+  // Returns false when there is none. If a caller holds exactly the live
+  // slots ranked up to `after`, this is the next entry a longer Query
+  // would return, bit for bit.
+  bool Successor(const data::RowView& query, const neighbors::Neighbor& after,
+                 size_t exclude, neighbors::Neighbor* out) const;
 
   // Blocks until no background build is in flight, installing (or
   // discarding) the result. Queries never need this — results are exact
@@ -200,18 +230,21 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // idle streams that want the tree fresh before a read-heavy phase.
   void WaitForRebuild();
 
-  // Copies the full slot state (row-major gathered points + alive bitmap,
-  // tombstones included) under a reader lock — a checkpoint can run while
-  // queries proceed. The copy is the exact byte image RestoreState needs.
-  void SnapshotState(std::vector<double>* points,
-                     std::vector<uint8_t>* alive) const;
+  // Copies the full slot state (row-major gathered points, alive bitmap
+  // and radii, tombstones included) under a reader lock — a checkpoint
+  // can run while queries proceed. The copy is the exact image
+  // RestoreState needs.
+  void SnapshotState(std::vector<double>* points, std::vector<uint8_t>* alive,
+                     std::vector<double>* radii) const;
 
   // Installs externally saved slot state into an EMPTY index (snapshot
-  // restore). points.size() must be alive.size() * cols().size(). Builds
-  // a tree immediately when the live count clears kdtree_threshold —
+  // restore). points.size() must be alive.size() * cols().size() and
+  // radii.size() alive.size() (dead slots' radii are ignored). Builds a
+  // tree immediately when the live count clears kdtree_threshold —
   // through the background machinery when enabled (queries are exact
   // brute-force until it lands), in place otherwise.
-  Status RestoreState(std::vector<double> points, std::vector<uint8_t> alive);
+  Status RestoreState(std::vector<double> points, std::vector<uint8_t> alive,
+                      std::vector<double> radii);
 
   std::vector<neighbors::Neighbor> Query(
       const data::RowView& query,
@@ -233,21 +266,30 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   size_t rebuilds() const;
   size_t compactions() const;
 
+  // True when the installed tree's subtree maxima cover every slot's
+  // radius — the invariant QueryAdmitters prunes on. O(n).
+  bool VerifyRadii() const;
+
  private:
   // One double-buffered tree build. The task owns a copy of the prefix it
-  // covers (taken under a reader lock once the task starts), builds with
-  // no lock held, then publishes through `done`; writers install the tree
-  // if the prefix epoch still matches. Shared-ptr'd so an abandoning
-  // index (Compact, destruction) can just drop its reference.
+  // covers and of its radii (taken under a reader lock once the task
+  // starts), builds with no lock held, then publishes through `done` and
+  // `finished`; writers install the tree if the prefix epoch still
+  // matches. Shared-ptr'd so an abandoning index (Compact, destruction)
+  // can just drop its reference.
   struct PendingBuild {
     size_t n = 0;           // prefix rows the build will cover
     uint64_t epoch = 0;     // prefix_epoch_ at launch
     std::vector<double> snapshot;
+    std::vector<double> radii;
     neighbors::FlatKdTree tree;
     // Set by the task when the build died short of a usable tree (the
     // "index.rebuild" fail point): installed as a discard, never a swap.
     std::atomic<bool> abandoned{false};
     std::atomic<bool> done{false};
+    // Resolved by the task on every exit path; its future is created
+    // under the writer lock at launch, before the task is submitted.
+    std::promise<void> finished;
   };
 
   // Exact top-k over tail scan + tree search, unsorted heap out.
@@ -257,15 +299,24 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // Adds the current tail to tail_scanned_ (reader or writer lock held by
   // caller): every tail-scanning query calls it once.
   void CountTailScan() const;
+  // The scans' tombstone filter: null while every slot is live.
+  const uint8_t* AliveFilter() const {
+    return dead_ > 0 ? alive_.data() : nullptr;
+  }
   // Adopts a finished background build (writer lock held by caller).
   void InstallLocked();
   // Starts a rebuild over the current slots and restarts the work rule's
-  // count: launched on the builder when background_rebuild is on, built
-  // in place otherwise (writer lock held by caller; no build may be
-  // pending).
-  void RebuildLocked();
-  // Applies the tail policy after an append (writer lock held by caller).
-  void MaybeRebuildLocked();
+  // count (writer lock held by caller; no build may be pending). Built in
+  // place when background_rebuild is off; otherwise records the pending
+  // build and its future and returns it for Launch, which the caller
+  // runs after releasing the lock.
+  std::shared_ptr<PendingBuild> RebuildLocked();
+  // Applies the tail policy after an append (writer lock held by caller);
+  // returns RebuildLocked's build to launch, or null.
+  std::shared_ptr<PendingBuild> MaybeRebuildLocked();
+  // Submits a recorded build to the builder (no lock held; null is a
+  // no-op).
+  void Launch(std::shared_ptr<PendingBuild> p);
 
   std::vector<int> cols_;
   Options options_;
@@ -273,6 +324,7 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   mutable std::shared_mutex mu_;
   std::vector<double> points_;  // row-major n_ x cols_.size()
   std::vector<uint8_t> alive_;  // n_ entries; 0 = tombstoned
+  std::vector<double> radius_;  // n_ entries; kNoRadius when tombstoned
   size_t n_ = 0;                // slots, including tombstones
   size_t dead_ = 0;             // tombstoned slots
   neighbors::FlatKdTree tree_;  // covers points [0, tree_.size())
@@ -280,6 +332,9 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // epoch no longer matches is discarded instead of installed.
   uint64_t prefix_epoch_ = 0;
   std::shared_ptr<PendingBuild> pending_;  // non-null while a build runs
+  // Slots whose radius rose while pending_ was in flight: its radius copy
+  // may predate them, so the install replays them onto the new tree.
+  std::vector<size_t> raised_;
   // shared_future so concurrent WaitForRebuild callers can all block on
   // the same build instead of one consuming the handle.
   std::shared_future<void> build_future_;

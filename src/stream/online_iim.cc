@@ -108,7 +108,8 @@ OnlineIim::OnlineIim(const data::Schema& schema, int target,
       options_(options),
       q_(features_.size()),
       table_(schema),
-      core_(MakeOrderCoreConfig(options, features_.size())) {
+      core_(MakeOrderCoreConfig(options, features_.size())),
+      pool_(options.threads) {
   if (options_.moo_sample_rate > 0.0) {
     monitor_ = std::make_unique<QualityMonitor>(
         MakeQualityConfig(options_, q_));
@@ -422,9 +423,8 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
 
   // Phase 2 (parallel, read-only): neighbor queries fan out; the fixed
   // block partition keeps result order thread-count independent.
-  ThreadPool pool(options_.threads);
   std::vector<std::vector<neighbors::Neighbor>> nbrs =
-      core_.index().QueryMany(batch, options_.k, &pool);
+      core_.index().QueryMany(batch, options_.k, &pool_);
 
   // Phase 3 (serial): ensure every distinct neighbor model exactly once.
   // Serial keeps the core mutation trivially deterministic and race-free;
@@ -449,7 +449,7 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
   // Phase 4 (parallel, read-only): aggregate candidates per row. A row
   // inherits the error of its first failed neighbor model (ImputeOne's
   // neighbor-order semantics).
-  pool.ParallelFor(batch.size(), kBatchGrain, [&](size_t begin, size_t end) {
+  pool_.ParallelFor(batch.size(), kBatchGrain, [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       size_t i = row_of_query[b];
       if (nbrs[b].empty()) {

@@ -53,6 +53,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/iim_imputer.h"
 #include "data/table.h"
 #include "stream/health.h"
@@ -331,6 +332,9 @@ class OnlineIim {
   // The per-arrival maintenance machinery: orders, postings, index,
   // accumulators, models, adaptive sweeps. Slot-aligned with table_.
   OrderCore core_;
+  // ImputeBatch's workers, spawned once for the engine's lifetime (a
+  // 1-thread pool runs inline and spawns none).
+  ThreadPool pool_;
 
   // Masking-one-out quality monitor; null when moo_sample_rate == 0 (the
   // default — a quality-disabled engine carries no monitor state at all).

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <unordered_set>
 
 #include "core/individual_models.h"
 #include "data/table.h"
@@ -83,39 +82,31 @@ double OrderCore::ComputeBound(size_t i) const {
 }
 
 void OrderCore::RefreshBound(size_t i) {
-  double fresh = ComputeBound(i);
-  if (fresh == bounds_[i]) return;
-  bounds_[i] = fresh;
-  PushBound(i);
+  index_.SetRadius(i, ComputeBound(i));
 }
 
-void OrderCore::PushBound(size_t i) {
-  bound_heap_.emplace_back(bounds_[i], i);
-  std::push_heap(bound_heap_.begin(), bound_heap_.end());
-}
-
-double OrderCore::MaxBound() {
-  // Stale entries accumulate one per bound change; once they outnumber
-  // the live slots the O(live) rebuild amortises to O(1) per change.
-  if (bound_heap_.size() > 2 * live_ + 64) RebuildBoundHeap();
-  while (!bound_heap_.empty()) {
-    const std::pair<double, size_t>& top = bound_heap_.front();
-    if (alive_[top.second] != 0 && bounds_[top.second] == top.first) {
-      return top.first;
+bool OrderCore::NextNeighbor(size_t i, const neighbors::Neighbor& after,
+                             size_t rank, neighbors::Neighbor* out) const {
+  data::RowView point(fb_.Features(i), q_);
+  bool found = index_.Successor(point, after, i, out);
+#ifndef NDEBUG
+  {
+    // Differential check against the full query the successor replaces:
+    // the entry it would return at `rank`. QueryAll, because it leaves
+    // the index's tail-scan count (and so the rebuild timing) alone.
+    std::vector<neighbors::Neighbor> all = index_.QueryAll(point, i);
+    assert(found == (all.size() > rank) &&
+           "successor query disagrees with the full query on existence");
+    if (found) {
+      assert(all[rank].index == out->index &&
+             all[rank].distance == out->distance &&
+             "successor query disagrees with the full query");
     }
-    std::pop_heap(bound_heap_.begin(), bound_heap_.end());
-    bound_heap_.pop_back();
   }
-  return kDeadBound;
-}
-
-void OrderCore::RebuildBoundHeap() {
-  bound_heap_.clear();
-  bound_heap_.reserve(live_);
-  for (size_t i = 0; i < n_; ++i) {
-    if (alive_[i] != 0) bound_heap_.emplace_back(bounds_[i], i);
-  }
-  std::make_heap(bound_heap_.begin(), bound_heap_.end());
+#else
+  (void)rank;
+#endif
+  return found;
 }
 
 void OrderCore::DirtyMark(size_t i) {
@@ -248,26 +239,43 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq) {
   data::RowView point(f, q_);
   std::vector<neighbors::Neighbor> nearest;
 
-  double max_bound = MaxBound();
-  if (config_.admission_bound && live_ > 0 && std::isfinite(max_bound)) {
-    // One radius query at the exact global max bound yields a superset of
-    // every order the arrival could enter (ties included), ascending by
-    // slot — the full scan's visit order. Each candidate is then filtered
-    // by its OWN bound; survivors run the identical insertion body, and a
-    // candidate at its bound is a no-op there, so the pruned scan leaves
-    // state and every maintenance counter bit-identical to the full one.
-    // The distances come back from the same kernel the scan would run
-    // ((a-b)^2 == (b-a)^2 bitwise), so they are reused as-is. The radius
-    // query shares one brute-tail pass with the kNN lookup.
-    std::vector<neighbors::Neighbor> candidates;
-    index_.QueryWithRange(point, nopt, max_bound, &nearest, &candidates);
-    for (const neighbors::Neighbor& nb : candidates) {
-      if (nb.distance <= bounds_[nb.index]) visit(nb.index, nb.distance);
+  if (config_.admission_bound && live_ > 0) {
+    // One index walk answers both lookups: the newcomer's kNN and the
+    // orders it could enter — every live slot whose distance is within
+    // its own admission bound (the index holds each order's bound as the
+    // slot's radius), ties included, ascending by slot: the full scan's
+    // visit order. A candidate exactly at its bound is a no-op in the
+    // insertion body, so the pruned scan leaves state and every
+    // maintenance counter that counts real work bit-identical to the full
+    // one. The distances come back from the same kernel the scan would
+    // run ((a-b)^2 == (b-a)^2 bitwise), so they are reused as-is.
+    std::vector<neighbors::Neighbor> admitters;
+    index_.QueryAdmitters(point, nopt, &nearest, &admitters);
+#ifndef NDEBUG
+    {
+      // Differential check against the full-scan filter: exactly the live
+      // orders whose bound the arrival's distance meets, same bits.
+      std::vector<neighbors::Neighbor> scan;
+      for (size_t i = 0; i < n_; ++i) {
+        if (alive_[i] == 0) continue;
+        double d = neighbors::NormalizedEuclidean(fb_.Features(i), f, q_);
+        if (d <= ComputeBound(i)) scan.push_back(neighbors::Neighbor{i, d});
+      }
+      assert(scan.size() == admitters.size() &&
+             "admitters query disagrees with the full-scan filter");
+      for (size_t c = 0; c < scan.size(); ++c) {
+        assert(scan[c].index == admitters[c].index &&
+               scan[c].distance == admitters[c].distance &&
+               "admitters query disagrees with the full-scan filter");
+      }
+    }
+#endif
+    for (const neighbors::Neighbor& nb : admitters) {
+      visit(nb.index, nb.distance);
     }
   } else if (live_ > 0) {
+    // The differential oracle: every live order runs the insertion test.
     if (nopt.k > 0) nearest = index_.Query(point, nopt);
-    // Full scan: the bound is disabled, or some order is below capacity
-    // (an infinite bound admits everything anyway).
     for (size_t i = 0; i < n_; ++i) {
       if (alive_[i] == 0) continue;
       visit(i, neighbors::NormalizedEuclidean(fb_.Features(i), f, q_));
@@ -296,7 +304,6 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq) {
     }
   }
 
-  index_.Append(point);
   fb_.Append(f, y);
   // The new tuple holds its own neighbors; its holders were collected in
   // the arrival loop above.
@@ -324,10 +331,11 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq) {
     // which holders were touched.
     global_cost_valid_ = false;
   }
-  bounds_.push_back(ComputeBound(id));
+  // The index learns the new slot last, together with its admission
+  // bound; nothing above queries it.
+  index_.Append(point, ComputeBound(id));
   ++n_;
   ++live_;
-  PushBound(id);
   return id;
 }
 
@@ -356,10 +364,6 @@ void OrderCore::EvictSlot(size_t gone) {
   consumed_[gone] = 0;
   models_[gone] = regress::LinearModel();
   dirty_[gone] = 1;
-  // The departed order stops bounding the arrival radius: its heap
-  // entries go stale by value mismatch (live bounds are never negative)
-  // and by the alive check, so no removal is needed.
-  bounds_[gone] = kDeadBound;
 
   // The survivors whose learning order contained the departed tuple are
   // exactly its reverse-neighbor postings — the ~l affected tuples, read
@@ -395,7 +399,11 @@ void OrderCore::EvictSlot(size_t gone) {
   // order then grew a vacancy: the next nearest live tuple enters at the
   // end (it ranked behind every remaining entry in (distance, slot)
   // order, or it would already be a member), which is the same fast-path
-  // append an arrival takes.
+  // append an arrival takes. After the cut the order holds exactly the
+  // live neighbors ranked up to order.back(), so a single vacancy is
+  // filled by that entry's successor — bit for bit the entrant a full
+  // k = want - 1 query would keep. The full query stays for the cases
+  // with no such anchor: a one-entry order, or several vacancies.
   for (size_t i : affected) {
     std::vector<neighbors::Neighbor>& order = orders_[i];
     size_t p = 0;
@@ -416,7 +424,14 @@ void OrderCore::EvictSlot(size_t gone) {
       }
     }
     size_t want = std::min(cap_, live_);  // self included
-    if (order.size() < want) {
+    neighbors::Neighbor entrant{0, 0.0};
+    if (order.size() + 1 == want && order.size() > 1) {
+      if (NextNeighbor(i, order.back(), order.size() - 1, &entrant)) {
+        order.push_back(entrant);
+        PostingsAdd(entrant.index, i);
+        ++counters_.backfills;
+      }
+    } else if (order.size() < want) {
       neighbors::QueryOptions qopt;
       qopt.k = want - 1;
       qopt.exclude = i;
@@ -463,7 +478,15 @@ void OrderCore::EvictSlot(size_t gone) {
       if (p == vorder.size()) continue;  // unreachable under the invariant
       vorder.erase(vorder.begin() + static_cast<long>(p));
       size_t want = std::min(config_.vk, live_ - 1);  // self excluded
-      if (vorder.size() < want) {
+      neighbors::Neighbor entrant{0, 0.0};
+      if (vorder.size() + 1 == want && !vorder.empty()) {
+        // One vacancy behind a kept entry: its successor (see above).
+        if (NextNeighbor(j, vorder.back(), vorder.size(), &entrant)) {
+          vorder.push_back(entrant);
+          VPostAdd(entrant.index, j);
+          DirtyMark(entrant.index);
+        }
+      } else if (vorder.size() < want) {
         neighbors::QueryOptions qopt;
         qopt.k = want;
         qopt.exclude = j;
@@ -495,7 +518,6 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
   std::vector<regress::LinearModel> models(live_);
   std::vector<uint8_t> dirty(live_);
   std::vector<uint64_t> seq_of_slot(live_);
-  std::vector<double> bounds(live_);
   size_t adaptive_n = config_.adaptive ? live_ : 0;
   std::vector<std::vector<neighbors::Neighbor>> vorders(adaptive_n);
   std::vector<std::vector<size_t>> vpost(adaptive_n);
@@ -521,7 +543,6 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
     dirty[slot] = dirty_[old];
     seq_of_slot[slot] = seq_of_slot_[old];
     slot_of_seq_[seq_of_slot_[old]] = slot;
-    bounds[slot] = bounds_[old];
     if (config_.adaptive) {
       vorders[slot] = std::move(vorders_[old]);
       for (neighbors::Neighbor& nb : vorders[slot]) {
@@ -544,7 +565,6 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
   dirty_ = std::move(dirty);
   alive_.assign(live_, 1);
   seq_of_slot_ = std::move(seq_of_slot);
-  bounds_ = std::move(bounds);
   if (config_.adaptive) {
     vorders_ = std::move(vorders);
     vpost_ = std::move(vpost);
@@ -556,8 +576,6 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
   }
   n_ = live_;
   oldest_cursor_ = 0;
-  // Heap entries reference pre-compaction slot numbers; refill.
-  RebuildBoundHeap();
   ++counters_.compactions;
   if (remap_out != nullptr) *remap_out = std::move(remap);
   return true;
@@ -763,29 +781,13 @@ bool OrderCore::VerifyPostings() const {
   }
   if (edges != counters_.postings_edges) return false;
 
-  // Admission bounds must equal a recomputation from the orders, slot by
-  // slot, and every live slot's current bound must be reachable through
-  // a valid (non-stale) heap entry — the invariant MaxBound (and so the
-  // pruned arrival scan) rides on.
-  if (bounds_.size() != n_) return false;
-  {
-    if (!std::is_heap(bound_heap_.begin(), bound_heap_.end())) return false;
-    std::unordered_set<size_t> covered;
-    for (const std::pair<double, size_t>& e : bound_heap_) {
-      if (e.second < n_ && alive_[e.second] != 0 &&
-          bounds_[e.second] == e.first) {
-        covered.insert(e.second);
-      }
-    }
-    for (size_t i = 0; i < n_; ++i) {
-      if (alive_[i] == 0) {
-        if (bounds_[i] != kDeadBound) return false;
-        continue;
-      }
-      if (bounds_[i] != ComputeBound(i)) return false;
-      if (covered.find(i) == covered.end()) return false;
-    }
+  // Each live slot's radius in the index must equal its admission bound
+  // recomputed from the orders, and the tree's subtree maxima must cover
+  // every radius — the invariants the admitters walk rides on.
+  for (size_t i = 0; i < n_; ++i) {
+    if (alive_[i] != 0 && index_.radius(i) != ComputeBound(i)) return false;
   }
+  if (!index_.VerifyRadii()) return false;
 
   if (config_.adaptive) {
     // vpost_ must be exactly the reverse of the validation orders.
@@ -809,15 +811,17 @@ bool OrderCore::VerifyPostings() const {
 }
 
 void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
-  // The index's slot state is byte-for-byte derivable from the gathered
-  // rows, so only the rows go into the image. SnapshotState is still
-  // taken — it is the one timed reader-lock hold of the checkpoint path
-  // (the stat the index surfaces), and debug builds cross-check it
-  // against the feature block to catch index/block divergence.
+  // The index's points are byte-for-byte derivable from the gathered
+  // rows, so only the rows go into the image, plus the radii (the
+  // admission bounds, held only by the index). SnapshotState is the one
+  // timed reader-lock hold of the checkpoint path (the stat the index
+  // surfaces), and debug builds cross-check it against the feature block
+  // to catch index/block divergence.
+  std::vector<double> bounds;
   {
     std::vector<double> pts;
     std::vector<uint8_t> alive;
-    index_.SnapshotState(&pts, &alive);
+    index_.SnapshotState(&pts, &alive, &bounds);
 #ifndef NDEBUG
     assert(alive.size() == n_ && pts.size() == n_ * q_);
     for (size_t i = 0; i < n_; ++i) {
@@ -868,8 +872,11 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   // Admission bounds ride along even though they are derivable from the
   // orders: RestoreFrom recomputes them and hard-fails on any
   // disagreement — a cheap end-to-end consistency check on the whole
-  // (orders, bounds) image.
-  b->PutDoubles(bounds_.data(), n_);
+  // (orders, bounds) image. Dead slots carry kDeadBound.
+  for (size_t i = 0; i < n_; ++i) {
+    if (alive_[i] == 0) bounds[i] = kDeadBound;
+  }
+  b->PutDoubles(bounds.data(), n_);
   for (size_t i = 0; i < n_; ++i) {
     b->PutDoubles(fb_.Features(i), q_);
     b->PutF64(fb_.Target(i));
@@ -1116,7 +1123,8 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   for (size_t i = 0; i < n; ++i) {
     fb_.Append(pts.data() + i * q_, targets[i]);
   }
-  RETURN_IF_ERROR(index_.RestoreState(std::move(pts), alive));
+  RETURN_IF_ERROR(
+      index_.RestoreState(std::move(pts), alive, std::move(bounds)));
 
   // Reverse postings are derivable: holder i lists every non-self entry
   // of its order. Ascending i reproduces the ascending-holder layout a
@@ -1151,7 +1159,6 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   consumed_ = std::move(consumed);
   models_ = std::move(models);
   dirty_ = std::move(dirty);
-  bounds_ = std::move(bounds);
   alive_ = std::move(alive);
   seq_of_slot_ = std::move(seqs);
   slot_of_seq_.clear();
@@ -1173,7 +1180,6 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   live_ = live;
   oldest_cursor_ = oldest;
   counters_ = ct;
-  RebuildBoundHeap();
   assert(VerifyPostings());
   return Status::OK();
 }

@@ -26,13 +26,15 @@
 // Arrival cost scales with the AFFECTED orders, not n
 // (config.admission_bound, on by default): each order carries an
 // admission bound — the worst kept distance, infinite below capacity —
-// and an arrival finds its candidate holders with one radius query
-// against the index at the exact global max bound (a multiset keeps it
-// exact under decreases), then filters each candidate by its own bound.
-// Ties are included: a candidate AT its bound is visited so the
+// held by the index as its slot's radius, and an arrival finds the orders
+// it could enter with one admitters walk (DynamicIndex::QueryAdmitters)
+// that also returns its own kNN: exactly the live slots within their own
+// bound. Ties are included: a candidate AT its bound is visited so the
 // (distance, slot) tie-break resolves exactly as the full scan would —
 // visiting a no-op order changes no state, which is why the pruned scan
-// is bit-identical to the full one.
+// is bit-identical to the full one. An eviction that leaves one vacancy
+// in an order fills it with one successor query (the next live neighbor
+// after the order's last entry) instead of a full l - 1 neighbor query.
 //
 // Adaptive per-tuple l (Algorithm 3, config.adaptive): the core also
 // maintains each live tuple's VALIDATION order — its vk nearest live
@@ -81,11 +83,11 @@ class OrderCore {
     size_t vk = 1;         // adaptive: resolved validation fan-out, in
                            // [1, core::kMaxValidationK]
     // Prune the per-arrival insertion scan with each order's admission
-    // bound (see the member comment on bounds_): an arrival visits only
-    // the orders it could actually enter, found by a radius query against
-    // the index instead of the O(n) scan. Results are bit-identical
-    // either way — false keeps the full scan as the differential
-    // baseline.
+    // bound (ComputeBound, held by the index as the slot's radius): an
+    // arrival visits only the orders it could actually enter, found by the
+    // index's admitters walk instead of the O(n) scan. Results are
+    // bit-identical either way — false keeps the full scan as the
+    // differential baseline.
     bool admission_bound = true;
     DynamicIndex::Options index;
   };
@@ -225,20 +227,14 @@ class OrderCore {
   // kept distance; adaptive mode takes the max over the learning and
   // validation orders.
   double ComputeBound(size_t i) const;
-  // Recomputes slot i's bound after its orders changed, keeping bounds_
-  // and the bound_heap_ lazy max-heap (the exact global max) in sync.
+  // Hands slot i's recomputed bound to the index after its orders
+  // changed (the index keeps it as the slot's radius).
   void RefreshBound(size_t i);
-  // Pushes slot i's current bound onto bound_heap_ (stale entries for i
-  // are invalidated by value mismatch, not removed).
-  void PushBound(size_t i);
-  // The exact max over live bounds, popping stale heap entries as they
-  // surface; kDeadBound when nothing is live. Rebuilds the heap from
-  // bounds_ first when stale entries outnumber live ones.
-  double MaxBound();
-  // Refills bound_heap_ from scratch over the live slots (after a
-  // compaction renumbers slots, a snapshot restore, or stale-entry
-  // overflow).
-  void RebuildBoundHeap();
+  // The live neighbor of slot i ranked right after `after` (i excluded):
+  // the entry a full query would return at position `rank`. False when
+  // there is none. Debug builds check it against that full query.
+  bool NextNeighbor(size_t i, const neighbors::Neighbor& after, size_t rank,
+                    neighbors::Neighbor* out) const;
 
   // Flips a live holder dirty, counting only clean -> dirty transitions,
   // and invalidates the adaptive global-cost cache.
@@ -288,20 +284,12 @@ class OrderCore {
   size_t live_ = 0;
   size_t oldest_cursor_ = 0;
 
-  // Per-slot admission bounds (dense; kDeadBound sentinel for tombstoned
-  // slots) and a lazy-deletion max-heap of (bound, slot) backing the
-  // EXACT global max — the radius of the arrival-time candidate query.
-  // A bound change pushes one heap entry and leaves the old one behind;
-  // an entry is live only while its value still matches bounds_[slot],
-  // so MaxBound pops stale tops on read and periodically rebuilds. One
-  // vector push per change instead of two balanced-tree updates — this
-  // sits on the per-arrival hot path. Maintained on every insert/
-  // displace/backfill/evict regardless of config.admission_bound, so
-  // toggling the bound is purely a read-path decision and snapshots
-  // stay uniform.
+  // A dead slot's admission bound in the snapshot image (live bounds are
+  // never negative). The live bounds themselves are the index's radii,
+  // kept current on every insert/displace/backfill/evict regardless of
+  // config.admission_bound, so toggling the bound is purely a read-path
+  // decision and snapshots stay uniform.
   static constexpr double kDeadBound = -1.0;
-  std::vector<double> bounds_;
-  std::vector<std::pair<double, size_t>> bound_heap_;
 
   // --- Adaptive state (empty vectors in fixed-l mode) ------------------
   // vorders_[j]: the tuples judge j validates — its vk nearest live

@@ -1,8 +1,9 @@
 // Admission-bound pruning and the staged-compaction bugfixes.
 //
 // The sublinear-ingest overhaul replaces the per-arrival O(n) insertion
-// scan with a radius query at the global max admission bound plus a
-// per-order bound filter — a pure pruning of no-op visits, so every
+// scan with one index walk for the slots within their own admission bound
+// (DynamicIndex::QueryAdmitters, each bound held as the slot's radius) —
+// a pure pruning of no-op visits, so every
 // observable (imputations, learning orders, maintenance counters that
 // count real work) must stay bitwise identical whether the bound is on
 // or off. This file pins that claim over randomized
@@ -10,6 +11,10 @@
 // on and off, fixed and adaptive l), with a dedicated exact-tie schedule
 // (duplicate rows land arrivals exactly on full orders' l-th distances,
 // the boundary where "<=" admits a candidate the order then rejects).
+// The index's two order-maintenance queries — the admitters walk over
+// per-slot radii and the successor query eviction backfills use — are
+// checked against brute recomputation on integer grids full of exact
+// distance ties, at both rebuild modes.
 // It also pins the two DynamicIndex bugfixes that rode along: a spurious
 // Compact (zero tombstones) must be an identity no-op that never
 // discards an in-flight build, and WaitForRebuild must not spin forever
@@ -22,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -29,6 +35,7 @@
 
 #include "common/rng.h"
 #include "data/table.h"
+#include "neighbors/distance.h"
 #include "stream/dynamic_index.h"
 #include "stream/online_iim.h"
 #include "stream_test_util.h"
@@ -49,12 +56,37 @@ struct DynamicIndexTestPeer {
 namespace {
 
 // ---------------------------------------------------------------------------
-// DynamicIndex: RangeQuery vs brute force
+// DynamicIndex: admitters and successor queries vs brute force
 
-// RangeQuery must return exactly the live rows within the radius —
-// including rows AT the radius bitwise (the admission filter depends on
-// ties surviving the KD-tree plane pruning) — against tombstones, a
-// compacted prefix, and the un-treed tail.
+// Gives every slot the same radius: QueryAdmitters over uniform radii is
+// a plain range query, every live row within that radius.
+void SetUniformRadius(DynamicIndex* index, double radius) {
+  for (size_t s = 0; s < index->slots(); ++s) index->SetRadius(s, radius);
+}
+
+std::vector<neighbors::Neighbor> BySlot(std::vector<neighbors::Neighbor> v) {
+  std::sort(v.begin(), v.end(),
+            [](const neighbors::Neighbor& a, const neighbors::Neighbor& b) {
+              return a.index < b.index;
+            });
+  return v;
+}
+
+void ExpectSameNeighbors(const std::vector<neighbors::Neighbor>& got,
+                         const std::vector<neighbors::Neighbor>& want,
+                         size_t step) {
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].index, want[j].index) << "step " << step << " j " << j;
+    EXPECT_EQ(got[j].distance, want[j].distance)  // bit-identical
+        << "step " << step << " j " << j;
+  }
+}
+
+// A uniform-radius admitters query must return exactly the live rows
+// within the radius — including rows AT the radius bitwise (the
+// admission filter depends on ties surviving the KD-tree pruning) —
+// against tombstones, a compacted prefix, and the un-treed tail.
 TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
@@ -114,28 +146,237 @@ TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
       radii.push_back(all[all.size() / 2].distance);
       radii.push_back(all.back().distance);
     }
+    neighbors::QueryOptions no_knn;
+    no_knn.k = 0;
+    std::vector<neighbors::Neighbor> nearest, got;
     for (double r : radii) {
       std::vector<neighbors::Neighbor> want;
       for (const neighbors::Neighbor& nb : all) {
         if (nb.distance <= r) want.push_back(nb);
       }
-      std::sort(want.begin(), want.end(),
-                [](const neighbors::Neighbor& a,
-                   const neighbors::Neighbor& b) { return a.index < b.index; });
-      std::vector<neighbors::Neighbor> got =
-          index.RangeQuery(probe.Row(0), r);
-      ASSERT_EQ(got.size(), want.size()) << "append " << i << " r " << r;
-      for (size_t j = 0; j < got.size(); ++j) {
-        EXPECT_EQ(got[j].index, want[j].index) << "append " << i;
-        EXPECT_EQ(got[j].distance, want[j].distance);  // bit-identical
-      }
+      SetUniformRadius(&index, r);
+      index.QueryAdmitters(probe.Row(0), no_knn, &nearest, &got);
+      EXPECT_TRUE(nearest.empty());
+      ExpectSameNeighbors(got, BySlot(want), i);
     }
     // Negative radius: empty, not a crash.
-    EXPECT_TRUE(index.RangeQuery(probe.Row(0), -1.0).empty());
+    SetUniformRadius(&index, -1.0);
+    index.QueryAdmitters(probe.Row(0), no_knn, &nearest, &got);
+    EXPECT_TRUE(got.empty());
   }
   EXPECT_GE(index.compactions(), 1u);
   EXPECT_GT(index.tree_size(), 0u);
 }
+
+// Rows on a 6 x 6 integer grid: every squared sum is a small integer, so
+// many rows sit at bitwise-equal distances from an integer probe.
+std::vector<double> GridRow(Rng* rng) {
+  return {static_cast<double>(rng->UniformInt(0, 5)),
+          static_cast<double>(rng->UniformInt(0, 5)), 0.0};
+}
+
+// A per-slot radius: +inf (prunes nothing above its slot), nothing
+// (kNoRadius), the exact distance of a grid row at squared sum m (the
+// boundary ties), or an arbitrary value.
+double PickRadius(Rng* rng) {
+  double u = rng->Uniform(0.0, 1.0);
+  if (u < 0.1) return std::numeric_limits<double>::infinity();
+  if (u < 0.2) return DynamicIndex::kNoRadius;
+  if (u < 0.7) {
+    return neighbors::DistanceFromSquared(
+        static_cast<double>(rng->UniformInt(0, 18)), 2);
+  }
+  return rng->Uniform(0.0, 3.0);
+}
+
+// Randomized grid stream: appends (every fourth an exact duplicate of an
+// earlier row), tombstones, compactions, and radius raises and lowers
+// between tree installs; `check` runs on the live state every third step.
+// The model vectors track what the index should hold, slot for slot.
+template <typename Check>
+void RunGridStream(bool background, uint64_t seed, Check check) {
+  DynamicIndex::Options dopt;
+  dopt.kdtree_threshold = 24;
+  dopt.min_compact_tombstones = 8;
+  dopt.background_rebuild = background;
+  DynamicIndex index({0, 1}, dopt);
+  Rng rng(seed);
+  std::vector<std::vector<double>> rows;  // per slot
+  std::vector<uint8_t> live;
+  std::vector<double> radius;
+  for (size_t step = 0; step < 420; ++step) {
+    std::vector<double> row =
+        (step % 4 == 3) ? rows[static_cast<size_t>(rng.UniformInt(
+                              0, static_cast<int64_t>(rows.size()) - 1))]
+                        : GridRow(&rng);
+    double r = PickRadius(&rng);
+    index.Append(data::RowView(row.data(), row.size()), r);
+    rows.push_back(row);
+    live.push_back(1);
+    radius.push_back(r);
+    if (step > 20 && rng.Bernoulli(0.4)) {
+      size_t victim = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      if (live[victim] != 0) {
+        ASSERT_TRUE(index.Remove(victim));
+        live[victim] = 0;
+        radius[victim] = DynamicIndex::kNoRadius;
+      }
+    }
+    if (index.NeedsCompaction()) {
+      std::vector<size_t> remap = index.Compact();
+      std::vector<std::vector<double>> rows2;
+      std::vector<uint8_t> live2;
+      std::vector<double> radius2;
+      for (size_t s = 0; s < remap.size(); ++s) {
+        if (remap[s] == DynamicIndex::kGone) continue;
+        rows2.push_back(rows[s]);
+        live2.push_back(live[s]);
+        radius2.push_back(radius[s]);
+      }
+      rows.swap(rows2);
+      live.swap(live2);
+      radius.swap(radius2);
+    }
+    // Raise or lower a few live radii; the tree keeps stale-high maxima
+    // for lowered ones until its next install.
+    for (int u = 0; u < 3; ++u) {
+      size_t s = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      if (live[s] == 0) continue;
+      radius[s] = PickRadius(&rng);
+      index.SetRadius(s, radius[s]);
+    }
+    ASSERT_TRUE(index.VerifyRadii()) << "step " << step;
+    for (size_t s = 0; s < live.size(); ++s) {
+      ASSERT_EQ(index.radius(s), radius[s]) << "step " << step;
+    }
+    if (step % 3 != 0) continue;
+    std::vector<double> probe =
+        rng.Bernoulli(0.7) ? GridRow(&rng)
+                           : std::vector<double>{rng.Uniform(-1.0, 6.0),
+                                                 rng.Uniform(-1.0, 6.0), 0.0};
+    check(&index, &rng, data::RowView(probe.data(), probe.size()), &radius,
+          step);
+  }
+  index.WaitForRebuild();
+  DynamicIndex::Stats stats = index.stats();
+  EXPECT_GE(stats.compactions, 1u);
+  EXPECT_GE(stats.rebuilds, 2u);
+  EXPECT_TRUE(index.VerifyRadii());
+}
+
+class DynamicIndexRadiiTest : public ::testing::TestWithParam<bool> {};
+
+// The admitters query returns exactly the live slots within their OWN
+// radius (ties included, ascending by slot) and, fused, exactly Query's
+// kNN — against integer-grid ties, +inf and empty radii, tombstones,
+// compaction, and radii raised and lowered between installs.
+TEST_P(DynamicIndexRadiiTest, AdmittersMatchBruteForceWithPerSlotRadii) {
+  size_t boundary_admits = 0;
+  RunGridStream(GetParam(), 71, [&](DynamicIndex* index, Rng* rng,
+                                    const data::RowView& probe,
+                                    std::vector<double>* radius,
+                                    size_t step) {
+    std::vector<neighbors::Neighbor> all =
+        index->QueryAll(probe, neighbors::QueryOptions::kNoExclusion);
+    // Put a few slots exactly on their distance to this probe.
+    for (int t = 0; t < 4 && !all.empty(); ++t) {
+      const neighbors::Neighbor& nb = all[static_cast<size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(all.size()) - 1))];
+      (*radius)[nb.index] = nb.distance;
+      index->SetRadius(nb.index, nb.distance);
+    }
+    std::vector<neighbors::Neighbor> want_admit;
+    for (const neighbors::Neighbor& nb : all) {
+      if (nb.distance <= (*radius)[nb.index]) want_admit.push_back(nb);
+      if (nb.distance == (*radius)[nb.index]) ++boundary_admits;
+    }
+    neighbors::QueryOptions qopt;
+    qopt.k = static_cast<size_t>(rng->UniformInt(0, 6));
+    if (rng->Bernoulli(0.3) && !all.empty()) qopt.exclude = all[0].index;
+    std::vector<neighbors::Neighbor> want_knn;
+    for (const neighbors::Neighbor& nb : all) {
+      if (want_knn.size() == qopt.k) break;
+      if (nb.index != qopt.exclude) want_knn.push_back(nb);
+    }
+    std::vector<neighbors::Neighbor> nearest, admitters;
+    index->QueryAdmitters(probe, qopt, &nearest, &admitters);
+    ExpectSameNeighbors(nearest, want_knn, step);
+    ExpectSameNeighbors(admitters, BySlot(want_admit), step);
+    ExpectSameNeighbors(index->Query(probe, qopt), want_knn, step);
+  });
+  EXPECT_GT(boundary_admits, 50u);
+}
+
+// The successor query returns the first live slot other than `exclude`
+// ranked strictly after `after` in (distance, slot) order — with `after`
+// on a distance tie, on duplicate rows, on an absent slot number, and
+// past the last row (no successor).
+TEST_P(DynamicIndexRadiiTest, SuccessorMatchesBruteForceOnTiesAndDuplicates) {
+  size_t tied = 0, none = 0, found = 0;
+  RunGridStream(GetParam(), 83, [&](DynamicIndex* index, Rng* rng,
+                                    const data::RowView& probe,
+                                    std::vector<double>*, size_t step) {
+    std::vector<neighbors::Neighbor> all =
+        index->QueryAll(probe, neighbors::QueryOptions::kNoExclusion);
+    if (all.empty()) return;
+    for (int t = 0; t < 6; ++t) {
+      size_t j = static_cast<size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(all.size()) - 1));
+      neighbors::Neighbor after = all[j];
+      switch (t) {
+        case 0:
+          after = all.back();  // nothing ranks after it
+          break;
+        case 1:
+          // A slot number the scan never saw at that distance: the tie
+          // group splits around it.
+          after.index = static_cast<size_t>(
+              rng->UniformInt(0, static_cast<int64_t>(all.size())));
+          break;
+        case 2:
+          after = neighbors::Neighbor{0, 0.0};
+          break;
+        default:
+          break;
+      }
+      size_t exclude = rng->Bernoulli(0.5)
+                           ? all[static_cast<size_t>(rng->UniformInt(
+                                 0, static_cast<int64_t>(all.size()) - 1))]
+                                 .index
+                           : neighbors::QueryOptions::kNoExclusion;
+      const neighbors::Neighbor* want = nullptr;
+      for (const neighbors::Neighbor& nb : all) {
+        if (nb.index != exclude && neighbors::NeighborLess(after, nb)) {
+          want = &nb;
+          break;
+        }
+      }
+      if (want != nullptr && want->distance == after.distance) ++tied;
+      neighbors::Neighbor got{0, 0.0};
+      bool ok = index->Successor(probe, after, exclude, &got);
+      ASSERT_EQ(ok, want != nullptr) << "step " << step << " case " << t;
+      if (want == nullptr) {
+        ++none;
+        continue;
+      }
+      ++found;
+      EXPECT_EQ(got.index, want->index) << "step " << step << " case " << t;
+      EXPECT_EQ(got.distance, want->distance) << "step " << step;
+    }
+  });
+  EXPECT_GT(tied, 50u);
+  EXPECT_GT(none, 20u);
+  EXPECT_GT(found, 200u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RebuildModes, DynamicIndexRadiiTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("Background")
+                                             : std::string("InLock");
+                         });
 
 // ---------------------------------------------------------------------------
 // DynamicIndex: spurious Compact regression

@@ -171,8 +171,14 @@ uint64_t BuildCost(size_t n) {
   return n * levels;
 }
 
-// Ground truth for RangeQuery: every row within `radius` (ties included),
-// ascending by slot.
+// Gives every slot the same radius: QueryAdmitters over uniform radii is
+// a plain range query, every live row within that radius.
+void SetUniformRadius(DynamicIndex* index, double radius) {
+  for (size_t s = 0; s < index->slots(); ++s) index->SetRadius(s, radius);
+}
+
+// Ground truth for a uniform-radius QueryAdmitters: every row within
+// `radius` (ties included), ascending by slot.
 std::vector<neighbors::Neighbor> BruteRange(
     const neighbors::BruteForceIndex& brute, const data::RowView& query,
     double radius) {
@@ -205,7 +211,7 @@ TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
   dopt.kdtree_threshold = 32;
   dopt.background_rebuild = false;
   DynamicIndex index({0, 2}, dopt);
-  // Every query below scans the tail: k >= 1 and finite radii only.
+  // Every query below scans the tail once.
   constexpr size_t kQueriesPerAppend = 12;
 
   data::Table grown(data::Schema::Default(3));
@@ -253,12 +259,13 @@ TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
       qopt.k = 1 + static_cast<size_t>(rng.UniformInt(0, 7));
       if (q % 3 == 0) qopt.exclude = i / 2;
       double radius = rng.Uniform(0.0, 2.0);
-      if (q == kQueriesPerAppend - 2) {
-        ExpectSameNeighbors(index.RangeQuery(probe, radius),
-                            BruteRange(brute, probe, radius), i);
-      } else if (q == kQueriesPerAppend - 1) {
+      if (q >= kQueriesPerAppend - 2) {
+        // The admitters query over a uniform radius, alone (k = 0) and
+        // fused with the kNN lookup.
+        SetUniformRadius(&index, radius);
+        if (q == kQueriesPerAppend - 2) qopt.k = 0;
         std::vector<neighbors::Neighbor> nearest, in_range;
-        index.QueryWithRange(probe, qopt, radius, &nearest, &in_range);
+        index.QueryAdmitters(probe, qopt, &nearest, &in_range);
         ExpectSameNeighbors(nearest, brute.Query(probe, qopt), i);
         ExpectSameNeighbors(in_range, BruteRange(brute, probe, radius), i);
       } else {
@@ -339,13 +346,17 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
         index.Query(probe, qopt);
         visited += tail;
         break;
-      case 1:
-        index.RangeQuery(probe, 0.5);
+      case 1: {
+        neighbors::Neighbor next{0, 0.0};
+        index.Successor(probe, neighbors::Neighbor{0, 0.5},
+                        neighbors::QueryOptions::kNoExclusion, &next);
         visited += tail;
         break;
+      }
       case 2: {
-        std::vector<neighbors::Neighbor> nearest, in_range;
-        index.QueryWithRange(probe, qopt, 0.5, &nearest, &in_range);
+        index.SetRadius(i / 3, 0.5);
+        std::vector<neighbors::Neighbor> nearest, admitters;
+        index.QueryAdmitters(probe, qopt, &nearest, &admitters);
         visited += tail;  // one pass feeds both outputs
         break;
       }
@@ -360,15 +371,13 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
         break;
       }
       case 4:
-        // Full scans, not tail scans: QueryAll, the unbounded range.
+        // A full scan, not a tail scan.
         index.QueryAll(probe, neighbors::QueryOptions::kNoExclusion);
-        index.RangeQuery(probe, std::numeric_limits<double>::infinity());
         break;
       case 5:
-        // Nothing to scan: k == 0, a negative radius.
+        // Nothing to scan: k == 0.
         qopt.k = 0;
         index.Query(probe, qopt);
-        index.RangeQuery(probe, -1.0);
         break;
       default:
         break;
