@@ -53,8 +53,9 @@
 //
 // Phase 5 meters the masking-one-out monitoring tax: the same n-row
 // ingest with moo_sample_rate at the documented 1% deployment trickle,
-// against a fresh monitoring-off profile run back-to-back so machine
-// drift across the earlier phases cannot tilt the ratio. At 1% the
+// against a fresh monitoring-off engine fed side by side with it (blocks
+// of 64 arrivals, alternating which engine goes first), so host weather
+// lands on both profiles instead of tilting the ratio. At 1% the
 // median arrival does no holdout work at all, so the ingest p50 must
 // stay within 1.05x of the disabled engine (with a small absolute
 // floor for machines where both p50s are microseconds of scheduling
@@ -95,7 +96,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -125,10 +125,10 @@ struct IngestProfile {
   double total_seconds = 0.0;
 };
 
-// Ingests rows [0, count) of `data`, timing every arrival.
-IngestProfile BuildEngine(const iim::data::Table& data, int target,
-                          const std::vector<int>& features,
-                          const iim::core::IimOptions& opt, size_t count) {
+// An empty engine, ready to ingest `count` timed arrivals.
+IngestProfile CreateProfile(const iim::data::Table& data, int target,
+                            const std::vector<int>& features,
+                            const iim::core::IimOptions& opt, size_t count) {
   IngestProfile out;
   auto engine =
       iim::stream::OnlineIim::Create(data.schema(), target, features, opt);
@@ -138,19 +138,47 @@ IngestProfile BuildEngine(const iim::data::Table& data, int target,
   }
   out.engine = std::move(engine.value());
   out.seconds.reserve(count);
-  iim::Stopwatch total;
+  return out;
+}
+
+// Ingests rows [begin, end) of `data` into `p`, timing every arrival.
+void IngestRows(const iim::data::Table& data, size_t begin, size_t end,
+                IngestProfile* p) {
   iim::Stopwatch timer;
-  for (size_t i = 0; i < count; ++i) {
+  for (size_t i = begin; i < end; ++i) {
     timer.Restart();
-    iim::Status st = out.engine->Ingest(data.Row(i));
-    out.seconds.push_back(timer.ElapsedSeconds());
+    iim::Status st = p->engine->Ingest(data.Row(i));
+    p->seconds.push_back(timer.ElapsedSeconds());
     if (!st.ok()) {
       std::fprintf(stderr, "ingest %zu: %s\n", i, st.ToString().c_str());
       std::exit(1);
     }
   }
+}
+
+// Ingests rows [0, count) of `data`, timing every arrival.
+IngestProfile BuildEngine(const iim::data::Table& data, int target,
+                          const std::vector<int>& features,
+                          const iim::core::IimOptions& opt, size_t count) {
+  IngestProfile out = CreateProfile(data, target, features, opt, count);
+  iim::Stopwatch total;
+  IngestRows(data, 0, count, &out);
   out.total_seconds = total.ElapsedSeconds();
   return out;
+}
+
+// Ingests rows [0, count) into two engines side by side: blocks of 64
+// arrivals alternate between them, and so does which engine takes a
+// block first, so both profiles sample the same host weather.
+void BuildSideBySide(const iim::data::Table& data, size_t count,
+                     IngestProfile* a, IngestProfile* b) {
+  const size_t kBlock = 64;
+  for (size_t begin = 0; begin < count; begin += kBlock) {
+    size_t end = std::min(begin + kBlock, count);
+    bool a_first = (begin / kBlock) % 2 == 0;
+    IngestRows(data, begin, end, a_first ? a : b);
+    IngestRows(data, begin, end, a_first ? b : a);
+  }
 }
 
 // One row of the eviction-scaling cell.
@@ -395,7 +423,7 @@ int main(int argc, char** argv) {
   // Phase 2: sliding windows at w = n and w = n/2. Engines capped at
   // window_size = w stream `online_reps` past the cap (each ingest retiring
   // the oldest tuple: learning-order repair via the reverse-neighbor
-  // postings + ridge down-date/restream + index tombstone). Explicit
+  // postings + reset of every cut fold + index tombstone). Explicit
   // Evict calls are then timed in isolation; comparing the two windows
   // shows whether eviction cost scales with the window.
   auto run_window = [&](size_t w, std::vector<double>* arrival_seconds,
@@ -424,8 +452,7 @@ int main(int argc, char** argv) {
     }
     // First solve models around each soon-to-be-evicted tuple (a live
     // deployment serves imputations continuously), so the timed
-    // evictions repair real folds — the rank-1 down-date path — rather
-    // than only unfolded lazy state.
+    // evictions cut real folds rather than only unfolded lazy state.
     for (size_t e = 0; e < evict_reps; ++e) {
       std::vector<double> warm_row = data.Row(online_reps + e).ToVector();
       warm_row[static_cast<size_t>(target)] =
@@ -526,11 +553,9 @@ int main(int argc, char** argv) {
   double window_relearn_mean = Mean(window_relearn_seconds);
   double evict_speedup =
       evict_mean > 0.0 ? window_relearn_mean / evict_mean : 0.0;
-  // Down-dated accumulators reorder the floating-point summation, so the
-  // windowed engine matches the batch refit tightly, not bitwise.
-  double wscale = std::max(1.0, std::fabs(check_windowed_batch));
-  bool windowed_matches =
-      std::fabs(check_windowed - check_windowed_batch) <= 1e-7 * wscale;
+  // Every cut fold restreams in the batch fit's summation order, so the
+  // windowed engine matches the batch refit bit for bit.
+  bool windowed_matches = check_windowed == check_windowed_batch;
   bool evict_fast_enough = evict_speedup >= 10.0;
   iim::stream::DynamicIndex::Stats istats = online.index().stats();
   // The ingest CRITICAL SECTION must shrink once the baseline actually
@@ -722,12 +747,13 @@ int main(int argc, char** argv) {
                                        kFailpointFloorSeconds);
 
   // Phase 5: the masking-one-out monitoring tax (see the header
-  // comment). A fresh back-to-back pair — monitoring off, then the 1%
-  // holdout trickle — on the identical stream and options.
-  IngestProfile moo_off = BuildEngine(data, target, features, opt, n);
+  // comment). A fresh pair — monitoring off and the 1% holdout trickle —
+  // ingests the identical stream side by side.
   iim::core::IimOptions moo_opt = opt;
   moo_opt.moo_sample_rate = 0.01;
-  IngestProfile moo_on = BuildEngine(data, target, features, moo_opt, n);
+  IngestProfile moo_off = CreateProfile(data, target, features, opt, n);
+  IngestProfile moo_on = CreateProfile(data, target, features, moo_opt, n);
+  BuildSideBySide(data, n, &moo_off, &moo_on);
   iim::stream::OnlineIim::Stats moo_stats = moo_on.engine->stats();
   moo_off.engine.reset();
   moo_on.engine.reset();
@@ -823,11 +849,10 @@ int main(int argc, char** argv) {
               histats.tail_size);
   std::printf("%-34s %12.6f ms\n", "window relearn", window_relearn_mean * 1e3);
   std::printf("%-34s %12.1fx\n", "eviction speedup", evict_speedup);
-  std::printf("windowed engine: %zu evictions (%zu down-dates, %zu restream "
-              "fallbacks, %zu backfills, %zu compactions, %zu postings "
-              "edges live)\n",
-              wstats.evicted, wstats.downdates, wstats.downdate_fallbacks,
-              wstats.backfills, wstats.compactions, wstats.postings_edges);
+  std::printf("windowed engine: %zu evictions (%zu backfills, %zu "
+              "compactions, %zu postings edges live)\n",
+              wstats.evicted, wstats.backfills, wstats.compactions,
+              wstats.postings_edges);
   std::printf("eviction cost vs l (window %zu, %zu evictions each):\n", n,
               scaling_reps);
   for (const EvictScalingCell& cell : scaling) {
@@ -958,8 +983,6 @@ int main(int argc, char** argv) {
                "  \"eviction_speedup\": %.1f,\n"
                "  \"windowed_matches_batch_refit\": %s,\n"
                "  \"evictions\": %zu,\n"
-               "  \"downdates\": %zu,\n"
-               "  \"downdate_fallbacks\": %zu,\n"
                "  \"backfills\": %zu,\n"
                "  \"compactions\": %zu,\n"
                "  \"postings_edges\": %zu,\n"
@@ -989,10 +1012,9 @@ int main(int argc, char** argv) {
                n_half, half_evict_mean, evict_window_ratio,
                window_relearn_mean, evict_speedup,
                windowed_matches ? "true" : "false", wstats.evicted,
-               wstats.downdates, wstats.downdate_fallbacks, wstats.backfills,
-               wstats.compactions, wstats.postings_edges, wistats.swaps,
-               wistats.tail_size, histats.tail_size, evict_tail_rows,
-               half_evict_tail_rows, hstats.evicted);
+               wstats.backfills, wstats.compactions, wstats.postings_edges,
+               wistats.swaps, wistats.tail_size, histats.tail_size,
+               evict_tail_rows, half_evict_tail_rows, hstats.evicted);
   std::fprintf(out,
                "  \"online_samples\": %zu,\n"
                "  \"eviction_samples\": %zu,\n"

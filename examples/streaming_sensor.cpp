@@ -19,10 +19,9 @@
 //
 // The epilogue replays the stream through a *sliding window*
 // (IimOptions::window_size): each arrival past the cap auto-evicts the
-// oldest reading — its contribution leaves every affected model via a
-// rank-1 ridge down-date (or a restream when the conditioning guard
-// says no), and memory stays bounded no matter how long the deployment
-// runs.
+// oldest reading — every model that learned from it restreams its fold
+// over the repaired learning order on next use — and memory stays
+// bounded no matter how long the deployment runs.
 //
 // Act three makes the deployment durable (IimOptions::persist_dir): every
 // arrival is appended to a write-ahead log before it is applied, a
@@ -245,7 +244,7 @@ int main() {
       return 1;
     }
     // Serve a lost reading every burst, as act one did. This is what puts
-    // solved models in the window for later evictions to down-date.
+    // solved models in the window for later evictions to cut.
     if (i > 60 && i % 40 == 0) {
       std::vector<double> lost = readings.Row(i - 1).ToVector();
       lost[static_cast<size_t>(target)] =
@@ -270,18 +269,14 @@ int main() {
               arrival_lat.p50 * 1e3, arrival_lat.p99 * 1e3,
               arrival_lat.max * 1e3);
   iim::stream::DynamicIndex::Stats wistats = windowed.index().stats();
-  std::printf("Eviction repair: %zu down-dates, %zu restream fallbacks, %zu "
-              "backfills over %zu reverse-neighbor postings edges; %zu "
-              "compactions kept %zu index slots (worst compact lock hold "
-              "%.3f ms)\n",
-              wstats.downdates, wstats.downdate_fallbacks, wstats.backfills,
-              wstats.postings_edges, wstats.compactions, wistats.slots,
-              wistats.max_compact_hold_seconds * 1e3);
+  std::printf("Eviction repair: %zu backfills over %zu reverse-neighbor "
+              "postings edges; %zu compactions kept %zu index slots (worst "
+              "compact lock hold %.3f ms)\n",
+              wstats.backfills, wstats.postings_edges, wstats.compactions,
+              wistats.slots, wistats.max_compact_hold_seconds * 1e3);
 
   // The windowed guarantee: a batch engine fitted on the live window (the
-  // last kWindow readings) agrees with the windowed engine — bitwise when
-  // every eviction restreamed, within tight tolerance when down-dates
-  // repaired accumulators in place.
+  // last kWindow readings) agrees with the windowed engine bit for bit.
   iim::core::IimImputer wbatch(opt);
   iim::Status wfit = wbatch.Fit(windowed.table(), target, features);
   if (!wfit.ok()) {
@@ -300,13 +295,12 @@ int main() {
       ++wmismatches;
       continue;
     }
-    double scale = std::max(1.0, std::fabs(want.value()));
-    if (std::fabs(got.value() - want.value()) > 1e-7 * scale) ++wmismatches;
+    if (got.value() != want.value()) ++wmismatches;
   }
   std::printf("Window batch-refit agreement: %s\n",
               wmismatches == 0
-                  ? "matches a fresh fit on the live window (eviction costs "
-                    "no accuracy)"
+                  ? "bit-identical to a fresh fit on the live window "
+                    "(eviction costs no accuracy)"
                   : "MISMATCH");
   if (wmismatches != 0) return 1;
 

@@ -9,8 +9,10 @@
 // regression (predicting each column from all the others). Window
 // evictions down-date the accumulators in place; when the ridge
 // conditioning guard refuses a down-date the affected column is flagged
-// and lazily restreamed from the caller's row source, mirroring the
-// down-date/restream protocol of stream::OrderCore.
+// and lazily restreamed from the caller's row source. A down-date
+// reorders the fold's sums, which a challenger can afford: unlike
+// stream::OrderCore's per-tuple folds, which always restream, it need not
+// match a batch refit bit for bit.
 
 #ifndef IIM_BASELINES_STREAMING_FIT_H_
 #define IIM_BASELINES_STREAMING_FIT_H_

@@ -49,15 +49,10 @@ struct IimOptions {
   // --- Streaming (stream::OnlineIim; the batch imputer ignores these) ---
   // Sliding window: keep only the most recent `window_size` live tuples.
   // Once an ingest pushes the live count past the window, the oldest live
-  // tuple is evicted (learning orders repaired, accumulators down-dated or
-  // restreamed, index tombstoned). 0 = unbounded growth.
+  // tuple is evicted (learning orders repaired, an accumulator whose
+  // folded prefix lost a row reset and refolded on next use, index
+  // tombstoned). 0 = unbounded growth.
   size_t window_size = 0;
-  // Evictions repair an affected tuple's U/V accumulator in place with a
-  // rank-1 ridge down-date when the conditioning guard allows it
-  // (IncrementalRidge::RemoveRow); false forces the restream fallback —
-  // slower per eviction, but bitwise identical to a batch refit on the
-  // surviving window.
-  bool downdate = true;
   // Prune the per-arrival insertion scan with each live order's admission
   // bound (its worst kept distance; infinite below capacity): the
   // streaming index holds every bound as its slot's radius, and one walk

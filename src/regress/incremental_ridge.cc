@@ -106,17 +106,4 @@ Result<LinearModel> IncrementalRidge::Solve(double alpha) const {
   return model;
 }
 
-Status IncrementalRidge::RestoreState(const linalg::Matrix& u,
-                                      const linalg::Vector& v, size_t rows) {
-  if (u.rows() != p_ + 1 || u.cols() != p_ + 1 || v.size() != p_ + 1) {
-    return Status::InvalidArgument(
-        "IncrementalRidge::RestoreState: state dimensions do not match this "
-        "accumulator's feature count");
-  }
-  u_ = u;
-  v_ = v;
-  num_rows_ = rows;
-  return Status::OK();
-}
-
 }  // namespace iim::regress

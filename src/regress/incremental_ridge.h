@@ -4,12 +4,12 @@
 // the l nearest neighbors to the (l+h) nearest neighbors costs O(m^2 h)
 // instead of O(m^2 (l+h)) — constant in l. Solving for phi remains O(m^3).
 //
-// RemoveRow is the inverse rank-1 *down-date* (the sliding-window path of
-// stream::OnlineIim): subtracting a row is algebraically exact but can
-// cancel most of the Gram diagonal's significant digits, leaving a matrix
-// whose conditioning has silently blown up. A cheap guard refuses such
-// removals; the caller then restreams the surviving window into a fresh
-// accumulator instead.
+// RemoveRow is the inverse rank-1 *down-date*, used only by the quality
+// monitor's global-ridge challenger (baselines::StreamingRidgeFit):
+// subtracting a row is algebraically exact but can cancel most of the
+// Gram diagonal's significant digits, leaving a matrix whose conditioning
+// has silently blown up. A cheap guard refuses such removals; the caller
+// then restreams the surviving window into a fresh accumulator instead.
 
 #ifndef IIM_REGRESS_INCREMENTAL_RIDGE_H_
 #define IIM_REGRESS_INCREMENTAL_RIDGE_H_
@@ -51,15 +51,6 @@ class IncrementalRidge {
 
   // phi = (U + alpha E)^{-1} V (Formula 19). Fails if no rows were added.
   Result<LinearModel> Solve(double alpha = 1e-6) const;
-
-  // Overwrites the accumulator with externally saved state (snapshot
-  // restore). `u` must be (p+1) x (p+1) and `v` length p+1 for the p this
-  // accumulator was built with; `rows` is the count the state had folded
-  // in. Bitwise: restoring the exact bytes U()/V()/num_rows() produced
-  // yields an accumulator indistinguishable from the original — including
-  // one whose last RemoveRow was refused by the conditioning guard.
-  Status RestoreState(const linalg::Matrix& u, const linalg::Vector& v,
-                      size_t rows);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_features() const { return p_; }

@@ -497,8 +497,6 @@ OnlineIim::Stats OnlineIim::stats() const {
   s.fast_path_appends = c.fast_path_appends;
   s.models_invalidated = c.models_invalidated;
   s.models_solved = c.models_solved;
-  s.downdates = c.downdates;
-  s.downdate_fallbacks = c.downdate_fallbacks;
   s.backfills = c.backfills;
   s.compactions = c.compactions;
   s.postings_edges = c.postings_edges;
@@ -527,7 +525,7 @@ std::string OnlineIim::SerializeSnapshot() {
   // on any mismatch.
   const OrderCore::Config& cc = core_.config();
   b.BeginSection(persist::kSecMeta);
-  b.PutU32(3);  // engine layout version within the container
+  b.PutU32(4);  // engine layout version within the container
   b.PutU64(m);
   b.PutU32(static_cast<uint32_t>(target_));
   b.PutU64(q_);
@@ -537,7 +535,6 @@ std::string OnlineIim::SerializeSnapshot() {
   b.PutF64(options_.alpha);
   b.PutU8(options_.uniform_weights ? 1 : 0);
   b.PutU64(options_.window_size);
-  b.PutU8(options_.downdate ? 1 : 0);
   b.PutU8(cc.adaptive ? 1 : 0);
   b.PutU64(cc.max_ell);
   b.PutU64(cc.step_h);
@@ -596,7 +593,7 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
                    view.Section(persist::kSecMeta));
   size_t m = table_.NumCols();
   const OrderCore::Config& cc = core_.config();
-  if (meta.U32() != 3) return mismatch("engine layout version");
+  if (meta.U32() != 4) return mismatch("engine layout version");
   if (meta.U64() != m) return mismatch("schema arity");
   if (meta.U32() != static_cast<uint32_t>(target_)) return mismatch("target");
   if (meta.U64() != q_) return mismatch("feature set");
@@ -613,7 +610,6 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
     return mismatch("weighting mode");
   }
   if (meta.U64() != options_.window_size) return mismatch("window size");
-  if ((meta.U8() != 0) != options_.downdate) return mismatch("downdate mode");
   if ((meta.U8() != 0) != cc.adaptive) return mismatch("adaptive mode");
   if (meta.U64() != cc.max_ell) return mismatch("max_ell");
   if (meta.U64() != cc.step_h) return mismatch("step_h");

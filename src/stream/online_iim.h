@@ -33,13 +33,10 @@
 // Contract (asserted by tests/stream_test.cc, tests/stream_window_test.cc
 // and tests/stream_adaptive_test.cc): after any sequence of ingests and
 // evictions, imputations match a from-scratch IimImputer fitted on
-// table() — the live window — with the same options, for every `threads`
-// setting: bit-identical when every touched accumulator was restreamed
-// (options.downdate == false, or no eviction ever hit a folded prefix),
-// within tight tolerance when rank-1 down-dates repaired accumulators in
-// place (the subtraction is algebraically exact but reorders the
-// floating-point summation). Adaptive sweeps always restream their
-// accumulator, so the adaptive path is bit-identical in both modes.
+// table() — the live window — with the same options, bit-identical for
+// every `threads` setting, fixed or adaptive l. An eviction that cuts a
+// folded prefix resets that accumulator and the next solve refolds it,
+// so every fold runs the batch fit's exact summation order.
 //
 // Thread-safety: externally synchronized. Calls must not overlap;
 // ImputeBatch parallelizes internally (deterministically). Use
@@ -77,11 +74,6 @@ class OnlineIim {
     size_t models_invalidated = 0;
     // Lazy model (re)solves actually performed.
     size_t models_solved = 0;
-    // Evictions repaired in place by a rank-1 ridge down-date.
-    size_t downdates = 0;
-    // Down-dates refused by the conditioning guard (or disabled by
-    // options.downdate): accumulator reset, restream on next use.
-    size_t downdate_fallbacks = 0;
     // Next-nearest live tuples pulled into a shrunken learning order.
     size_t backfills = 0;
     // Physical compactions (tombstoned slots dropped, index rebuilt).

@@ -35,7 +35,6 @@ OrderCore::Config MakeOrderCoreConfig(const core::IimOptions& options,
   c.q = q;
   c.alpha = options.alpha;
   c.ell = std::max<size_t>(options.ell, 1);
-  c.downdate = options.downdate;
   c.adaptive = options.adaptive;
   c.max_ell = options.max_ell;
   c.step_h = options.step_h;
@@ -393,10 +392,10 @@ void OrderCore::EvictSlot(size_t gone) {
 #endif
 
   // Repair each affected learning order — the arrival-displacement logic
-  // in reverse. Cutting an entry out of the folded prefix is undone by a
-  // rank-1 down-date when the conditioning guard allows; otherwise the
-  // accumulator restreams the new prefix on next use. The survivor's
-  // order then grew a vacancy: the next nearest live tuple enters at the
+  // in reverse. Cutting an entry out of the folded prefix changes the
+  // fold's summation sequence, so the accumulator restreams the new
+  // prefix on next use, as after a displacement. The survivor's order
+  // then grew a vacancy: the next nearest live tuple enters at the
   // end (it ranked behind every remaining entry in (distance, slot)
   // order, or it would already be a member), which is the same fast-path
   // append an arrival takes. After the cut the order holds exactly the
@@ -411,17 +410,8 @@ void OrderCore::EvictSlot(size_t gone) {
     if (p == order.size()) continue;  // unreachable under the invariant
     order.erase(order.begin() + static_cast<long>(p));
     if (p < consumed_[i]) {
-      bool downdated =
-          config_.downdate &&
-          accums_[i].RemoveRow(fb_.Features(gone), fb_.Target(gone));
-      if (downdated) {
-        --consumed_[i];
-        ++counters_.downdates;
-      } else {
-        accums_[i].Reset();
-        consumed_[i] = 0;
-        ++counters_.downdate_fallbacks;
-      }
+      accums_[i].Reset();
+      consumed_[i] = 0;
     }
     size_t want = std::min(cap_, live_);  // self included
     neighbors::Neighbor entrant{0, 0.0};
@@ -664,7 +654,7 @@ Status OrderCore::EvaluateSlot(size_t i) {
     regress::LinearModel model;
     // Proposition 3: fold in only the new neighbors since the previous
     // candidate (the batch learner's incremental path, restreamed fresh
-    // per evaluation so down-dates never perturb this summation).
+    // per evaluation).
     while (consumed < ell) {
       size_t r = order[consumed].index;
       accum.AddRow(fb_.Features(r), fb_.Target(r));
@@ -833,7 +823,7 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   }
 
   b->BeginSection(persist::kSecCoreMeta);
-  b->PutU32(2);  // core layout version within the container
+  b->PutU32(3);  // core layout version within the container
   b->PutU64(q_);
   b->PutU64(n_);
   b->PutU64(live_);
@@ -843,8 +833,6 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   b->PutU64(counters_.models_invalidated);
   b->PutU64(counters_.models_solved);
   b->PutU64(counters_.models_reused);
-  b->PutU64(counters_.downdates);
-  b->PutU64(counters_.downdate_fallbacks);
   b->PutU64(counters_.backfills);
   b->PutU64(counters_.compactions);
   b->PutU64(counters_.postings_edges);
@@ -897,21 +885,14 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   put_orders(orders_);
   if (config_.adaptive) put_orders(vorders_);  // vpost_ is derivable
 
-  // Ridge accumulators as exact U/V bytes: restoring them reproduces the
-  // core's floating-point state — including a fold a refused down-date
-  // left behind — without re-running any summation. The adaptive caches
-  // (costs, chosen l) ride along so a restored core reuses models
-  // exactly where the writer would have.
+  // Fold cursors and solved models; RestoreFrom refolds the ridge
+  // accumulators from them. The adaptive caches (costs, chosen l) ride
+  // along so a restored core reuses models exactly where the writer
+  // would have.
   b->BeginSection(persist::kSecCoreModels);
-  size_t p1 = q_ + 1;
   for (size_t i = 0; i < n_; ++i) {
     b->PutU64(consumed_[i]);
     b->PutU8(dirty_[i]);
-    b->PutU64(accums_[i].num_rows());
-    for (size_t r = 0; r < p1; ++r) {
-      b->PutDoubles(accums_[i].U().RowPtr(r), p1);
-    }
-    b->PutDoubles(accums_[i].V().data(), p1);
     b->PutU32(static_cast<uint32_t>(models_[i].phi.size()));
     b->PutDoubles(models_[i].phi.data(), models_[i].phi.size());
     if (config_.adaptive) {
@@ -930,7 +911,7 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   }
   ASSIGN_OR_RETURN(persist::SectionReader meta,
                    view.Section(persist::kSecCoreMeta));
-  if (meta.U32() != 2) {
+  if (meta.U32() != 3) {
     return Status::InvalidArgument(
         "OrderCore: snapshot was written under a different core layout "
         "version");
@@ -948,8 +929,6 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   ct.models_invalidated = meta.U64();
   ct.models_solved = meta.U64();
   ct.models_reused = meta.U64();
-  ct.downdates = meta.U64();
-  ct.downdate_fallbacks = meta.U64();
   ct.backfills = meta.U64();
   ct.compactions = meta.U64();
   ct.postings_edges = meta.U64();
@@ -992,8 +971,8 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
 
   // Every per-slot array below is sized from n, so n must first fit the
   // payloads that back it (bytes per slot: alive + arrival + bound +
-  // q features + target; at least an order length; U/V, the model length
-  // and the cursors) — a forged count is an error, never an allocation.
+  // q features + target; at least an order length; the cursors and the
+  // model length) — a forged count is an error, never an allocation.
   ASSIGN_OR_RETURN(persist::SectionReader rows,
                    view.Section(persist::kSecCoreRows));
   ASSIGN_OR_RETURN(persist::SectionReader ords,
@@ -1003,8 +982,7 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   const size_t p1 = q_ + 1;
   const size_t row_bytes = 1 + 8 + 8 + 8 * q_ + 8;
   const size_t order_bytes = adaptive ? 8 : 4;
-  const size_t model_bytes =
-      8 + 1 + 8 + 8 * p1 * (p1 + 1) + 4 + (adaptive ? 8 + 1 + 4 : 0);
+  const size_t model_bytes = 8 + 1 + 4 + (adaptive ? 8 + 1 + 4 : 0);
   if (n > rows.remaining() / row_bytes ||
       n > ords.remaining() / order_bytes ||
       n > mods.remaining() / model_bytes) {
@@ -1076,8 +1054,6 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
     }
   }
 
-  std::vector<regress::IncrementalRidge> accums;
-  accums.reserve(n);
   std::vector<size_t> consumed(n);
   std::vector<regress::LinearModel> models(n);
   std::vector<uint8_t> dirty(n);
@@ -1087,13 +1063,6 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   for (size_t i = 0; i < n; ++i) {
     consumed[i] = mods.U64();
     dirty[i] = mods.U8();
-    size_t acc_rows = mods.U64();
-    linalg::Matrix u(p1, p1);
-    for (size_t r = 0; r < p1; ++r) mods.Doubles(u.RowPtr(r), p1);
-    linalg::Vector v(p1);
-    mods.Doubles(v.data(), p1);
-    accums.emplace_back(q_);
-    RETURN_IF_ERROR(accums.back().RestoreState(u, v, acc_rows));
     uint32_t philen = mods.U32();
     if (!mods.ok() || philen > p1) {
       return Status::IoError("OrderCore: snapshot model block overruns");
@@ -1122,6 +1091,16 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   fb_ = data::FeatureBlock(q_);
   for (size_t i = 0; i < n; ++i) {
     fb_.Append(pts.data() + i * q_, targets[i]);
+  }
+  // Refolding each consumed prefix reproduces the writer's U/V bit for
+  // bit (adaptive cores never fold: consumed stays 0).
+  std::vector<regress::IncrementalRidge> accums(n,
+                                                regress::IncrementalRidge(q_));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t e = 0; e < consumed[i]; ++e) {
+      size_t r = orders[i][e].index;
+      accums[i].AddRow(fb_.Features(r), fb_.Target(r));
+    }
   }
   RETURN_IF_ERROR(
       index_.RestoreState(std::move(pts), alive, std::move(bounds)));

@@ -20,8 +20,11 @@
 // postings (postings_[s] = holders of s, making eviction O(l)), a lazy
 // IncrementalRidge U/V accumulator over the folded prefix, and a dirty
 // flag cleared by EnsureModel. Arrivals insert/displace, evictions
-// cut + down-date (or restream) + backfill, compaction replays the index
-// remap — exactly the state machine OnlineIim documented through PR 4.
+// cut + backfill, compaction replays the index remap. A change inside the
+// folded prefix (a displacement or a cut) resets the accumulator and the
+// next EnsureModel refolds it, so every accumulator is exactly AddRow
+// over order[0..consumed) in order — the batch fit's summation, and a
+// function of the learning orders that a snapshot restore refolds.
 //
 // Arrival cost scales with the AFFECTED orders, not n
 // (config.admission_bound, on by default): each order carries an
@@ -75,7 +78,6 @@ class OrderCore {
     double alpha = 1e-6;   // ridge regularization
     size_t ell = 1;        // fixed-l prefix length (>= 1); unused when
                            // adaptive
-    bool downdate = true;  // rank-1 eviction repair (fixed-l mode only)
     bool adaptive = false;
     size_t max_ell = 0;    // adaptive: candidate-l cap, > 0 required (the
                            // cap bounds per-tuple maintenance on a stream)
@@ -100,6 +102,7 @@ class OrderCore {
     // EnsureModel calls answered by a still-clean cached model (the
     // refit-vs-reuse gauge of the query path).
     size_t models_reused = 0;
+    // Always 0 (evictions only restream); perfbench/layers.cc reads them.
     size_t downdates = 0;
     size_t downdate_fallbacks = 0;
     size_t backfills = 0;
@@ -212,12 +215,14 @@ class OrderCore {
   // --- Durability ------------------------------------------------------
 
   // Appends the core's state as kSecCore* sections of the owner's
-  // snapshot (gathered rows, orders, ridge U/V bytes, counters, and the
-  // adaptive caches), bitwise restorable.
+  // snapshot (gathered rows, orders, fold cursors, models, counters, and
+  // the adaptive caches), bitwise restorable. The ridge accumulators are
+  // not written: each is AddRow over order[0..consumed) in order.
   void SerializeInto(persist::SnapshotBuilder* b) const;
   // Installs serialized core sections into this EMPTY core. The owner has
   // already validated its config fingerprint; this validates structural
-  // consistency (bounds, edge counts) and restores bit-identical state.
+  // consistency (bounds, edge counts), restores bit-identical state and
+  // refolds every live slot's accumulator from its learning order.
   Status RestoreFrom(const persist::SnapshotView& view);
 
  private:

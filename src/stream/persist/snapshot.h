@@ -40,7 +40,7 @@ constexpr uint32_t kSecRows = 3;         // window rows, columnar
 constexpr uint32_t kSecCoreMeta = 32;    // cursors + counters (+ adaptive)
 constexpr uint32_t kSecCoreRows = 33;    // gathered (F, Am) rows + slots
 constexpr uint32_t kSecCoreOrders = 34;  // learning (+ validation) orders
-constexpr uint32_t kSecCoreModels = 35;  // ridge U/V, models, costs
+constexpr uint32_t kSecCoreModels = 35;  // fold cursors, models, costs
 // Quality monitor (src/stream/quality.h): decayed per-column error
 // estimates, error rings, champions and switch counters. Written only by
 // engines with moo_sample_rate > 0; the challenger fits themselves are

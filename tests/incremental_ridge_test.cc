@@ -189,80 +189,5 @@ TEST(IncrementalRidgeTest, BatchAddMatchesRowAdds) {
   EXPECT_LT(one_by_one.U().MaxAbsDiff(batch.U()), 1e-12);
 }
 
-TEST(IncrementalRidgeTest, RestoreStateRoundTripIsBitwise) {
-  // The snapshot path serializes U()/V()/num_rows() and feeds them back
-  // through RestoreState; the restored accumulator must be bit-identical,
-  // down to the solved coefficients.
-  Rng rng(31);
-  IncrementalRidge src(3);
-  for (size_t i = 0; i < 12; ++i) {
-    src.AddRow({rng.Uniform(-2, 2), rng.Uniform(-2, 2), rng.Uniform(-2, 2)},
-               rng.Uniform(-1, 1));
-  }
-  IncrementalRidge dst(3);
-  ASSERT_TRUE(dst.RestoreState(src.U(), src.V(), src.num_rows()).ok());
-
-  EXPECT_EQ(dst.num_rows(), src.num_rows());
-  EXPECT_EQ(dst.U().MaxAbsDiff(src.U()), 0.0);
-  EXPECT_EQ(dst.V(), src.V());
-  Result<LinearModel> phi_src = src.Solve();
-  Result<LinearModel> phi_dst = dst.Solve();
-  ASSERT_TRUE(phi_src.ok());
-  ASSERT_TRUE(phi_dst.ok());
-  EXPECT_EQ(phi_dst.value().phi, phi_src.value().phi);
-
-  // Both must evolve identically afterwards: fold the same row, down-date
-  // the same row, stay bitwise equal.
-  std::vector<double> extra = {0.25, -0.75, 1.5};
-  src.AddRow(extra, 0.5);
-  dst.AddRow(extra, 0.5);
-  EXPECT_TRUE(src.RemoveRow(extra, 0.5));
-  EXPECT_TRUE(dst.RemoveRow(extra, 0.5));
-  EXPECT_EQ(dst.U().MaxAbsDiff(src.U()), 0.0);
-  EXPECT_EQ(dst.V(), src.V());
-  EXPECT_EQ(dst.num_rows(), src.num_rows());
-}
-
-TEST(IncrementalRidgeTest, RestoreStatePreservesGuardRefusedState) {
-  // A state whose last RemoveRow was refused by the conditioning guard is
-  // a legitimate snapshot subject: the refusal left the accumulator
-  // untouched, and the restored copy must refuse the same removal again.
-  IncrementalRidge src(2);
-  src.AddRow({1e6, -2e6}, 5.0);
-  src.AddRow({1.0, 0.5}, 1.0);
-  src.AddRow({-0.5, 1.0}, -2.0);
-  ASSERT_FALSE(src.RemoveRow(std::vector<double>{1e6, -2e6}, 5.0));
-
-  IncrementalRidge dst(2);
-  ASSERT_TRUE(dst.RestoreState(src.U(), src.V(), src.num_rows()).ok());
-  EXPECT_EQ(dst.num_rows(), 3u);
-  EXPECT_EQ(dst.U().MaxAbsDiff(src.U()), 0.0);
-  EXPECT_EQ(dst.V(), src.V());
-  // Same guard decision on both sides of the snapshot boundary.
-  EXPECT_FALSE(dst.RemoveRow(std::vector<double>{1e6, -2e6}, 5.0));
-  EXPECT_TRUE(dst.RemoveRow(std::vector<double>{1.0, 0.5}, 1.0));
-  EXPECT_EQ(dst.num_rows(), 2u);
-}
-
-TEST(IncrementalRidgeTest, RestoreStateRejectsDimensionMismatch) {
-  IncrementalRidge inc(2);
-  inc.AddRow({1.0, 2.0}, 3.0);
-  linalg::Matrix u_before = inc.U();
-
-  // U must be (p+1) x (p+1) = 3x3 and V length 3 for p = 2.
-  EXPECT_EQ(inc.RestoreState(linalg::Matrix(2, 2), linalg::Vector(3), 1)
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(inc.RestoreState(linalg::Matrix(3, 3), linalg::Vector(2), 1)
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(inc.RestoreState(linalg::Matrix(3, 4), linalg::Vector(3), 1)
-                .code(),
-            StatusCode::kInvalidArgument);
-  // A rejected restore leaves the accumulator untouched.
-  EXPECT_EQ(inc.num_rows(), 1u);
-  EXPECT_EQ(inc.U().MaxAbsDiff(u_before), 0.0);
-}
-
 }  // namespace
 }  // namespace iim::regress

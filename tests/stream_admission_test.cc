@@ -7,8 +7,8 @@
 // observable (imputations, learning orders, maintenance counters that
 // count real work) must stay bitwise identical whether the bound is on
 // or off. This file pins that claim over randomized
-// ingest/evict/compact/rebuild interleavings (threads 1 and 4, down-date
-// on and off, fixed and adaptive l), with a dedicated exact-tie schedule
+// ingest/evict/compact/rebuild interleavings (threads 1 and 4, fixed and
+// adaptive l), with a dedicated exact-tie schedule
 // (duplicate rows land arrivals exactly on full orders' l-th distances,
 // the boundary where "<=" admits a candidate the order then rejects).
 // The index's two order-maintenance queries — the admitters walk over
@@ -439,13 +439,11 @@ TEST(DynamicIndexAdmissionTest, WaitForRebuildToleratesPendingWithoutFuture) {
 // ---------------------------------------------------------------------------
 // Admission-bound differential harness
 
-core::IimOptions AdmissionOptions(size_t threads, bool downdate,
-                                  bool adaptive, bool bound) {
+core::IimOptions AdmissionOptions(size_t threads, bool adaptive, bool bound) {
   core::IimOptions opt;
   opt.k = 4;
   opt.ell = 6;
   opt.threads = threads;
-  opt.downdate = downdate;
   opt.admission_bound = bound;
   if (adaptive) {
     opt.adaptive = true;
@@ -474,18 +472,17 @@ void ExpectSameOrder(const std::vector<neighbors::Neighbor>& on,
 // Drives one identical randomized schedule through two engines differing
 // ONLY in options.admission_bound and asserts every observable matches
 // bit for bit.
-void RunAdmissionDifferential(uint64_t seed, size_t threads, bool downdate,
-                              bool adaptive) {
+void RunAdmissionDifferential(uint64_t seed, size_t threads, bool adaptive) {
   const int target = 2;
   const std::vector<int> features = {0, 1};
   data::Table full = HeterogeneousTable(360, 3, seed);
 
   Result<std::unique_ptr<OnlineIim>> on_r = OnlineIim::Create(
       full.schema(), target, features,
-      AdmissionOptions(threads, downdate, adaptive, /*bound=*/true));
+      AdmissionOptions(threads, adaptive, /*bound=*/true));
   Result<std::unique_ptr<OnlineIim>> off_r = OnlineIim::Create(
       full.schema(), target, features,
-      AdmissionOptions(threads, downdate, adaptive, /*bound=*/false));
+      AdmissionOptions(threads, adaptive, /*bound=*/false));
   ASSERT_TRUE(on_r.ok());
   ASSERT_TRUE(off_r.ok());
   OnlineIim& on = *on_r.value();
@@ -526,8 +523,8 @@ void RunAdmissionDifferential(uint64_t seed, size_t threads, bool downdate,
         for (size_t p = 0; p < got.size(); ++p) {
           ASSERT_EQ(got[p].ok(), want[p].ok()) << "probe " << p;
           if (!got[p].ok()) continue;
-          // Bit-identical regardless of downdate: both engines walk the
-          // SAME path, only the no-op visits are pruned.
+          // Bit-identical: both engines walk the SAME path, only the
+          // no-op visits are pruned.
           EXPECT_EQ(got[p].value(), want[p].value())
               << "seed " << seed << " step " << step << " probe " << p;
         }
@@ -559,8 +556,6 @@ void RunAdmissionDifferential(uint64_t seed, size_t threads, bool downdate,
   EXPECT_EQ(son.fast_path_appends, soff.fast_path_appends);
   EXPECT_EQ(son.models_invalidated, soff.models_invalidated);
   EXPECT_EQ(son.models_solved, soff.models_solved);
-  EXPECT_EQ(son.downdates, soff.downdates);
-  EXPECT_EQ(son.downdate_fallbacks, soff.downdate_fallbacks);
   EXPECT_EQ(son.backfills, soff.backfills);
   EXPECT_EQ(son.compactions, soff.compactions);
   EXPECT_EQ(son.postings_edges, soff.postings_edges);
@@ -582,20 +577,12 @@ class StreamAdmissionDifferentialTest
 
 TEST_P(StreamAdmissionDifferentialTest, RestreamPathBitIdentical) {
   auto [seed, threads] = GetParam();
-  RunAdmissionDifferential(seed, threads, /*downdate=*/false,
-                           /*adaptive=*/false);
-}
-
-TEST_P(StreamAdmissionDifferentialTest, DowndatePathBitIdentical) {
-  auto [seed, threads] = GetParam();
-  RunAdmissionDifferential(seed, threads, /*downdate=*/true,
-                           /*adaptive=*/false);
+  RunAdmissionDifferential(seed, threads, /*adaptive=*/false);
 }
 
 TEST_P(StreamAdmissionDifferentialTest, AdaptivePathBitIdentical) {
   auto [seed, threads] = GetParam();
-  RunAdmissionDifferential(seed, threads, /*downdate=*/true,
-                           /*adaptive=*/true);
+  RunAdmissionDifferential(seed, threads, /*adaptive=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -629,10 +616,10 @@ void RunExactTieDifferential(bool adaptive) {
 
   Result<std::unique_ptr<OnlineIim>> on_r = OnlineIim::Create(
       full.schema(), target, features,
-      AdmissionOptions(1, /*downdate=*/true, adaptive, /*bound=*/true));
+      AdmissionOptions(1, adaptive, /*bound=*/true));
   Result<std::unique_ptr<OnlineIim>> off_r = OnlineIim::Create(
       full.schema(), target, features,
-      AdmissionOptions(1, /*downdate=*/true, adaptive, /*bound=*/false));
+      AdmissionOptions(1, adaptive, /*bound=*/false));
   ASSERT_TRUE(on_r.ok());
   ASSERT_TRUE(off_r.ok());
   OnlineIim& on = *on_r.value();

@@ -78,7 +78,6 @@ core::IimOptions ChaosOptions() {
   opt.k = 3;
   opt.ell = 5;
   opt.threads = 1;
-  opt.downdate = false;  // restream path: the bitwise contract
   opt.window_size = 40;
   opt.index_kdtree_threshold = 32;
   opt.index_min_compact_tombstones = 4;

@@ -54,8 +54,6 @@ core::IimOptions QualityOptions() {
   opt.k = 4;
   opt.ell = 8;
   opt.window_size = 128;
-  // Restream path: the bitwise contract (see stream/online_iim.h).
-  opt.downdate = false;
   opt.moo_sample_rate = 1.0;
   return opt;
 }
@@ -329,7 +327,6 @@ TEST(QualityEvictionTest, EvictWhereAgreesAcrossEnginesWithHoles) {
   core::IimOptions opt;
   opt.k = 4;
   opt.ell = 8;
-  opt.downdate = false;  // restream path: the batch refit matches bitwise
   opt.timestamp_column = 3;
 
   auto e_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);

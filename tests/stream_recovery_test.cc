@@ -76,7 +76,6 @@ core::IimOptions RecoveryOptions() {
   opt.k = 3;
   opt.ell = 5;
   opt.threads = 1;
-  opt.downdate = false;  // restream path: the bitwise contract
   opt.window_size = 40;
   // Low thresholds so small schedules still cross KD-tree rebuilds and
   // physical compactions (results are invariant to both).
@@ -163,37 +162,69 @@ std::vector<std::vector<double>> MakeProbes(const data::Table& src,
 // ---------------------------------------------------------------------------
 // Snapshot round-trip
 
-class SnapshotRoundTrip : public ::testing::TestWithParam<bool> {};
-
-TEST_P(SnapshotRoundTrip, RestoredEngineIsBitwiseIdentical) {
-  const bool downdate = GetParam();
+// The schedule interleaves imputations, so the image holds solved models
+// and folded prefixes; a snapshot carries no ridge accumulators, and
+// restore refolds each from its learning order. Two shapes: the windowed
+// engine, whose evictions cut folded prefixes, and a growing prefix (no
+// window, ell above every live count) fed drifting arrivals, each farther
+// from every earlier tuple than the last. Those land at the end of every
+// old order, a fast-path append onto the restored fold, so the later
+// solves are exactly where a restore that skipped the refold goes wrong.
+TEST(SnapshotRoundTripTest, RestoredEngineIsBitwiseIdentical) {
   data::Table src = HeterogeneousTable(170, 4, 11);
-  core::IimOptions opt = RecoveryOptions();
-  opt.downdate = downdate;
-  std::vector<ScheduleOp> ops = MakeSchedule(3, 130, 12, 0.25, 0);
+  core::IimOptions growing = RecoveryOptions();
+  growing.window_size = 0;
+  growing.ell = src.NumRows();
+  std::vector<ScheduleOp> ops = MakeSchedule(3, 130, 12, 0.25, 9);
   std::vector<std::vector<double>> probes = MakeProbes(src, 4);
 
-  std::unique_ptr<OnlineIim> a = MakeEngine(src, opt);
-  DriveLogged(a.get(), src, ops, ops.size());
+  for (const core::IimOptions& opt : {RecoveryOptions(), growing}) {
+    const bool drift = opt.window_size == 0;
+    const std::string shape = drift ? "growing" : "windowed";
+    std::unique_ptr<OnlineIim> a = MakeEngine(src, opt);
+    size_t imputes = 0;
+    auto serve = [&](const std::vector<double>& probe) {
+      ++imputes;
+      return a->ImputeOne(data::RowView(probe.data(), probe.size())).ok();
+    };
+    for (const ScheduleOp& op : ops) {
+      if (op.kind == ScheduleOp::kImpute) {
+        ASSERT_TRUE(serve(probes[imputes % probes.size()])) << shape;
+      } else {
+        (void)ApplyOp(a.get(), src, op);
+      }
+    }
+    // Serve every probe once more, so the image holds the folds of the
+    // models the checks below re-solve.
+    for (const std::vector<double>& probe : probes) {
+      ASSERT_TRUE(serve(probe)) << shape;
+    }
 
-  std::string bytes = a->SerializeSnapshot();
-  std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
-  ASSERT_TRUE(b->RestoreFromSnapshot(bytes).ok());
-  EXPECT_EQ(b->stats().snapshots_loaded, 1u);
-  ExpectEngineStateEq(b.get(), a.get(), probes, "post-restore");
+    std::string bytes = a->SerializeSnapshot();
+    std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
+    ASSERT_TRUE(b->RestoreFromSnapshot(bytes).ok()) << shape;
+    EXPECT_EQ(b->stats().snapshots_loaded, 1u);
+    ExpectEngineStateEq(b.get(), a.get(), probes, shape + " post-restore");
 
-  // Bitwise-identical state + identical subsequent ops must stay bitwise
-  // identical — including across further compactions and window evicts.
-  for (size_t i = 130; i < src.NumRows(); ++i) {
-    Status sa = a->Ingest(src.Row(i));
-    Status sb = b->Ingest(src.Row(i));
-    ASSERT_EQ(sa.ok(), sb.ok());
+    // Bitwise-identical state + identical subsequent ops must stay
+    // bitwise identical — including across further compactions and
+    // window evicts.
+    for (size_t i = 130; i < src.NumRows(); ++i) {
+      std::vector<double> row = src.Row(i).ToVector();
+      if (drift) {
+        for (int f : Features()) {
+          row[static_cast<size_t>(f)] += 100.0 * (i - 129.0);
+        }
+      }
+      data::RowView view(row.data(), row.size());
+      Status sa = a->Ingest(view);
+      Status sb = b->Ingest(view);
+      ASSERT_EQ(sa.ok(), sb.ok());
+    }
+    ExpectEngineStateEq(b.get(), a.get(), probes,
+                        shape + " post-restore-continue");
   }
-  ExpectEngineStateEq(b.get(), a.get(), probes, "post-restore-continue");
 }
-
-INSTANTIATE_TEST_SUITE_P(DowndateOnOff, SnapshotRoundTrip,
-                         ::testing::Values(false, true));
 
 TEST(SnapshotRoundTripTest, RestoreValidatesTargetEngine) {
   data::Table src = HeterogeneousTable(60, 4, 5);
@@ -246,11 +277,11 @@ TEST(SnapshotRoundTripTest, EveryByteFlipIsRejected) {
   }
 }
 
-// Re-seals a genuine snapshot with the u64 at `offset` of section `tag`
-// replaced by `value`. Every CRC in the result is valid, so only the
-// engine's own decode stands between a forged count and the allocator.
-std::string ForgeU64(const std::string& genuine, uint32_t tag, size_t offset,
-                     uint64_t value) {
+// Re-seals a genuine snapshot with the `len` bytes at `offset` of section
+// `tag` replaced by `patch`. Every CRC in the result is valid, so only the
+// engine's own decode stands between a forged field and the engine state.
+std::string Reseal(const std::string& genuine, uint32_t tag, size_t offset,
+                   const void* patch, size_t len) {
   Result<persist::SnapshotView> view = persist::SnapshotView::Parse(genuine);
   EXPECT_TRUE(view.ok());
   if (!view.ok()) return std::string();
@@ -267,13 +298,78 @@ std::string ForgeU64(const std::string& genuine, uint32_t tag, size_t offset,
       payload.push_back(static_cast<char>(reader.U8()));
     }
     if (t == tag) {
-      EXPECT_LE(offset + sizeof(value), payload.size());
-      std::memcpy(&payload[offset], &value, sizeof(value));
+      EXPECT_LE(offset + len, payload.size());
+      std::memcpy(&payload[offset], patch, len);
     }
     b.BeginSection(t);
     for (char c : payload) b.PutU8(static_cast<uint8_t>(c));
   }
   return b.Finish();
+}
+
+std::string ForgeU64(const std::string& genuine, uint32_t tag, size_t offset,
+                     uint64_t value) {
+  return Reseal(genuine, tag, offset, &value, sizeof(value));
+}
+
+// Snapshots of an older layout hold state this build cannot read (the
+// engine layout 3 fingerprinted a down-date flag; the core layout 2
+// carried raw ridge accumulators). Restore refuses them as a mismatch, and
+// a persist dir holding one fails Create instead of starting cold, which
+// would silently drop the acknowledged window.
+TEST(SnapshotRoundTripTest, OlderLayoutVersionsAreRefused) {
+  data::Table src = HeterogeneousTable(40, 4, 29);
+  core::IimOptions opt = RecoveryOptions();
+  ScopedTempDir dir;
+  core::IimOptions popt = opt;
+  popt.persist_dir = dir.path();
+  std::string snap_path;
+  {
+    std::unique_ptr<OnlineIim> a = MakeEngine(src, popt);
+    for (size_t i = 0; i < 30; ++i) ASSERT_TRUE(a->Ingest(src.Row(i)).ok());
+    ASSERT_TRUE(a->SaveSnapshot().ok());
+    snap_path = dir.path() + "/snap-" + std::to_string(a->durable_ops()) +
+                ".snap";
+  }
+  Result<std::string> genuine = persist::ReadFileToString(snap_path);
+  ASSERT_TRUE(genuine.ok()) << snap_path;
+  auto install = [&](const std::string& bytes) {
+    Result<std::unique_ptr<persist::Writer>> w =
+        persist::OpenPosixWriter(snap_path);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w.value()->Append(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE(w.value()->Close().ok());
+  };
+
+  // Both layout versions are the first u32 of their section.
+  struct Old {
+    uint32_t tag;
+    uint32_t version;
+  };
+  for (Old old : {Old{persist::kSecMeta, 3}, Old{persist::kSecCoreMeta, 2}}) {
+    std::string bytes = Reseal(genuine.value(), old.tag, 0, &old.version,
+                               sizeof(old.version));
+    std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
+    Status st = b->RestoreFromSnapshot(bytes);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "section " << old.tag << ": " << st.ToString();
+    EXPECT_EQ(b->size(), 0u);
+
+    install(bytes);
+    Result<std::unique_ptr<OnlineIim>> rec =
+        OnlineIim::Create(src.schema(), kTarget, Features(), popt);
+    ASSERT_FALSE(rec.ok()) << "section " << old.tag
+                           << ": Create accepted an old layout";
+    EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument)
+        << rec.status().ToString();
+  }
+
+  // Control: the genuine image still recovers from the same directory.
+  install(genuine.value());
+  Result<std::unique_ptr<OnlineIim>> rec =
+      OnlineIim::Create(src.schema(), kTarget, Features(), popt);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec.value()->size(), 30u);
 }
 
 // A forged slot or row count must be an error, never an allocation sized
@@ -389,13 +485,9 @@ TEST(WalKillPointTest, TruncationAtEveryByteRecoversTheAckedPrefix) {
 // ---------------------------------------------------------------------------
 // Randomized kill points with snapshots in play
 
-class KillPointRecovery : public ::testing::TestWithParam<bool> {};
-
-TEST_P(KillPointRecovery, RecoveredEngineMatchesNeverCrashed) {
-  const bool downdate = GetParam();
+TEST(KillPointRecoveryTest, RecoveredEngineMatchesNeverCrashed) {
   data::Table src = HeterogeneousTable(200, 4, 31);
   core::IimOptions opt = RecoveryOptions();
-  opt.downdate = downdate;
   std::vector<std::vector<double>> probes = MakeProbes(src, 3);
 
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -453,9 +545,6 @@ TEST_P(KillPointRecovery, RecoveredEngineMatchesNeverCrashed) {
     ASSERT_TRUE(crashy->FlushPersistence().ok());
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(DowndateOnOff, KillPointRecovery,
-                         ::testing::Values(false, true));
 
 // ---------------------------------------------------------------------------
 // Snapshot corruption: fall back to the older snapshot, then to cold

@@ -6,11 +6,9 @@
 // imputer says nothing otherwise), so the core of this file pins windowed
 // `OnlineIim` against a from-scratch batch `IimImputer` refit on the live
 // window, over randomized arrival/eviction schedules, several seeds and
-// thread counts: bit-identical when every eviction restreams
-// (options.downdate == false), tight relative tolerance when rank-1
-// down-dates repair accumulators in place.
+// thread counts: bit-identical, because an eviction that cuts a folded
+// prefix restreams that accumulator in the batch fit's summation order.
 
-#include <cmath>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -148,12 +146,11 @@ TEST(DynamicIndexWindowTest, CompactionPreservesQueryResultsBitwise) {
 // ---------------------------------------------------------------------------
 // Windowed OnlineIim vs. batch refit on the live window
 
-core::IimOptions WindowOptions(size_t threads, bool downdate) {
+core::IimOptions WindowOptions(size_t threads) {
   core::IimOptions opt;
   opt.k = 4;
   opt.ell = 8;
   opt.threads = threads;
-  opt.downdate = downdate;
   return opt;
 }
 
@@ -172,12 +169,12 @@ void ExpectWindowEquals(const OnlineIim& online, const data::Table& source,
   }
 }
 
-// The harness proper. One run = one (seed, threads, downdate) cell.
-void RunWindowDifferential(uint64_t seed, size_t threads, bool downdate) {
+// The harness proper. One run = one (seed, threads) cell.
+void RunWindowDifferential(uint64_t seed, size_t threads) {
   const int target = 2;
   const std::vector<int> features = {0, 1};
   data::Table full = HeterogeneousTable(420, 3, seed);
-  core::IimOptions opt = WindowOptions(threads, downdate);
+  core::IimOptions opt = WindowOptions(threads);
 
   Result<std::unique_ptr<OnlineIim>> engine =
       OnlineIim::Create(full.schema(), target, features, opt);
@@ -241,18 +238,9 @@ void RunWindowDifferential(uint64_t seed, size_t threads, bool downdate) {
     for (size_t p = 0; p < got.size(); ++p) {
       ASSERT_TRUE(got[p].ok()) << "probe " << p;
       ASSERT_TRUE(want[p].ok()) << "probe " << p;
-      if (!downdate) {
-        // Every eviction restreamed: summation order matches a fresh
-        // batch fold exactly.
-        EXPECT_EQ(got[p].value(), want[p].value())
-            << "seed " << seed << " threads " << threads << " step "
-            << steps << " probe " << p;
-      } else {
-        double scale = std::max(1.0, std::fabs(want[p].value()));
-        EXPECT_NEAR(got[p].value(), want[p].value(), 1e-7 * scale)
-            << "seed " << seed << " threads " << threads << " step "
-            << steps << " probe " << p;
-      }
+      EXPECT_EQ(got[p].value(), want[p].value())
+          << "seed " << seed << " threads " << threads << " step " << steps
+          << " probe " << p;
     }
   }
 
@@ -260,12 +248,6 @@ void RunWindowDifferential(uint64_t seed, size_t threads, bool downdate) {
   EXPECT_EQ(stats.ingested, 380u);
   EXPECT_GT(stats.evicted, 0u);
   EXPECT_GT(stats.backfills, 0u);
-  if (downdate) {
-    EXPECT_GT(stats.downdates, 0u);
-  } else {
-    EXPECT_EQ(stats.downdates, 0u);
-    EXPECT_GT(stats.downdate_fallbacks, 0u);
-  }
 }
 
 class StreamWindowDifferentialTest
@@ -273,12 +255,7 @@ class StreamWindowDifferentialTest
 
 TEST_P(StreamWindowDifferentialTest, RestreamPathBitIdenticalToBatchRefit) {
   auto [seed, threads] = GetParam();
-  RunWindowDifferential(seed, threads, /*downdate=*/false);
-}
-
-TEST_P(StreamWindowDifferentialTest, DowndatePathMatchesBatchRefitTightly) {
-  auto [seed, threads] = GetParam();
-  RunWindowDifferential(seed, threads, /*downdate=*/true);
+  RunWindowDifferential(seed, threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -296,8 +273,8 @@ TEST(StreamWindowTest, FifoWindowAutoEvictsAndCompacts) {
   const size_t kWindow = 100;
   data::Table full = HeterogeneousTable(460, 3, 77);
 
-  for (bool downdate : {false, true}) {
-    core::IimOptions opt = WindowOptions(2, downdate);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    core::IimOptions opt = WindowOptions(threads);
     opt.window_size = kWindow;
     Result<std::unique_ptr<OnlineIim>> engine =
         OnlineIim::Create(full.schema(), target, features, opt);
@@ -334,13 +311,8 @@ TEST(StreamWindowTest, FifoWindowAutoEvictsAndCompacts) {
       Result<double> want = batch.ImputeOne(probe.Row(0));
       ASSERT_TRUE(got.ok());
       ASSERT_TRUE(want.ok());
-      if (!downdate) {
-        EXPECT_EQ(got.value(), want.value()) << "probe row " << i;
-      } else {
-        double scale = std::max(1.0, std::fabs(want.value()));
-        EXPECT_NEAR(got.value(), want.value(), 1e-7 * scale)
-            << "probe row " << i;
-      }
+      EXPECT_EQ(got.value(), want.value())
+          << "threads " << threads << " probe row " << i;
     }
   }
 }
@@ -356,7 +328,7 @@ TEST(StreamWindowTest, PostingsMatchRecomputationAfterEveryStep) {
   data::Table full = HeterogeneousTable(300, 3, 131);
 
   for (uint64_t seed : {5u, 29u}) {
-    core::IimOptions opt = WindowOptions(1, seed % 2 == 0);
+    core::IimOptions opt = WindowOptions(1);
     opt.window_size = 80;  // FIFO auto-evictions + explicit evictions
     Result<std::unique_ptr<OnlineIim>> engine =
         OnlineIim::Create(full.schema(), target, features, opt);
@@ -413,7 +385,7 @@ TEST(StreamWindowTest, PostingsMatchRecomputationAfterEveryStep) {
 // FailedPrecondition until the next ingest revives the engine.
 TEST(StreamWindowTest, EvictToEmptyThenRevive) {
   data::Table full = HeterogeneousTable(30, 3, 3);
-  core::IimOptions opt = WindowOptions(1, true);
+  core::IimOptions opt = WindowOptions(1);
   Result<std::unique_ptr<OnlineIim>> engine =
       OnlineIim::Create(full.schema(), 2, {0, 1}, opt);
   ASSERT_TRUE(engine.ok());
