@@ -34,22 +34,24 @@
 //
 // Phase 3 measures the durability tax: the same n-row ingest with the
 // write-ahead log and periodic background snapshots on, compared at
-// p50/p99 against the persistence-off profile (the checkpoint "pause" is
-// only the in-memory serialize — the file write is backgrounded), plus
-// recovery wall-clock cells at three log-tail lengths (~n/10, ~n/2, n)
-// showing recovery scales with the tail, not the total history.
+// p50/p99 against a persistence-off engine fed side by side with it (the
+// checkpoint "pause" is only the in-memory serialize of the live window —
+// the file write is backgrounded), plus recovery wall-clock cells at
+// three log-tail lengths (~n/10, ~n/2, n) showing recovery — one bulk
+// load of the snapshot's window plus the tail replay — scales with the
+// tail, not the total history.
 //
 // Phase 4 meters the fail-point tax. The WAL append/fsync fail points
 // ride the per-arrival durable path and are compiled into every build;
 // the contract (common/failpoint.h) is that inactive points are free.
 // One cell times the disarmed Inject call itself (a relaxed atomic load
-// and a predictable branch); the other re-runs the phase-3 durable
-// ingest with the hot-path points ARMED at probability 0 — every
-// arrival then pays the full registry slow path without a single fire,
-// the worst case for points that never act — and the p50 must stay
-// within noise of the disarmed profile. The armed point's hit counter
-// doubles as coverage proof: a gate over a path the points are not on
-// would be vacuous.
+// and a predictable branch); the other feeds two fresh phase-3 durable
+// engines side by side, the second with the hot-path points ARMED at
+// probability 0 around its own blocks — every arrival then pays the full
+// registry slow path without a single fire, the worst case for points
+// that never act — and its p50 must stay within noise of the disarmed
+// one's. The armed point's hit counter doubles as coverage proof: a gate
+// over a path the points are not on would be vacuous.
 //
 // Phase 5 meters the masking-one-out monitoring tax: the same n-row
 // ingest with moo_sample_rate at the documented 1% deployment trickle,
@@ -86,7 +88,8 @@
 // checkpointing off, inactive fail points free (disarmed Inject <= 100
 // ns/call, armed-never-firing durable ingest p50 within 1.5x of
 // disarmed), and the 1% masking-one-out trickle keeping ingest p50
-// within 1.05x of monitoring off.
+// within 1.05x of monitoring off. Each of the last three compares
+// engines fed side by side, never phases run one after the other.
 // Results are written as JSON for BENCH_streaming.json.
 //
 //   ./bench_streaming [n] [arrivals] [out.json]
@@ -98,6 +101,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -167,17 +171,25 @@ IngestProfile BuildEngine(const iim::data::Table& data, int target,
   return out;
 }
 
-// Ingests rows [0, count) into two engines side by side: blocks of 64
-// arrivals alternate between them, and so does which engine takes a
-// block first, so both profiles sample the same host weather.
+// Ingests rows [0, count) into several engines side by side: blocks of
+// 64 arrivals rotate through them, and so does which engine takes a block
+// first, so every profile samples the same host weather. `before` and
+// `after`, when set, run around each engine's block with its position in
+// `engines` (to arm process-global fail points for one engine only).
 void BuildSideBySide(const iim::data::Table& data, size_t count,
-                     IngestProfile* a, IngestProfile* b) {
+                     const std::vector<IngestProfile*>& engines,
+                     const std::function<void(size_t)>& before = nullptr,
+                     const std::function<void(size_t)>& after = nullptr) {
   const size_t kBlock = 64;
   for (size_t begin = 0; begin < count; begin += kBlock) {
     size_t end = std::min(begin + kBlock, count);
-    bool a_first = (begin / kBlock) % 2 == 0;
-    IngestRows(data, begin, end, a_first ? a : b);
-    IngestRows(data, begin, end, a_first ? b : a);
+    size_t first = (begin / kBlock) % engines.size();
+    for (size_t j = 0; j < engines.size(); ++j) {
+      size_t e = (first + j) % engines.size();
+      if (before) before(e);
+      IngestRows(data, begin, end, engines[e]);
+      if (after) after(e);
+    }
   }
 }
 
@@ -598,11 +610,13 @@ int main(int argc, char** argv) {
       std::max(istats.max_append_hold_seconds, kCompactHoldFloorSeconds);
 
   // Phase 3: checkpoint pauses and recovery. The same n-row stream is
-  // ingested with durability on — every arrival appended to the
-  // write-ahead log, a snapshot every n/10 ops — and the per-arrival
-  // percentiles are compared against the persistence-off background-
-  // rebuild profile from phase 0. Only the in-memory serialize runs on
-  // the ingest thread (the file write is backgrounded), so the p99 with
+  // ingested side by side into two fresh engines: persistence off, and
+  // durability on — every arrival appended to the write-ahead log, a
+  // snapshot every n/10 ops; fed one after the other, a noisy stretch of
+  // the host would land on one profile only and tip the gate below.
+  // Only the in-memory serialize runs on the ingest thread (the file
+  // write is backgrounded and overlaps later arrivals, as in
+  // production), so the p99 with
   // checkpointing on must stay within 2x of the p99 with it off (a small
   // absolute floor absorbs machines where both p99s are a few
   // microseconds and the ratio is pure noise). Recovery wall-clock is
@@ -624,23 +638,27 @@ int main(int argc, char** argv) {
   iim::core::IimOptions popt = opt;
   popt.persist_dir = persist_root + "/every-" + std::to_string(snap_every);
   popt.snapshot_every = snap_every;
-  IngestProfile persisted = BuildEngine(data, target, features, popt, n);
+  IngestProfile unpersisted = CreateProfile(data, target, features, opt, n);
+  IngestProfile persisted = CreateProfile(data, target, features, popt, n);
+  BuildSideBySide(data, n, {&unpersisted, &persisted});
   iim::Status flush_st = persisted.engine->FlushPersistence();
   if (!flush_st.ok()) {
     std::fprintf(stderr, "flush: %s\n", flush_st.ToString().c_str());
     return 1;
   }
   iim::stream::OnlineIim::Stats persist_stats = persisted.engine->stats();
+  unpersisted.engine.reset();
   persisted.engine.reset();  // "crash": only the files survive
-
   WipeStoreDir(popt.persist_dir);
 
+  iim::LatencySummary ingest_unpersisted =
+      iim::Summarize(unpersisted.seconds);
   iim::LatencySummary ingest_persist = iim::Summarize(persisted.seconds);
   double ingest_persist_p999 = iim::Percentile(persisted.seconds, 99.9);
   const double kCheckpointFloorSeconds = 0.00025;  // 0.25 ms
   bool checkpoint_ok =
       ingest_persist.p99 <=
-      std::max(2.0 * ingest_bg.p99, kCheckpointFloorSeconds);
+      std::max(2.0 * ingest_unpersisted.p99, kCheckpointFloorSeconds);
 
   // Recovery cells at three cadences. The +1 offsets keep the cadence
   // from dividing n exactly — a snapshot landing on the very last op
@@ -705,34 +723,57 @@ int main(int argc, char** argv) {
         timer.ElapsedSeconds() / static_cast<double>(kCalls) * 1e9;
   }
 
-  // Armed-never-firing cell: the phase-3 durable ingest again, with the
-  // two points on its per-arrival path armed at probability 0. Every
-  // append/fsync now takes the registry slow path (mutex + lookup +
-  // trigger evaluation) and returns OK — the cost a deployment pays for
-  // leaving instrumentation armed but quiet.
+  // Armed-never-firing cell: phase 3's durable ingest again, in two fresh
+  // engines fed side by side, the second with the two points on its
+  // per-arrival path armed at probability 0. Every append/fsync then
+  // takes the registry slow path (mutex + lookup + trigger evaluation)
+  // and returns OK — the cost a deployment pays for leaving
+  // instrumentation armed but quiet. Both engines are durable, so both
+  // carry the same log and snapshot interference. The points are
+  // process-global, so they are armed around the armed engine's blocks
+  // only; Enable zeroes a point's counts, so each block's hits are summed
+  // as it ends.
   iim::fail::Spec never_fires;
   never_fires.probability = 0.0;
-  iim::fail::Enable("wal.append", never_fires);
-  iim::fail::Enable("wal.fsync", never_fires);
+  iim::fail::PointStats append_point;
   std::string armed_root = MakeTempDir();
-  iim::core::IimOptions aopt = opt;
+  iim::core::IimOptions dopt = popt;
+  dopt.persist_dir = armed_root + "/disarmed";
+  iim::core::IimOptions aopt = popt;
   aopt.persist_dir = armed_root + "/armed";
-  aopt.snapshot_every = snap_every;
-  IngestProfile armed = BuildEngine(data, target, features, aopt, n);
-  iim::Status armed_flush = armed.engine->FlushPersistence();
-  if (!armed_flush.ok()) {
-    std::fprintf(stderr, "armed flush: %s\n", armed_flush.ToString().c_str());
-    return 1;
+  IngestProfile disarmed = CreateProfile(data, target, features, dopt, n);
+  IngestProfile armed = CreateProfile(data, target, features, aopt, n);
+  BuildSideBySide(
+      data, n, {&disarmed, &armed},
+      [&](size_t e) {
+        if (e != 1) return;
+        iim::fail::Enable("wal.append", never_fires);
+        iim::fail::Enable("wal.fsync", never_fires);
+      },
+      [&](size_t e) {
+        if (e != 1) return;
+        iim::fail::PointStats block = iim::fail::GetStats("wal.append");
+        append_point.hits += block.hits;
+        append_point.fires += block.fires;
+        iim::fail::DisableAll();
+      });
+  for (IngestProfile* p : {&disarmed, &armed}) {
+    iim::Status st = p->engine->FlushPersistence();
+    if (!st.ok()) {
+      std::fprintf(stderr, "armed flush: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    p->engine.reset();
   }
-  armed.engine.reset();
+  WipeStoreDir(dopt.persist_dir);
   WipeStoreDir(aopt.persist_dir);
   ::rmdir(armed_root.c_str());
-  iim::fail::PointStats append_point = iim::fail::GetStats("wal.append");
-  iim::fail::DisableAll();
 
+  iim::LatencySummary ingest_disarmed = iim::Summarize(disarmed.seconds);
   iim::LatencySummary ingest_armed = iim::Summarize(armed.seconds);
   double failpoint_overhead_p50 =
-      ingest_persist.p50 > 0.0 ? ingest_armed.p50 / ingest_persist.p50 : 0.0;
+      ingest_disarmed.p50 > 0.0 ? ingest_armed.p50 / ingest_disarmed.p50
+                                : 0.0;
   // 100 ns is ~50x the measured disarmed cost — the gate catches a
   // registry lookup or lock leaking onto the disarmed path, not cache
   // weather. The p50 slack likewise carries a small absolute floor for
@@ -742,8 +783,8 @@ int main(int argc, char** argv) {
       append_point.hits >= static_cast<uint64_t>(n) && append_point.fires == 0;
   bool failpoint_ok =
       failpoint_disarmed_ns <= 100.0 && failpoint_covered &&
-      ingest_armed.p50 <= std::max(1.5 * ingest_persist.p50,
-                                   ingest_persist.p50 +
+      ingest_armed.p50 <= std::max(1.5 * ingest_disarmed.p50,
+                                   ingest_disarmed.p50 +
                                        kFailpointFloorSeconds);
 
   // Phase 5: the masking-one-out monitoring tax (see the header
@@ -753,7 +794,7 @@ int main(int argc, char** argv) {
   moo_opt.moo_sample_rate = 0.01;
   IngestProfile moo_off = CreateProfile(data, target, features, opt, n);
   IngestProfile moo_on = CreateProfile(data, target, features, moo_opt, n);
-  BuildSideBySide(data, n, &moo_off, &moo_on);
+  BuildSideBySide(data, n, {&moo_off, &moo_on});
   iim::stream::OnlineIim::Stats moo_stats = moo_on.engine->stats();
   moo_off.engine.reset();
   moo_on.engine.reset();
@@ -790,6 +831,7 @@ int main(int argc, char** argv) {
                     evict_seconds.size() >= kMinTailSamples &&
                     half_evict_seconds.size() >= kMinTailSamples &&
                     persisted.seconds.size() >= kMinTailSamples &&
+                    disarmed.seconds.size() >= kMinTailSamples &&
                     armed.seconds.size() >= kMinTailSamples &&
                     moo_off.seconds.size() >= kMinTailSamples &&
                     moo_on.seconds.size() >= kMinTailSamples;
@@ -875,7 +917,7 @@ int main(int argc, char** argv) {
                                   : "DEVIATES");
   std::printf("\ncheckpointing (WAL every arrival, snapshot every %zu ops):\n",
               snap_every);
-  PrintLatency("  ingest, persistence off", built.seconds);
+  PrintLatency("  ingest, persistence off", unpersisted.seconds);
   PrintLatency("  ingest, persistence on", persisted.seconds);
   std::printf("%-34s %zu written, %zu failed; worst serialize pause "
               "%.4f ms\n",
@@ -897,7 +939,7 @@ int main(int argc, char** argv) {
               "p=0 — evaluated every arrival, never firing):\n");
   std::printf("%-34s %12.2f ns/call\n", "disarmed Inject",
               failpoint_disarmed_ns);
-  PrintLatency("  durable ingest, points disarmed", persisted.seconds);
+  PrintLatency("  durable ingest, points disarmed", disarmed.seconds);
   PrintLatency("  durable ingest, points armed", armed.seconds);
   std::printf("%-34s %12.2fx over %llu evaluations (%llu fires)\n",
               "inactive fail-point p50 tax", failpoint_overhead_p50,
@@ -1047,6 +1089,8 @@ int main(int argc, char** argv) {
                compact_survivors, compact_hold_ok ? "true" : "false");
   std::fprintf(out,
                "  \"checkpoint_snapshot_every\": %zu,\n"
+               "  \"ingest_p50_seconds_persist_off\": %.9f,\n"
+               "  \"ingest_p99_seconds_persist_off\": %.9f,\n"
                "  \"ingest_p50_seconds_persist\": %.9f,\n"
                "  \"ingest_p99_seconds_persist\": %.9f,\n"
                "  \"ingest_p999_seconds_persist\": %.9f,\n"
@@ -1055,7 +1099,8 @@ int main(int argc, char** argv) {
                "  \"snapshot_write_failures\": %zu,\n"
                "  \"snapshot_serialize_max_seconds\": %.9f,\n"
                "  \"checkpoint_p99_within_2x\": %s,\n",
-               snap_every, ingest_persist.p50, ingest_persist.p99,
+               snap_every, ingest_unpersisted.p50, ingest_unpersisted.p99,
+               ingest_persist.p50, ingest_persist.p99,
                ingest_persist_p999, ingest_persist.max,
                persist_stats.snapshots_written,
                persist_stats.snapshot_write_failures,
@@ -1063,13 +1108,15 @@ int main(int argc, char** argv) {
                checkpoint_ok ? "true" : "false");
   std::fprintf(out,
                "  \"failpoint_disarmed_ns_per_call\": %.2f,\n"
+               "  \"ingest_p50_seconds_failpoints_disarmed\": %.9f,\n"
                "  \"ingest_p50_seconds_failpoints_armed\": %.9f,\n"
                "  \"ingest_p99_seconds_failpoints_armed\": %.9f,\n"
                "  \"failpoint_armed_evaluations\": %llu,\n"
                "  \"failpoint_armed_fires\": %llu,\n"
                "  \"failpoint_overhead_ratio_p50\": %.3f,\n"
                "  \"failpoint_inactive_ok\": %s,\n",
-               failpoint_disarmed_ns, ingest_armed.p50, ingest_armed.p99,
+               failpoint_disarmed_ns, ingest_disarmed.p50, ingest_armed.p50,
+               ingest_armed.p99,
                static_cast<unsigned long long>(append_point.hits),
                static_cast<unsigned long long>(append_point.fires),
                failpoint_overhead_p50, failpoint_ok ? "true" : "false");

@@ -25,11 +25,11 @@
 //
 // Act three makes the deployment durable (IimOptions::persist_dir): every
 // arrival is appended to a write-ahead log before it is applied, a
-// snapshot of the full engine lands in the background every few hundred
+// snapshot of the live window lands in the background every few hundred
 // ops, and when the process "crashes" (the engine is destroyed with no
-// shutdown), the next Create restores the newest snapshot, replays the
-// log tail, and answers every probe bit-for-bit as the engine that never
-// crashed.
+// shutdown), the next Create bulk-loads the newest snapshot's window,
+// replays the log tail, and answers every probe bit-for-bit as the
+// engine that never crashed.
 //
 // Act four lets every reading choose its own neighborhood size l
 // (IimOptions::adaptive — the paper's Algorithm 3), online: each arrival

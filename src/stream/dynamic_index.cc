@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -20,6 +21,54 @@ uint64_t BuildCost(size_t n) {
   while (levels < 64 && (uint64_t{1} << levels) < n) ++levels;
   return static_cast<uint64_t>(n) * levels;
 }
+
+// NearestOthers rows per pool block.
+constexpr size_t kBulkGrain = 64;
+
+// NearestOthers' top-k scan: KnnScan's ceiling and pruning test, but the
+// candidates collect unsorted in `buf` and are cut back to the k best by
+// selection whenever 2k have piled up, which costs less than a heap
+// insert per candidate once k is in the tens. Finish leaves exactly the
+// k a KnnScan keeps, ascending.
+class SelectScan {
+ public:
+  SelectScan(const double* points, const double* q, size_t d, size_t k,
+             size_t exclude, const uint8_t* alive,
+             std::vector<neighbors::Neighbor>* buf)
+      : points_(points), q_(q), d_(d), k_(k), exclude_(exclude),
+        alive_(alive), buf_(buf) {}
+  const double* q() const { return q_; }
+  bool Wants(double rd, double /*max_radius*/) const { return rd <= ceil_; }
+  void Visit(size_t row) {
+    if (row == exclude_ || (alive_ != nullptr && alive_[row] == 0)) return;
+    double sq = neighbors::SquaredL2(q_, points_ + row * d_, d_);
+    if (sq > ceil_) return;
+    buf_->push_back(
+        neighbors::Neighbor{row, neighbors::DistanceFromSquared(sq, d_)});
+    if (buf_->size() == 2 * k_) Trim();
+  }
+  void Finish() {
+    if (buf_->size() > k_) Trim();
+    std::sort(buf_->begin(), buf_->end(), neighbors::NeighborLess);
+  }
+
+ private:
+  void Trim() {
+    std::nth_element(buf_->begin(), buf_->begin() + (k_ - 1), buf_->end(),
+                     neighbors::NeighborLess);
+    buf_->resize(k_);
+    ceil_ = neighbors::SquaredCeiling((*buf_)[k_ - 1].distance, d_);
+  }
+
+  const double* points_;
+  const double* q_;
+  size_t d_;
+  size_t k_;
+  size_t exclude_;
+  const uint8_t* alive_;
+  std::vector<neighbors::Neighbor>* buf_;
+  double ceil_ = std::numeric_limits<double>::infinity();
+};
 
 }  // namespace
 
@@ -74,14 +123,19 @@ void DynamicIndex::InstallLocked() {
   raised_.clear();
 }
 
-std::shared_ptr<DynamicIndex::PendingBuild> DynamicIndex::RebuildLocked() {
+void DynamicIndex::BuildLocked() {
   scanned_at_launch_ = tail_scanned_.load(std::memory_order_relaxed);
+  tree_.Build(points_.data(), n_, cols_.size());
+  tree_.SetRadii(radius_.data());
+  ++rebuilds_;
+}
+
+std::shared_ptr<DynamicIndex::PendingBuild> DynamicIndex::RebuildLocked() {
   if (!options_.background_rebuild) {
-    tree_.Build(points_.data(), n_, cols_.size());
-    tree_.SetRadii(radius_.data());
-    ++rebuilds_;
+    BuildLocked();
     return nullptr;
   }
+  scanned_at_launch_ = tail_scanned_.load(std::memory_order_relaxed);
   pending_ = std::make_shared<PendingBuild>();
   pending_->n = n_;
   pending_->epoch = prefix_epoch_;
@@ -311,60 +365,56 @@ void DynamicIndex::WaitForRebuild() {
   }
 }
 
-void DynamicIndex::SnapshotState(std::vector<double>* points,
-                                 std::vector<uint8_t>* alive,
-                                 std::vector<double>* radii) const {
-  Stopwatch hold;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    points->assign(points_.begin(),
-                   points_.begin() + static_cast<long>(n_ * cols_.size()));
-    alive->assign(alive_.begin(), alive_.begin() + static_cast<long>(n_));
-    radii->assign(radius_.begin(), radius_.begin() + static_cast<long>(n_));
+std::vector<std::vector<neighbors::Neighbor>> DynamicIndex::NearestOthers(
+    size_t k, ThreadPool* pool) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::vector<std::vector<neighbors::Neighbor>> out(n_);
+  size_t live = n_ - dead_;
+  k = std::min(k, live > 0 ? live - 1 : 0);
+  if (k == 0) return out;
+  const size_t d = cols_.size();
+  auto run = [&](size_t begin, size_t end) {
+    // One candidate buffer per block; each list is copied out at its
+    // final length, so no list keeps the scan's 2k capacity.
+    std::vector<neighbors::Neighbor> buf;
+    buf.reserve(2 * k);
+    for (size_t i = begin; i < end; ++i) {
+      if (alive_[i] == 0) continue;
+      buf.clear();
+      SelectScan scan(points_.data(), points_.data() + i * d, d, k, i,
+                      AliveFilter(), &buf);
+      CountTailScan();
+      tree_.Walk(&scan);
+      for (size_t t = tree_.size(); t < n_; ++t) scan.Visit(t);
+      scan.Finish();
+      out[i].assign(buf.begin(), buf.end());
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(n_, kBulkGrain, run);
+  } else {
+    run(0, n_);
   }
-  double held = hold.ElapsedSeconds();
-  // Counters are written under the writer lock like every other mutation;
-  // taking it after the copy keeps the read-side hold (what the stat
-  // measures) free of the bookkeeping.
-  auto* self = const_cast<DynamicIndex*>(this);
-  std::unique_lock<std::shared_mutex> lock(self->mu_);
-  ++self->state_snapshots_;
-  self->max_snapshot_hold_seconds_ =
-      std::max(self->max_snapshot_hold_seconds_, held);
+  return out;
 }
 
-Status DynamicIndex::RestoreState(std::vector<double> points,
-                                  std::vector<uint8_t> alive,
-                                  std::vector<double> radii) {
-  std::shared_ptr<PendingBuild> launch;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    size_t d = cols_.size();
-    if (points.size() != alive.size() * d || radii.size() != alive.size()) {
-      return Status::InvalidArgument(
-          "DynamicIndex::RestoreState: point buffer or radii do not match "
-          "the alive bitmap times the indexed dimensionality");
-    }
-    if (n_ != 0) {
-      return Status::FailedPrecondition(
-          "DynamicIndex::RestoreState: index is not empty");
-    }
-    points_ = std::move(points);
-    alive_ = std::move(alive);
-    radius_ = std::move(radii);
-    n_ = alive_.size();
-    dead_ = 0;
-    for (size_t i = 0; i < n_; ++i) {
-      if (alive_[i] != 0) continue;
-      ++dead_;
-      radius_[i] = kNoRadius;
-    }
-    ++state_restores_;
-    if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) {
-      launch = RebuildLocked();
-    }
+Status DynamicIndex::Load(std::vector<double> points) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  size_t d = cols_.size();
+  if (points.size() % d != 0) {
+    return Status::InvalidArgument(
+        "DynamicIndex::Load: point buffer is not a whole number of rows");
   }
-  Launch(std::move(launch));
+  if (n_ != 0) {
+    return Status::FailedPrecondition("DynamicIndex::Load: index is not empty");
+  }
+  points_ = std::move(points);
+  n_ = points_.size() / d;
+  alive_.assign(n_, 1);
+  radius_.assign(n_, kNoRadius);
+  // In place, not on the builder: the caller's next step queries every
+  // row, so the tree must land first.
+  BuildLocked();
   return Status::OK();
 }
 
@@ -486,9 +536,6 @@ DynamicIndex::Stats DynamicIndex::stats() const {
   s.tail_rows_scanned = tail_scanned_.load(std::memory_order_relaxed);
   s.max_append_hold_seconds = max_append_hold_seconds_;
   s.max_compact_hold_seconds = max_compact_hold_seconds_;
-  s.state_snapshots = state_snapshots_;
-  s.state_restores = state_restores_;
-  s.max_snapshot_hold_seconds = max_snapshot_hold_seconds_;
   return s;
 }
 

@@ -145,13 +145,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     // Same for Compact (the O(n) survivor slide, plus the in-lock build
     // when background_rebuild is off).
     double max_compact_hold_seconds = 0.0;
-    // Durability: SnapshotState copies taken / RestoreState installs, and
-    // the longest reader-lock hold one snapshot copy cost concurrent
-    // writers nothing — but concurrent COMPACTS wait it out, so the
-    // checkpoint path reports it.
-    size_t state_snapshots = 0;
-    size_t state_restores = 0;
-    double max_snapshot_hold_seconds = 0.0;
   };
 
   // Compact()'s remap value for evicted slots.
@@ -230,21 +223,22 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // idle streams that want the tree fresh before a read-heavy phase.
   void WaitForRebuild();
 
-  // Copies the full slot state (row-major gathered points, alive bitmap
-  // and radii, tombstones included) under a reader lock — a checkpoint
-  // can run while queries proceed. The copy is the exact image
-  // RestoreState needs.
-  void SnapshotState(std::vector<double>* points, std::vector<uint8_t>* alive,
-                     std::vector<double>* radii) const;
+  // The k nearest live slots to each live slot, itself excluded: entry i
+  // is bit for bit what Query(row i, {k, exclude = i}) returns (empty for
+  // a dead slot; k above live - 1 returns every other live slot). The
+  // searches fan out over `pool` (nullptr runs serially) and keep their
+  // candidates by selection instead of in a heap, which is cheaper once
+  // k is in the tens. The bulk load's neighbor lists.
+  std::vector<std::vector<neighbors::Neighbor>> NearestOthers(
+      size_t k, ThreadPool* pool) const;
 
-  // Installs externally saved slot state into an EMPTY index (snapshot
-  // restore). points.size() must be alive.size() * cols().size() and
-  // radii.size() alive.size() (dead slots' radii are ignored). Builds a
-  // tree immediately when the live count clears kdtree_threshold —
-  // through the background machinery when enabled (queries are exact
-  // brute-force until it lands), in place otherwise.
-  Status RestoreState(std::vector<double> points, std::vector<uint8_t> alive,
-                      std::vector<double> radii);
+  // Bulk-loads gathered points (row-major, cols().size() values per row)
+  // into an EMPTY index as live slots 0, 1, ... with radius kNoRadius
+  // (the owner sets radii once it knows them), and builds the tree over
+  // them in place, below kdtree_threshold too: a load is followed by one
+  // query per row, and n brute-force scans of n rows cost more than any
+  // build.
+  Status Load(std::vector<double> points);
 
   std::vector<neighbors::Neighbor> Query(
       const data::RowView& query,
@@ -305,6 +299,9 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   }
   // Adopts a finished background build (writer lock held by caller).
   void InstallLocked();
+  // Builds the tree over the current slots in place and restarts the
+  // work rule's count (writer lock held by caller).
+  void BuildLocked();
   // Starts a rebuild over the current slots and restarts the work rule's
   // count (writer lock held by caller; no build may be pending). Built in
   // place when background_rebuild is off; otherwise records the pending
@@ -351,11 +348,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   uint64_t scanned_at_launch_ = 0;
   double max_append_hold_seconds_ = 0.0;
   double max_compact_hold_seconds_ = 0.0;
-  size_t state_snapshots_ = 0;
-  size_t state_restores_ = 0;
-  // Updated by SnapshotState under a brief writer lock taken AFTER the
-  // reader-locked copy (counters are not worth blocking queries for).
-  double max_snapshot_hold_seconds_ = 0.0;
 
   // Created (worker prestarted) at construction when background_rebuild
   // is on, so no Append ever pays thread creation; declared last so its

@@ -1,7 +1,6 @@
 #include "stream/online_iim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -517,7 +516,6 @@ OnlineIim::Stats OnlineIim::stats() const {
 
 std::string OnlineIim::SerializeSnapshot() {
   size_t m = table_.NumCols();
-  size_t n = core_.n();
   persist::SnapshotBuilder b(store_ == nullptr ? 0 : store_->ops_logged());
 
   // Config fingerprint: everything that shapes results. Restoring under
@@ -525,7 +523,7 @@ std::string OnlineIim::SerializeSnapshot() {
   // on any mismatch.
   const OrderCore::Config& cc = core_.config();
   b.BeginSection(persist::kSecMeta);
-  b.PutU32(4);  // engine layout version within the container
+  b.PutU32(5);  // engine layout version within the container
   b.PutU64(m);
   b.PutU32(static_cast<uint32_t>(target_));
   b.PutU64(q_);
@@ -554,24 +552,26 @@ std::string OnlineIim::SerializeSnapshot() {
   b.PutU64(options_.seed);
   b.PutU32(static_cast<uint32_t>(options_.timestamp_column));
 
-  // Engine-owned cursors only; the maintenance state and counters are the
-  // core's sections.
   b.BeginSection(persist::kSecEngine);
   b.PutU64(stats_.ingested);
   b.PutU64(stats_.imputed);
 
-  // Columnar full-arity rows over ALL slots (tombstones keep their
-  // payload until compaction). The core serializes its gathered
-  // projection of the same slots; the duplication buys a table() that
-  // restores without re-reading the schema mapping.
+  // The live window, columnar full-arity rows in arrival order, then
+  // their arrival numbers. Orders, postings, radii and models are all
+  // functions of the window, so restore rebuilds them (OrderCore::Load).
+  std::vector<size_t> slots;
+  slots.reserve(core_.live());
+  for (size_t i = 0; i < core_.n(); ++i) {
+    if (core_.SlotAlive(i)) slots.push_back(i);
+  }
   b.BeginSection(persist::kSecRows);
-  b.PutU64(n);
+  b.PutU64(slots.size());
   b.PutU64(m);
   for (size_t j = 0; j < m; ++j) {
-    for (size_t i = 0; i < n; ++i) b.PutF64(table_.At(i, j));
+    for (size_t i : slots) b.PutF64(table_.At(i, j));
   }
+  for (size_t i : slots) b.PutU64(core_.SeqOf(i));
 
-  core_.SerializeInto(&b);
   if (monitor_ != nullptr) monitor_->SerializeInto(&b);
   return b.Finish();
 }
@@ -593,7 +593,7 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
                    view.Section(persist::kSecMeta));
   size_t m = table_.NumCols();
   const OrderCore::Config& cc = core_.config();
-  if (meta.U32() != 4) return mismatch("engine layout version");
+  if (meta.U32() != 5) return mismatch("engine layout version");
   if (meta.U64() != m) return mismatch("schema arity");
   if (meta.U32() != static_cast<uint32_t>(target_)) return mismatch("target");
   if (meta.U64() != q_) return mismatch("feature set");
@@ -648,63 +648,90 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
   uint64_t imputed = eng.U64();
   RETURN_IF_ERROR(eng.status());
 
+  // The window. Every check runs before anything is installed, so a
+  // hostile image leaves the engine empty and restorable.
   ASSIGN_OR_RETURN(persist::SectionReader rows,
                    view.Section(persist::kSecRows));
-  size_t n = rows.U64();
+  size_t live = rows.U64();
   if (rows.U64() != m) {
     return Status::IoError("OnlineIim: snapshot row block shape mismatch");
   }
-  // The payload must hold n rows of m doubles before anything is sized
-  // from n: a forged count would otherwise exhaust memory, or wrap n * m
-  // and overrun the buffer.
-  if (n > rows.remaining() / (m * sizeof(double))) {
+  // The payload must hold exactly `live` rows of m cells plus an arrival
+  // number before anything is sized from the count: a forged count would
+  // otherwise exhaust memory, or wrap live * m and overrun the buffer.
+  const size_t row_bytes = (m + 1) * sizeof(double);
+  if (!rows.ok() || rows.remaining() % row_bytes != 0 ||
+      live != rows.remaining() / row_bytes) {
     return Status::IoError("OnlineIim: snapshot row count overruns its block");
   }
-  std::vector<double> cells(n * m);
+  if (options_.window_size > 0 && live > options_.window_size) {
+    return Status::IoError("OnlineIim: snapshot holds more rows than the "
+                           "window");
+  }
+  std::vector<double> cells(live * m);
   for (size_t j = 0; j < m; ++j) {
-    for (size_t i = 0; i < n; ++i) cells[i * m + j] = rows.F64();
+    for (size_t i = 0; i < live; ++i) cells[i * m + j] = rows.F64();
   }
+  std::vector<uint64_t> seqs(live);
+  for (size_t i = 0; i < live; ++i) seqs[i] = rows.U64();
   RETURN_IF_ERROR(rows.status());
-
-  // The core decodes, validates and installs its own sections; the
-  // engine's table must describe the same slots.
-  RETURN_IF_ERROR(core_.RestoreFrom(view));
-  if (core_.n() != n || ingested < core_.live()) {
-    return Status::IoError("OnlineIim: snapshot counters are inconsistent");
-  }
-#ifndef NDEBUG
-  // The core's gathered rows and the engine's full rows were serialized
-  // from the same slots — cross-check the projection agrees bitwise.
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < q_; ++j) {
-      double cell = cells[i * m + static_cast<size_t>(features_[j])];
-      assert(std::memcmp(&cell, core_.Features(i) + j, sizeof(double)) == 0);
+  for (size_t i = 0; i < live; ++i) {
+    if (seqs[i] >= ingested || (i > 0 && seqs[i] <= seqs[i - 1])) {
+      return Status::IoError(
+          "OnlineIim: snapshot arrival numbers must ascend strictly below "
+          "the ingest cursor");
     }
   }
-#endif
-
-  for (size_t i = 0; i < n; ++i) {
-    RETURN_IF_ERROR(table_.AppendRow(std::vector<double>(
+  // Ingest's own admission rule: no NaN on the target or a feature.
+  std::vector<double> features(live * q_);
+  std::vector<double> targets(live);
+  for (size_t i = 0; i < live; ++i) {
+    const double* row = cells.data() + i * m;
+    targets[i] = row[static_cast<size_t>(target_)];
+    bool nan = std::isnan(targets[i]);
+    for (size_t j = 0; j < q_; ++j) {
+      features[i * q_ + j] = row[static_cast<size_t>(features_[j])];
+      nan = nan || std::isnan(features[i * q_ + j]);
+    }
+    if (nan) {
+      return Status::IoError(
+          "OnlineIim: snapshot row has a NaN target or feature");
+    }
+  }
+  data::Table table(table_.schema());
+  for (size_t i = 0; i < live; ++i) {
+    RETURN_IF_ERROR(table.AppendRow(std::vector<double>(
         cells.begin() + static_cast<long>(i * m),
         cells.begin() + static_cast<long>((i + 1) * m))));
   }
+  // Estimates, rings and champions decode into a fresh monitor that
+  // replaces the current one only once every section has validated.
+  std::unique_ptr<QualityMonitor> monitor;
   if (monitor_ != nullptr) {
-    // Estimates, rings and champions restore bitwise from their section;
-    // the mirror and challenger fits are rebuilt by re-adding the live
-    // window in arrival order (the fits restream, so their numerics match
-    // a fresh engine fed the same window, not necessarily the exact
-    // accumulator bits of the writer — documented in stream/quality.h).
     ASSIGN_OR_RETURN(persist::SectionReader qr,
                      view.Section(persist::kSecQuality));
-    RETURN_IF_ERROR(monitor_->RestoreFrom(&qr));
-    const std::vector<uint8_t>& alive = core_.alive_slots();
+    monitor = std::make_unique<QualityMonitor>(
+        MakeQualityConfig(options_, q_));
+    RETURN_IF_ERROR(monitor->RestoreFrom(&qr));
+  }
+
+  // Everything validated: install. The core is empty (checked above), so
+  // its bulk load cannot fail.
+  RETURN_IF_ERROR(core_.Load(features, targets, seqs, &pool_));
+  table_ = std::move(table);
+  if (monitor != nullptr) {
+    // The mirror and challenger fits are rebuilt by re-adding the window
+    // in arrival order (the fits restream, so their numerics match a
+    // fresh engine fed the same window, not necessarily the exact
+    // accumulator bits of the writer — documented in stream/quality.h).
+    monitor_ = std::move(monitor);
     std::vector<double> mv(q_ + 1);
-    for (size_t slot = 0; slot < alive.size(); ++slot) {
-      if (alive[slot] == 0) continue;
-      std::copy(core_.Features(slot), core_.Features(slot) + q_,
+    for (size_t i = 0; i < live; ++i) {
+      std::copy(features.begin() + static_cast<long>(i * q_),
+                features.begin() + static_cast<long>((i + 1) * q_),
                 mv.begin());
-      mv[q_] = core_.Target(slot);
-      monitor_->Add(core_.SeqOf(slot), mv.data());
+      mv[q_] = targets[i];
+      monitor_->Add(seqs[i], mv.data());
     }
   }
   stats_.ingested = ingested;

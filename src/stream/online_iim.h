@@ -63,8 +63,12 @@ namespace iim::stream {
 class OnlineIim {
  public:
   struct Stats {
+    // The two cursors a snapshot carries; they survive a restore.
     size_t ingested = 0;
     size_t imputed = 0;
+    // --- Order maintenance (OrderCore::Counters) — lifetime counts that
+    // restart at a snapshot restore; postings_edges, a gauge, is
+    // recomputed from the restored orders ---
     size_t evicted = 0;
     // Arrivals folded onto the end of a tuple's growing prefix (the cheap
     // Proposition 3 path, pending a lazy re-solve).
@@ -239,14 +243,24 @@ class OnlineIim {
   const QualityMonitor* quality_monitor() const { return monitor_.get(); }
 
   // --- Durability (options().persist_dir engines) ----------------------
-  // Serializes the full engine state (window rows, arrival numbers,
-  // learning orders, ridge accumulators, counters) into the sectioned
-  // snapshot container; the image covers durable_ops() logged ops. Also
-  // usable without a persist_dir.
+  // Serializes the engine into the sectioned snapshot container: the
+  // config fingerprint, the ingest/impute cursors, the live window's rows
+  // with their arrival numbers, and the quality monitor's estimates when
+  // one runs. Learning orders, postings, radii and models are not
+  // written — they are functions of the window. The image covers
+  // durable_ops() logged ops. Also usable without a persist_dir.
   std::string SerializeSnapshot();
   // Installs a serialized image into an EMPTY engine (same schema,
   // target, features and the options that shape results — mismatches are
-  // InvalidArgument). Restored state is bitwise the serialized state.
+  // InvalidArgument). Every section is decoded and validated first (a
+  // failure leaves the engine empty); then one bulk load rebuilds the
+  // orders, and every model starts dirty. The restored engine's window,
+  // learning orders and every later imputation are bitwise the writer's.
+  // What restarts: the OrderCore counters merged into stats() (evicted,
+  // models_solved, backfills, compactions, ...; postings_edges, a gauge,
+  // is recomputed), and, when adaptive, the chosen-l cache —
+  // ChosenEllByArrival reads 0 for a restored tuple until its model is
+  // next evaluated, as for a fresh arrival.
   Status RestoreFromSnapshot(const std::string& bytes);
   // Writes a snapshot synchronously (waits out any background write
   // first) and runs retention. FailedPrecondition without a persist_dir.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "core/individual_models.h"
@@ -800,365 +799,97 @@ bool OrderCore::VerifyPostings() const {
   return true;
 }
 
-void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
-  // The index's points are byte-for-byte derivable from the gathered
-  // rows, so only the rows go into the image, plus the radii (the
-  // admission bounds, held only by the index). SnapshotState is the one
-  // timed reader-lock hold of the checkpoint path (the stat the index
-  // surfaces), and debug builds cross-check it against the feature block
-  // to catch index/block divergence.
-  std::vector<double> bounds;
-  {
-    std::vector<double> pts;
-    std::vector<uint8_t> alive;
-    index_.SnapshotState(&pts, &alive, &bounds);
-#ifndef NDEBUG
-    assert(alive.size() == n_ && pts.size() == n_ * q_);
-    for (size_t i = 0; i < n_; ++i) {
-      assert(alive[i] == alive_[i]);
-      assert(std::memcmp(pts.data() + i * q_, fb_.Features(i),
-                         q_ * sizeof(double)) == 0);
-    }
-#endif
-  }
-
-  b->BeginSection(persist::kSecCoreMeta);
-  b->PutU32(3);  // core layout version within the container
-  b->PutU64(q_);
-  b->PutU64(n_);
-  b->PutU64(live_);
-  b->PutU64(oldest_cursor_);
-  b->PutU64(counters_.evicted);
-  b->PutU64(counters_.fast_path_appends);
-  b->PutU64(counters_.models_invalidated);
-  b->PutU64(counters_.models_solved);
-  b->PutU64(counters_.models_reused);
-  b->PutU64(counters_.backfills);
-  b->PutU64(counters_.compactions);
-  b->PutU64(counters_.postings_edges);
-  b->PutU64(counters_.holders_invalidated);
-  b->PutU64(counters_.adaptive_l_changes);
-  b->PutU64(counters_.orders_scanned);
-  b->PutU64(counters_.orders_admitted);
-  b->PutU64(counters_.admission_skips);
-  b->PutU8(config_.adaptive ? 1 : 0);
-  if (config_.adaptive) {
-    b->PutU64(ells_live_);
-    b->PutU32(static_cast<uint32_t>(ells_.size()));
-    for (size_t e : ells_) b->PutU64(e);
-    b->PutU8(global_cost_valid_ ? 1 : 0);
-    b->PutU64(fallback_ell_);
-    b->PutU32(static_cast<uint32_t>(global_cost_.size()));
-    b->PutDoubles(global_cost_.data(), global_cost_.size());
-  }
-
-  // Gathered rows over ALL slots (tombstones keep their payload until
-  // compaction, and the restored index needs the same slot geometry).
-  b->BeginSection(persist::kSecCoreRows);
-  for (size_t i = 0; i < n_; ++i) b->PutU8(alive_[i]);
-  for (size_t i = 0; i < n_; ++i) b->PutU64(seq_of_slot_[i]);
-  // Admission bounds ride along even though they are derivable from the
-  // orders: RestoreFrom recomputes them and hard-fails on any
-  // disagreement — a cheap end-to-end consistency check on the whole
-  // (orders, bounds) image. Dead slots carry kDeadBound.
-  for (size_t i = 0; i < n_; ++i) {
-    if (alive_[i] == 0) bounds[i] = kDeadBound;
-  }
-  b->PutDoubles(bounds.data(), n_);
-  for (size_t i = 0; i < n_; ++i) {
-    b->PutDoubles(fb_.Features(i), q_);
-    b->PutF64(fb_.Target(i));
-  }
-
-  b->BeginSection(persist::kSecCoreOrders);
-  auto put_orders = [&](const std::vector<std::vector<neighbors::Neighbor>>&
-                            orders) {
-    for (size_t i = 0; i < n_; ++i) {
-      const std::vector<neighbors::Neighbor>& order = orders[i];
-      b->PutU32(static_cast<uint32_t>(order.size()));
-      for (const neighbors::Neighbor& nb : order) {
-        b->PutU64(nb.index);
-        b->PutF64(nb.distance);
-      }
-    }
-  };
-  put_orders(orders_);
-  if (config_.adaptive) put_orders(vorders_);  // vpost_ is derivable
-
-  // Fold cursors and solved models; RestoreFrom refolds the ridge
-  // accumulators from them. The adaptive caches (costs, chosen l) ride
-  // along so a restored core reuses models exactly where the writer
-  // would have.
-  b->BeginSection(persist::kSecCoreModels);
-  for (size_t i = 0; i < n_; ++i) {
-    b->PutU64(consumed_[i]);
-    b->PutU8(dirty_[i]);
-    b->PutU32(static_cast<uint32_t>(models_[i].phi.size()));
-    b->PutDoubles(models_[i].phi.data(), models_[i].phi.size());
-    if (config_.adaptive) {
-      b->PutU64(chosen_ell_[i]);
-      b->PutU8(orphan_[i]);
-      b->PutU32(static_cast<uint32_t>(cost_[i].size()));
-      b->PutDoubles(cost_[i].data(), cost_[i].size());
-    }
-  }
-}
-
-Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
+Status OrderCore::Load(const std::vector<double>& features,
+                       const std::vector<double>& targets,
+                       const std::vector<uint64_t>& seqs, ThreadPool* pool) {
   if (n_ != 0) {
     return Status::FailedPrecondition(
-        "OrderCore: snapshots restore into an empty core only");
+        "OrderCore: bulk loads go into an empty core only");
   }
-  ASSIGN_OR_RETURN(persist::SectionReader meta,
-                   view.Section(persist::kSecCoreMeta));
-  if (meta.U32() != 3) {
-    return Status::InvalidArgument(
-        "OrderCore: snapshot was written under a different core layout "
-        "version");
-  }
-  if (meta.U64() != q_) {
-    return Status::InvalidArgument(
-        "OrderCore: snapshot was written under a different feature arity");
-  }
-  size_t n = meta.U64();
-  size_t live = meta.U64();
-  size_t oldest = meta.U64();
-  Counters ct;
-  ct.evicted = meta.U64();
-  ct.fast_path_appends = meta.U64();
-  ct.models_invalidated = meta.U64();
-  ct.models_solved = meta.U64();
-  ct.models_reused = meta.U64();
-  ct.backfills = meta.U64();
-  ct.compactions = meta.U64();
-  ct.postings_edges = meta.U64();
-  ct.holders_invalidated = meta.U64();
-  ct.adaptive_l_changes = meta.U64();
-  ct.orders_scanned = meta.U64();
-  ct.orders_admitted = meta.U64();
-  ct.admission_skips = meta.U64();
-  bool adaptive = meta.U8() != 0;
-  if (adaptive != config_.adaptive) {
-    return Status::InvalidArgument(
-        "OrderCore: snapshot was written under a different adaptive mode");
-  }
-  std::vector<size_t> ells;
-  size_t ells_live = kNoSlot;
-  bool gc_valid = false;
-  size_t fallback = 1;
-  std::vector<double> gcost;
-  if (adaptive) {
-    ells_live = meta.U64();
-    uint32_t elen = meta.U32();
-    if (!meta.ok() || elen > n + 1 || elen > meta.remaining() / 8) {
-      return Status::IoError("OrderCore: snapshot candidate block overruns");
-    }
-    ells.resize(elen);
-    for (uint32_t e = 0; e < elen; ++e) ells[e] = meta.U64();
-    gc_valid = meta.U8() != 0;
-    fallback = meta.U64();
-    uint32_t glen = meta.U32();
-    if (!meta.ok() || glen > elen) {
-      return Status::IoError("OrderCore: snapshot candidate block overruns");
-    }
-    gcost.resize(glen);
-    meta.Doubles(gcost.data(), glen);
-  }
-  RETURN_IF_ERROR(meta.status());
-  if (live > n || oldest > n) {
-    return Status::IoError("OrderCore: snapshot counters are inconsistent");
-  }
-
-  // Every per-slot array below is sized from n, so n must first fit the
-  // payloads that back it (bytes per slot: alive + arrival + bound +
-  // q features + target; at least an order length; the cursors and the
-  // model length) — a forged count is an error, never an allocation.
-  ASSIGN_OR_RETURN(persist::SectionReader rows,
-                   view.Section(persist::kSecCoreRows));
-  ASSIGN_OR_RETURN(persist::SectionReader ords,
-                   view.Section(persist::kSecCoreOrders));
-  ASSIGN_OR_RETURN(persist::SectionReader mods,
-                   view.Section(persist::kSecCoreModels));
-  const size_t p1 = q_ + 1;
-  const size_t row_bytes = 1 + 8 + 8 + 8 * q_ + 8;
-  const size_t order_bytes = adaptive ? 8 : 4;
-  const size_t model_bytes = 8 + 1 + 4 + (adaptive ? 8 + 1 + 4 : 0);
-  if (n > rows.remaining() / row_bytes ||
-      n > ords.remaining() / order_bytes ||
-      n > mods.remaining() / model_bytes) {
-    return Status::IoError("OrderCore: snapshot slot count overruns its "
-                           "sections");
-  }
-  std::vector<uint8_t> alive(n);
-  std::vector<uint64_t> seqs(n);
-  for (size_t i = 0; i < n; ++i) alive[i] = rows.U8();
-  for (size_t i = 0; i < n; ++i) seqs[i] = rows.U64();
-  std::vector<double> bounds(n);
-  rows.Doubles(bounds.data(), n);
-  std::vector<double> pts(n * q_);
-  std::vector<double> targets(n);
+  const size_t n = seqs.size();
+  assert(features.size() == n * q_ && targets.size() == n);
+  RETURN_IF_ERROR(index_.Load(features));
   for (size_t i = 0; i < n; ++i) {
-    rows.Doubles(pts.data() + i * q_, q_);
-    targets[i] = rows.F64();
+    assert(i == 0 || seqs[i - 1] < seqs[i]);
+    fb_.Append(features.data() + i * q_, targets[i]);
   }
-  RETURN_IF_ERROR(rows.status());
 
-  auto read_orders =
-      [&](std::vector<std::vector<neighbors::Neighbor>>* out) -> Status {
-    out->assign(n, {});
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t len = ords.U32();
-      if (!ords.ok() || len > n || len > ords.remaining() / 16) {
-        return Status::IoError("OrderCore: snapshot order block overruns");
-      }
-      (*out)[i].resize(len);
-      for (uint32_t e = 0; e < len; ++e) {
-        (*out)[i][e].index = ords.U64();
-        (*out)[i][e].distance = ords.F64();
-        if ((*out)[i][e].index >= n) {
-          return Status::IoError("OrderCore: snapshot order block overruns");
-        }
+  // Every live tuple's nearest others, in one pass over the built tree.
+  // One sorted top-k serves both orders (its prefix IS the shorter
+  // query's result, as in Arrive), and excluding the tuple itself is the
+  // same set Arrive's pre-append query sees. No order can hold more than
+  // the n - 1 others, however large l is.
+  size_t k = std::max(cap_ - 1, config_.adaptive ? config_.vk : size_t{0});
+  k = std::min(k, n > 0 ? n - 1 : 0);
+  std::vector<std::vector<neighbors::Neighbor>> nearest =
+      index_.NearestOthers(k, pool);
+#ifndef NDEBUG
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<neighbors::Neighbor> all =
+        index_.QueryAll(data::RowView(features.data() + i * q_, q_), i);
+    assert(nearest[i].size() == std::min(k, all.size()));
+    for (size_t e = 0; e < nearest[i].size(); ++e) {
+      assert(nearest[i][e].index == all[e].index &&
+             nearest[i][e].distance == all[e].distance);
+    }
+  }
+#endif
+
+  // Each learning order is the tuple itself, then its cap_ - 1 nearest;
+  // each validation order is its vk nearest. Both are built at their
+  // final length, so neither keeps spare capacity, and each neighbor
+  // list is released once copied.
+  orders_.resize(n);
+  if (config_.adaptive) {
+    vorders_.resize(n);
+    vpost_.resize(n);
+    cost_.resize(n);
+    chosen_ell_.assign(n, 0);
+    orphan_.assign(n, 0);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<neighbors::Neighbor>& near = nearest[i];
+    auto take = static_cast<long>(std::min(cap_ - 1, near.size()));
+    orders_[i].reserve(static_cast<size_t>(take) + 1);
+    orders_[i].push_back(neighbors::Neighbor{i, 0.0});
+    orders_[i].insert(orders_[i].end(), near.begin(), near.begin() + take);
+    if (config_.adaptive) {
+      auto vtake = static_cast<long>(std::min(config_.vk, near.size()));
+      vorders_[i].assign(near.begin(), near.begin() + vtake);
+      for (const neighbors::Neighbor& nb : vorders_[i]) {
+        vpost_[nb.index].push_back(i);
       }
     }
-    return Status::OK();
-  };
-  std::vector<std::vector<neighbors::Neighbor>> orders;
-  RETURN_IF_ERROR(read_orders(&orders));
-  std::vector<std::vector<neighbors::Neighbor>> vorders;
-  if (adaptive) RETURN_IF_ERROR(read_orders(&vorders));
-  RETURN_IF_ERROR(ords.status());
-
-  // The admission bounds are derivable from the orders just decoded;
-  // rebuilding them here and insisting on bitwise agreement with the
-  // persisted array turns the redundancy into an end-to-end check over
-  // the whole (orders, bounds) image.
+    std::vector<neighbors::Neighbor>().swap(nearest[i]);
+  }
+  // The postings are sized before they are filled: a tuple holds about
+  // cap_ - 1 others, so growing each list push by push would reallocate
+  // it log2(cap_) times.
+  std::vector<size_t> holders(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    double want;
-    if (alive[i] == 0) {
-      want = kDeadBound;
-    } else {
-      want = orders[i].size() < cap_
-                 ? std::numeric_limits<double>::infinity()
-                 : orders[i].back().distance;
-      if (adaptive) {
-        double vb = vorders[i].size() < config_.vk
-                        ? std::numeric_limits<double>::infinity()
-                        : vorders[i].back().distance;
-        if (vb > want) want = vb;
-      }
+    for (size_t e = 1; e < orders_[i].size(); ++e) {
+      ++holders[orders_[i][e].index];
     }
-    if (bounds[i] != want) {
-      return Status::IoError(
-          "OrderCore: snapshot admission bounds disagree with a rebuild "
-          "from the restored orders");
+    counters_.postings_edges += orders_[i].size() - 1;
+  }
+  postings_.resize(n);
+  for (size_t s = 0; s < n; ++s) postings_[s].reserve(holders[s]);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t e = 1; e < orders_[i].size(); ++e) {
+      postings_[orders_[i][e].index].push_back(i);
     }
   }
 
-  std::vector<size_t> consumed(n);
-  std::vector<regress::LinearModel> models(n);
-  std::vector<uint8_t> dirty(n);
-  std::vector<size_t> chosen(adaptive ? n : 0);
-  std::vector<uint8_t> orphan(adaptive ? n : 0);
-  std::vector<std::vector<double>> cost(adaptive ? n : 0);
-  for (size_t i = 0; i < n; ++i) {
-    consumed[i] = mods.U64();
-    dirty[i] = mods.U8();
-    uint32_t philen = mods.U32();
-    if (!mods.ok() || philen > p1) {
-      return Status::IoError("OrderCore: snapshot model block overruns");
-    }
-    models[i].phi.resize(philen);
-    mods.Doubles(models[i].phi.data(), philen);
-    if (consumed[i] > orders[i].size()) {
-      return Status::IoError("OrderCore: snapshot counters are inconsistent");
-    }
-    if (adaptive) {
-      chosen[i] = mods.U64();
-      orphan[i] = mods.U8();
-      uint32_t clen = mods.U32();
-      if (!mods.ok() || clen > ells.size()) {
-        return Status::IoError("OrderCore: snapshot model block overruns");
-      }
-      cost[i].resize(clen);
-      mods.Doubles(cost[i].data(), clen);
-    }
-  }
-  RETURN_IF_ERROR(mods.status());
-
-  // Everything decoded and validated: install. The feature block and
-  // index are rebuilt from the gathered row bytes — byte-identical to the
-  // structures the writer held.
-  fb_ = data::FeatureBlock(q_);
-  for (size_t i = 0; i < n; ++i) {
-    fb_.Append(pts.data() + i * q_, targets[i]);
-  }
-  // Refolding each consumed prefix reproduces the writer's U/V bit for
-  // bit (adaptive cores never fold: consumed stays 0).
-  std::vector<regress::IncrementalRidge> accums(n,
-                                                regress::IncrementalRidge(q_));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t e = 0; e < consumed[i]; ++e) {
-      size_t r = orders[i][e].index;
-      accums[i].AddRow(fb_.Features(r), fb_.Target(r));
-    }
-  }
-  RETURN_IF_ERROR(
-      index_.RestoreState(std::move(pts), alive, std::move(bounds)));
-
-  // Reverse postings are derivable: holder i lists every non-self entry
-  // of its order. Ascending i reproduces the ascending-holder layout a
-  // fresh core maintains; the recomputed edge count must agree with the
-  // serialized gauge.
-  postings_.assign(n, {});
-  size_t edges = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (alive[i] == 0) continue;
-    for (const neighbors::Neighbor& nb : orders[i]) {
-      if (nb.index != i) {
-        postings_[nb.index].push_back(i);
-        ++edges;
-      }
-    }
-  }
-  if (edges != ct.postings_edges) {
-    return Status::IoError("OrderCore: snapshot counters are inconsistent");
-  }
-  if (adaptive) {
-    vpost_.assign(n, {});
-    for (size_t j = 0; j < n; ++j) {
-      if (alive[j] == 0) continue;
-      for (const neighbors::Neighbor& nb : vorders[j]) {
-        vpost_[nb.index].push_back(j);
-      }
-    }
-  }
-
-  orders_ = std::move(orders);
-  accums_ = std::move(accums);
-  consumed_ = std::move(consumed);
-  models_ = std::move(models);
-  dirty_ = std::move(dirty);
-  alive_ = std::move(alive);
-  seq_of_slot_ = std::move(seqs);
-  slot_of_seq_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (alive_[i] != 0) slot_of_seq_.emplace(seq_of_slot_[i], i);
-  }
-  if (adaptive) {
-    vorders_ = std::move(vorders);
-    cost_ = std::move(cost);
-    chosen_ell_ = std::move(chosen);
-    orphan_ = std::move(orphan);
-    ells_ = std::move(ells);
-    ells_live_ = ells_live;
-    global_cost_ = std::move(gcost);
-    fallback_ell_ = fallback;
-    global_cost_valid_ = gc_valid;
-  }
+  accums_.assign(n, regress::IncrementalRidge(q_));
+  consumed_.assign(n, 0);
+  models_.resize(n);
+  dirty_.assign(n, 1);
+  alive_.assign(n, 1);
+  seq_of_slot_ = seqs;
+  for (size_t i = 0; i < n; ++i) slot_of_seq_.emplace(seqs[i], i);
   n_ = n;
-  live_ = live;
-  oldest_cursor_ = oldest;
-  counters_ = ct;
+  live_ = n;
+  for (size_t i = 0; i < n; ++i) RefreshBound(i);
   assert(VerifyPostings());
   return Status::OK();
 }

@@ -23,8 +23,12 @@
 // cut + backfill, compaction replays the index remap. A change inside the
 // folded prefix (a displacement or a cut) resets the accumulator and the
 // next EnsureModel refolds it, so every accumulator is exactly AddRow
-// over order[0..consumed) in order — the batch fit's summation, and a
-// function of the learning orders that a snapshot restore refolds.
+// over order[0..consumed) in order — the batch fit's summation.
+//
+// All of that is a function of the live window alone (the orders are the
+// window's exact neighbor lists; postings, radii and accumulators follow
+// from them), so a snapshot holds only the window's rows and Load
+// rebuilds the rest in one pass.
 //
 // Arrival cost scales with the AFFECTED orders, not n
 // (config.admission_bound, on by default): each order carries an
@@ -63,11 +67,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/iim_options.h"
 #include "data/feature_block.h"
 #include "regress/incremental_ridge.h"
 #include "stream/dynamic_index.h"
-#include "stream/persist/snapshot.h"
 
 namespace iim::stream {
 
@@ -212,18 +216,22 @@ class OrderCore {
   // tests call it directly through the owning engines.
   bool VerifyPostings() const;
 
-  // --- Durability ------------------------------------------------------
+  // --- Bulk load (snapshot restore) -------------------------------------
 
-  // Appends the core's state as kSecCore* sections of the owner's
-  // snapshot (gathered rows, orders, fold cursors, models, counters, and
-  // the adaptive caches), bitwise restorable. The ridge accumulators are
-  // not written: each is AddRow over order[0..consumed) in order.
-  void SerializeInto(persist::SnapshotBuilder* b) const;
-  // Installs serialized core sections into this EMPTY core. The owner has
-  // already validated its config fingerprint; this validates structural
-  // consistency (bounds, edge counts), restores bit-identical state and
-  // refolds every live slot's accumulator from its learning order.
-  Status RestoreFrom(const persist::SnapshotView& view);
+  // Installs a window into this EMPTY core: row r has the q gathered
+  // values features[r*q .. r*q+q), target targets[r] and arrival number
+  // seqs[r], with seqs strictly ascending (the slot order every core
+  // keeps). Fills the feature block, loads the index with one tree build,
+  // computes every learning (and validation) order from one bulk
+  // exclude-self neighbor pass over `pool` (DynamicIndex::NearestOthers),
+  // derives the postings and admission radii from those orders, and
+  // leaves every model dirty for the lazy solve, like a fresh arrival's.
+  // Orders are sized from the window, never from l. The orders, and so
+  // every later model and imputation, are bitwise those of any core whose
+  // live window is these rows; the counters start from zero.
+  Status Load(const std::vector<double>& features,
+              const std::vector<double>& targets,
+              const std::vector<uint64_t>& seqs, ThreadPool* pool);
 
  private:
   // Slot i's admission radius from its current orders: the distance an
@@ -233,7 +241,9 @@ class OrderCore {
   // validation orders.
   double ComputeBound(size_t i) const;
   // Hands slot i's recomputed bound to the index after its orders
-  // changed (the index keeps it as the slot's radius).
+  // changed (the index keeps it as the slot's radius). Runs whatever
+  // config.admission_bound says: the flag only decides whether Arrive
+  // reads the radii.
   void RefreshBound(size_t i);
   // The live neighbor of slot i ranked right after `after` (i excluded):
   // the entry a full query would return at position `rank`. False when
@@ -288,13 +298,6 @@ class OrderCore {
   size_t n_ = 0;
   size_t live_ = 0;
   size_t oldest_cursor_ = 0;
-
-  // A dead slot's admission bound in the snapshot image (live bounds are
-  // never negative). The live bounds themselves are the index's radii,
-  // kept current on every insert/displace/backfill/evict regardless of
-  // config.admission_bound, so toggling the bound is purely a read-path
-  // decision and snapshots stay uniform.
-  static constexpr double kDeadBound = -1.0;
 
   // --- Adaptive state (empty vectors in fixed-l mode) ------------------
   // vorders_[j]: the tuples judge j validates — its vk nearest live

@@ -30,17 +30,13 @@
 
 namespace iim::stream::persist {
 
-// Section tags. An OnlineIim writes kSecMeta, kSecEngine and kSecRows,
-// its order-maintenance core (src/stream/order_core.h) writes the
-// kSecCore* sections beside them, and a monitored engine adds
-// kSecQuality.
-constexpr uint32_t kSecMeta = 1;         // config fingerprint
-constexpr uint32_t kSecEngine = 2;       // counters + cursors
-constexpr uint32_t kSecRows = 3;         // window rows, columnar
-constexpr uint32_t kSecCoreMeta = 32;    // cursors + counters (+ adaptive)
-constexpr uint32_t kSecCoreRows = 33;    // gathered (F, Am) rows + slots
-constexpr uint32_t kSecCoreOrders = 34;  // learning (+ validation) orders
-constexpr uint32_t kSecCoreModels = 35;  // fold cursors, models, costs
+// Section tags. An OnlineIim writes kSecMeta, kSecEngine and kSecRows —
+// only the live window: its order-maintenance state is a function of the
+// window and is rebuilt at restore (src/stream/order_core.h) — and a
+// monitored engine adds kSecQuality.
+constexpr uint32_t kSecMeta = 1;    // config fingerprint
+constexpr uint32_t kSecEngine = 2;  // ingest and impute cursors
+constexpr uint32_t kSecRows = 3;    // live rows, columnar, + arrival numbers
 // Quality monitor (src/stream/quality.h): decayed per-column error
 // estimates, error rings, champions and switch counters. Written only by
 // engines with moo_sample_rate > 0; the challenger fits themselves are

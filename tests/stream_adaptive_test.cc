@@ -263,16 +263,20 @@ TEST(AdaptiveServiceTest, SurfacesMaintenanceCounters) {
 // --- Snapshot round trip ----------------------------------------------
 
 // Serialize an adaptive engine mid-stream, restore into a fresh one, and
-// require indistinguishable behavior: same imputations, same chosen l
-// per tuple, and — after MORE arrivals pushed through both — still the
-// same bits (the restored validation orders, costs and caches really are
-// the originals, not approximations).
+// require indistinguishable behavior: same imputations and — after MORE
+// arrivals pushed through both — still the same bits. The image holds
+// only the window, so a restored tuple's chosen l reads 0 until its model
+// is next evaluated, as a fresh arrival's does. With k = window one
+// imputation evaluates every live model (as in
+// ChosenEllsMatchBatchOnPureIngestStream), and the chosen l then matches
+// the writer's and a batch LearnAdaptive's on table(), entry for entry.
 TEST(AdaptiveSnapshotTest, EngineRoundTripBitIdentical) {
   const int target = 2;
   const std::vector<int> features = {0, 1};
   data::Table full = HeterogeneousTable(140, 3, 21);
   core::IimOptions opt = AdaptiveOptions();
   opt.window_size = 40;
+  opt.k = opt.window_size;
 
   Result<std::unique_ptr<OnlineIim>> a_r =
       OnlineIim::Create(full.schema(), target, features, opt);
@@ -283,7 +287,7 @@ TEST(AdaptiveSnapshotTest, EngineRoundTripBitIdentical) {
   }
   data::Table probe(data::Schema::Default(3));
   ASSERT_TRUE(probe.AppendRow(Probe(full, 130, target)).ok());
-  ASSERT_TRUE(a.ImputeOne(probe.Row(0)).ok());  // some models solved
+  ASSERT_TRUE(a.ImputeOne(probe.Row(0)).ok());  // models solved
 
   std::string bytes = a.SerializeSnapshot();
   Result<std::unique_ptr<OnlineIim>> b_r =
@@ -295,14 +299,25 @@ TEST(AdaptiveSnapshotTest, EngineRoundTripBitIdentical) {
   ASSERT_EQ(b.size(), a.size());
   EXPECT_TRUE(b.VerifyPostings());
   for (uint64_t arrival = 40; arrival < 80; ++arrival) {
-    EXPECT_EQ(b.ChosenEllByArrival(arrival), a.ChosenEllByArrival(arrival))
-        << "arrival " << arrival;
+    EXPECT_EQ(b.ChosenEllByArrival(arrival), 0u) << "arrival " << arrival;
   }
   Result<double> va = a.ImputeOne(probe.Row(0));
   Result<double> vb = b.ImputeOne(probe.Row(0));
   ASSERT_TRUE(va.ok());
   ASSERT_TRUE(vb.ok());
   EXPECT_EQ(vb.value(), va.value());
+
+  data::Table window = b.table();
+  core::IimImputer batch(opt);
+  ASSERT_TRUE(batch.Fit(window, target, features).ok());
+  const std::vector<size_t>& want = batch.adaptive_stats().chosen_ell;
+  ASSERT_EQ(want.size(), b.size());
+  for (uint64_t arrival = 40; arrival < 80; ++arrival) {
+    EXPECT_EQ(b.ChosenEllByArrival(arrival), a.ChosenEllByArrival(arrival))
+        << "arrival " << arrival;
+    EXPECT_EQ(b.ChosenEllByArrival(arrival), want[arrival - 40])
+        << "arrival " << arrival;
+  }
 
   // The restored state machine continues identically, not just reads
   // identically.

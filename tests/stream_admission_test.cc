@@ -14,7 +14,8 @@
 // The index's two order-maintenance queries — the admitters walk over
 // per-slot radii and the successor query eviction backfills use — are
 // checked against brute recomputation on integer grids full of exact
-// distance ties, at both rebuild modes.
+// distance ties, at both rebuild modes; so are the restore bulk load's
+// neighbor lists (NearestOthers), against one query per row.
 // It also pins the two DynamicIndex bugfixes that rode along: a spurious
 // Compact (zero tombstones) must be an identity no-op that never
 // discards an in-flight build, and WaitForRebuild must not spin forever
@@ -369,6 +370,94 @@ TEST_P(DynamicIndexRadiiTest, SuccessorMatchesBruteForceOnTiesAndDuplicates) {
   EXPECT_GT(tied, 50u);
   EXPECT_GT(none, 20u);
   EXPECT_GT(found, 200u);
+}
+
+// NearestOthers (the bulk load's neighbor lists) must return, entry for
+// entry and bit for bit, what Query(row i, {k, exclude = i}) returns for
+// every slot: on integer-grid rows full of exact distance ties and
+// duplicates, with one +inf and one -inf coordinate, for k below, at and
+// above live - 1, serially and fanned over 1 and 4 threads (more than two
+// 64-row blocks). Two index shapes: a bulk Load (all live, all in the
+// tree), and an appended index with tombstones and a tail.
+TEST(DynamicIndexBulkTest, NearestOthersMatchesPerRowQueries) {
+  Rng rng(97);
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < 150; ++i) {
+    rows.push_back(i % 4 == 3 ? rows[static_cast<size_t>(rng.UniformInt(
+                                    0, static_cast<int64_t>(i) - 1))]
+                              : GridRow(&rng));
+  }
+  rows[17][0] = std::numeric_limits<double>::infinity();
+  rows[90][1] = -std::numeric_limits<double>::infinity();
+
+  DynamicIndex loaded({0, 1});
+  std::vector<double> points;
+  for (const std::vector<double>& row : rows) {
+    points.push_back(row[0]);
+    points.push_back(row[1]);
+  }
+  ASSERT_TRUE(loaded.Load(points).ok());
+  EXPECT_EQ(loaded.stats().tree_size, rows.size());
+
+  DynamicIndex::Options dopt;
+  dopt.kdtree_threshold = 24;
+  DynamicIndex appended({0, 1}, dopt);
+  for (const std::vector<double>& row : rows) {
+    appended.Append(data::RowView(row.data(), row.size()));
+  }
+  for (size_t s : {3u, 40u, 41u, 100u, 149u}) ASSERT_TRUE(appended.Remove(s));
+  appended.WaitForRebuild();
+  ASSERT_GT(appended.stats().tail_size, 0u);
+
+  ThreadPool one(1), four(4);
+  size_t tied = 0;
+  for (const DynamicIndex* index : {&loaded, &appended}) {
+    const size_t live = index->size();
+    for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{23}, live - 2,
+                     live - 1, live, live + 7,
+                     std::numeric_limits<size_t>::max()}) {
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one,
+                               &four}) {
+        std::vector<std::vector<neighbors::Neighbor>> got =
+            index->NearestOthers(k, pool);
+        ASSERT_EQ(got.size(), rows.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          neighbors::QueryOptions qopt;
+          qopt.k = k;
+          qopt.exclude = i;
+          std::vector<neighbors::Neighbor> want =
+              index == &appended && (i == 3 || i == 40 || i == 41 ||
+                                     i == 100 || i == 149)
+                  ? std::vector<neighbors::Neighbor>{}
+                  : index->Query(
+                        data::RowView(rows[i].data(), rows[i].size()), qopt);
+          ASSERT_EQ(got[i].size(), want.size()) << "k " << k << " row " << i;
+          for (size_t e = 0; e < want.size(); ++e) {
+            ASSERT_EQ(got[i][e].index, want[e].index)
+                << "k " << k << " row " << i << " entry " << e;
+            ASSERT_EQ(got[i][e].distance, want[e].distance)
+                << "k " << k << " row " << i << " entry " << e;
+          }
+          // The brute-force order agrees too, prefix for prefix, for the
+          // rows with finite coordinates (the tree walk's box distances
+          // are NaN for an infinite query coordinate).
+          if (pool != nullptr || want.empty() || i == 17 || i == 90) continue;
+          std::vector<neighbors::Neighbor> all = index->QueryAll(
+              data::RowView(rows[i].data(), rows[i].size()), i);
+          ASSERT_GE(all.size(), want.size());
+          for (size_t e = 0; e < want.size(); ++e) {
+            ASSERT_EQ(all[e].index, want[e].index) << "k " << k << " row " << i;
+            ASSERT_EQ(all[e].distance, want[e].distance);
+          }
+          if (k == 5 && all.size() > k &&
+              all[k].distance == want.back().distance) {
+            ++tied;  // the k-th place was decided by the slot tie-break
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(tied, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RebuildModes, DynamicIndexRadiiTest,

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -162,25 +163,47 @@ std::vector<std::vector<double>> MakeProbes(const data::Table& src,
 // ---------------------------------------------------------------------------
 // Snapshot round-trip
 
-// The schedule interleaves imputations, so the image holds solved models
-// and folded prefixes; a snapshot carries no ridge accumulators, and
-// restore refolds each from its learning order. Two shapes: the windowed
-// engine, whose evictions cut folded prefixes, and a growing prefix (no
-// window, ell above every live count) fed drifting arrivals, each farther
-// from every earlier tuple than the last. Those land at the end of every
-// old order, a fast-path append onto the restored fold, so the later
-// solves are exactly where a restore that skipped the refold goes wrong.
+// The schedule interleaves imputations, so the writer holds solved models
+// and folded prefixes, while a snapshot holds only the window and restore
+// bulk-loads it with every model dirty. Two shapes: the windowed engine,
+// whose evictions cut folded prefixes (and leave tombstoned slots the
+// image skips), and a growing prefix (no window, ell above every live
+// count) fed drifting arrivals, each farther from every earlier tuple
+// than the last. Those land at the end of every old order, a fast-path
+// append onto a fold, so the later solves are exactly where a restored
+// fold that differed from the writer's would show. A third cell restores
+// at threads 4 with a window wide enough to span several of the bulk
+// load's 64-row blocks, so its neighbor queries fan out over the pool.
+// The last three set order lengths far above any live count (growing at
+// l = 2^40 and at the largest size_t, adaptive at max_ell 2^40): every
+// order then holds all live others, and restore must size the orders
+// from the window, not from l.
 TEST(SnapshotRoundTripTest, RestoredEngineIsBitwiseIdentical) {
   data::Table src = HeterogeneousTable(170, 4, 11);
   core::IimOptions growing = RecoveryOptions();
   growing.window_size = 0;
   growing.ell = src.NumRows();
+  core::IimOptions threaded = RecoveryOptions();
+  threaded.threads = 4;
+  threaded.window_size = 120;
+  core::IimOptions unbounded = growing;
+  unbounded.ell = size_t{1} << 40;
+  core::IimOptions widest = growing;
+  widest.ell = std::numeric_limits<size_t>::max();
+  widest.threads = 4;
+  core::IimOptions adaptive = RecoveryOptions();
+  adaptive.adaptive = true;
+  adaptive.max_ell = size_t{1} << 40;
   std::vector<ScheduleOp> ops = MakeSchedule(3, 130, 12, 0.25, 9);
   std::vector<std::vector<double>> probes = MakeProbes(src, 4);
 
-  for (const core::IimOptions& opt : {RecoveryOptions(), growing}) {
+  for (const core::IimOptions& opt : {RecoveryOptions(), threaded, growing,
+                                      unbounded, widest, adaptive}) {
     const bool drift = opt.window_size == 0;
-    const std::string shape = drift ? "growing" : "windowed";
+    const std::string shape =
+        (drift ? "growing" : "windowed") + std::string(" threads ") +
+        std::to_string(opt.threads) + " l " +
+        std::to_string(opt.adaptive ? opt.max_ell : opt.ell);
     std::unique_ptr<OnlineIim> a = MakeEngine(src, opt);
     size_t imputes = 0;
     auto serve = [&](const std::vector<double>& probe) {
@@ -287,9 +310,9 @@ std::string Reseal(const std::string& genuine, uint32_t tag, size_t offset,
   if (!view.ok()) return std::string();
   persist::SnapshotBuilder b(view.value().ops_covered());
   for (uint32_t t : {persist::kSecMeta, persist::kSecEngine, persist::kSecRows,
-                     persist::kSecCoreMeta, persist::kSecCoreRows,
-                     persist::kSecCoreOrders, persist::kSecCoreModels}) {
+                     persist::kSecQuality}) {
     Result<persist::SectionReader> r = view.value().Section(t);
+    if (!r.ok() && t == persist::kSecQuality) continue;  // unmonitored
     EXPECT_TRUE(r.ok()) << "section " << t;
     if (!r.ok()) return std::string();
     persist::SectionReader reader = r.value();
@@ -313,10 +336,11 @@ std::string ForgeU64(const std::string& genuine, uint32_t tag, size_t offset,
 }
 
 // Snapshots of an older layout hold state this build cannot read (the
-// engine layout 3 fingerprinted a down-date flag; the core layout 2
-// carried raw ridge accumulators). Restore refuses them as a mismatch, and
-// a persist dir holding one fails Create instead of starting cold, which
-// would silently drop the acknowledged window.
+// engine layout 3 fingerprinted a down-date flag; layout 4 carried the
+// order core's own image beside a row block that kept tombstoned slots).
+// Restore refuses them as a mismatch, and a persist dir holding one fails
+// Create instead of starting cold, which would silently drop the
+// acknowledged window.
 TEST(SnapshotRoundTripTest, OlderLayoutVersionsAreRefused) {
   data::Table src = HeterogeneousTable(40, 4, 29);
   core::IimOptions opt = RecoveryOptions();
@@ -341,24 +365,20 @@ TEST(SnapshotRoundTripTest, OlderLayoutVersionsAreRefused) {
     ASSERT_TRUE(w.value()->Close().ok());
   };
 
-  // Both layout versions are the first u32 of their section.
-  struct Old {
-    uint32_t tag;
-    uint32_t version;
-  };
-  for (Old old : {Old{persist::kSecMeta, 3}, Old{persist::kSecCoreMeta, 2}}) {
-    std::string bytes = Reseal(genuine.value(), old.tag, 0, &old.version,
-                               sizeof(old.version));
+  // The layout version is the first u32 of the fingerprint section.
+  for (uint32_t version : {3u, 4u}) {
+    std::string bytes = Reseal(genuine.value(), persist::kSecMeta, 0, &version,
+                               sizeof(version));
     std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
     Status st = b->RestoreFromSnapshot(bytes);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
-        << "section " << old.tag << ": " << st.ToString();
+        << "layout " << version << ": " << st.ToString();
     EXPECT_EQ(b->size(), 0u);
 
     install(bytes);
     Result<std::unique_ptr<OnlineIim>> rec =
         OnlineIim::Create(src.schema(), kTarget, Features(), popt);
-    ASSERT_FALSE(rec.ok()) << "section " << old.tag
+    ASSERT_FALSE(rec.ok()) << "layout " << version
                            << ": Create accepted an old layout";
     EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument)
         << rec.status().ToString();
@@ -372,10 +392,10 @@ TEST(SnapshotRoundTripTest, OlderLayoutVersionsAreRefused) {
   EXPECT_EQ(rec.value()->size(), 30u);
 }
 
-// A forged slot or row count must be an error, never an allocation sized
-// from it: 2^40 rows used to abort with bad_alloc, and a count whose
-// product with the row width wraps (n * m == 2 for m = 3) used to write
-// past the buffer it sized.
+// A forged row count must be an error, never an allocation sized from
+// it: 2^40 rows used to abort with bad_alloc, and a count whose product
+// with the row width wraps (n * m == 2 for m = 3) used to write past the
+// buffer it sized.
 TEST(SnapshotRoundTripTest, ForgedCountsAreRejectedBeforeAllocation) {
   // Three columns, so the wrapping count below is the m = 3 one.
   data::Table src = HeterogeneousTable(40, 3, 13);
@@ -386,7 +406,6 @@ TEST(SnapshotRoundTripTest, ForgedCountsAreRejectedBeforeAllocation) {
   OnlineIim& a = *a_r.value();
   for (size_t i = 0; i < 30; ++i) ASSERT_TRUE(a.Ingest(src.Row(i)).ok());
   const std::string genuine = a.SerializeSnapshot();
-  // No evictions yet, so every slot is live.
   const uint64_t slots = a.size();
   // Restores `bytes` into a fresh engine and reports its live count.
   auto restore = [&](const std::string& bytes, size_t* live) -> Status {
@@ -398,10 +417,8 @@ TEST(SnapshotRoundTripTest, ForgedCountsAreRejectedBeforeAllocation) {
     return st;
   };
 
-  // The row block opens with its slot count; the core meta holds the
-  // slot count after its u32 layout version and u64 feature arity.
+  // The row block opens with its row count.
   const size_t kRowsCount = 0;
-  const size_t kCoreCount = 4 + 8;
   size_t live = 0;
   // Control: re-sealing the genuine count restores fine.
   ASSERT_TRUE(
@@ -418,12 +435,146 @@ TEST(SnapshotRoundTripTest, ForgedCountsAreRejectedBeforeAllocation) {
     EXPECT_EQ(st.code(), StatusCode::kIoError)
         << "row count " << forged << ": " << st.ToString();
     EXPECT_EQ(live, 0u);
-    st = restore(
-        ForgeU64(genuine, persist::kSecCoreMeta, kCoreCount, forged), &live);
-    EXPECT_EQ(st.code(), StatusCode::kIoError)
-        << "core count " << forged << ": " << st.ToString();
-    EXPECT_EQ(live, 0u);
   }
+}
+
+// Restore is all-or-nothing: every section decodes and validates before
+// anything is installed. Each hostile field below fails the restore and
+// leaves the engine empty, and the same engine then takes the genuine
+// image. The quality section is decoded last, so the champion case is the
+// one that catches a window installed too early: that engine would refuse
+// every later restore and reissue arrival 0 while arrival 0 was live.
+TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
+  data::Table src = HeterogeneousTable(120, 4, 37);
+  core::IimOptions opt = RecoveryOptions();
+  opt.moo_sample_rate = 0.5;  // a monitored engine writes kSecQuality
+  std::vector<std::vector<double>> probes = MakeProbes(src, 3);
+  std::unique_ptr<OnlineIim> a = MakeEngine(src, opt);
+  for (size_t i = 0; i < 100; ++i) ASSERT_TRUE(a->Ingest(src.Row(i)).ok());
+  const std::string genuine = a->SerializeSnapshot();
+  const uint64_t ingested = a->stats().ingested;
+  const size_t live = a->size();
+  ASSERT_EQ(live, opt.window_size);
+  const uint64_t first = ingested - live;  // the oldest live arrival
+  const size_t m = src.NumCols();
+
+  // kSecRows: u64 live | u64 m | m columns of `live` cells | `live`
+  // arrival numbers. Column 0 is feature 0.
+  const size_t cells_at = 16;
+  const size_t seqs_at = cells_at + 8 * m * live;
+  // kSecQuality: u32 layout | u64 columns | u64 probes, skipped, switches,
+  // then column 0's u64 holdouts and u32 champion.
+  const size_t champion_at = 4 + 4 * 8 + 8;
+  const uint32_t bad_champion = 7;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // An unwindowed writer's 100 rows, re-sealed to claim the restoring
+  // engine's window of 40: only the window bound breaks. kSecMeta: u32
+  // layout | u64 arity | u32 target | u64 q | q u32 features | u64 k |
+  // u64 ell | f64 alpha | u8 weighting | u64 window_size.
+  core::IimOptions unbounded = opt;
+  unbounded.window_size = 0;
+  std::unique_ptr<OnlineIim> w = MakeEngine(src, unbounded);
+  for (size_t i = 0; i < 100; ++i) ASSERT_TRUE(w->Ingest(src.Row(i)).ok());
+  const size_t window_at = 4 + 8 + 4 + 8 + 4 * Features().size() + 3 * 8 + 1;
+  struct Hostile {
+    const char* what;
+    std::string bytes;
+    const char* error;  // in the message of the check that must fire
+  };
+  const std::vector<Hostile> hostile = {
+      {"champion",
+       Reseal(genuine, persist::kSecQuality, champion_at, &bad_champion,
+              sizeof(bad_champion)),
+       "champion"},
+      {"duplicated arrival",
+       ForgeU64(genuine, persist::kSecRows, seqs_at + 8, first), "ascend"},
+      {"descending arrival",
+       ForgeU64(genuine, persist::kSecRows, seqs_at + 8, first - 1),
+       "ascend"},
+      {"arrival at the ingest cursor",
+       ForgeU64(genuine, persist::kSecRows, seqs_at + 8 * (live - 1),
+                ingested),
+       "ascend"},
+      {"more rows than the window",
+       ForgeU64(w->SerializeSnapshot(), persist::kSecMeta, window_at,
+                opt.window_size),
+       "more rows"},
+      {"NaN feature",
+       Reseal(genuine, persist::kSecRows, cells_at, &nan, sizeof(nan)),
+       "NaN"},
+  };
+  for (const Hostile& h : hostile) {
+    std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
+    Status st = b->RestoreFromSnapshot(h.bytes);
+    EXPECT_NE(st.message().find(h.error), std::string::npos)
+        << h.what << ": " << st.ToString();
+    EXPECT_EQ(b->size(), 0u) << h.what;
+    EXPECT_EQ(b->stats().ingested, 0u) << h.what;
+    st = b->RestoreFromSnapshot(genuine);
+    ASSERT_TRUE(st.ok()) << h.what << ": " << st.ToString();
+    EXPECT_EQ(b->stats().moo_probes, a->stats().moo_probes) << h.what;
+    ExpectEngineStateEq(b.get(), a.get(), probes, h.what);
+  }
+}
+
+// A snapshot holds the live window and nothing else: engines over the
+// same window and schedule serialize to the same size at any l, adaptive
+// or not — the container's header and footer, the fingerprint and cursor
+// sections, and exactly 16 + 8 (m + 1) live bytes of rows (count, arity,
+// cells, arrival numbers), however many tombstoned slots the engine holds.
+TEST(SnapshotRoundTripTest, SnapshotHoldsOnlyTheWindow) {
+  data::Table src = HeterogeneousTable(160, 4, 41);
+  std::vector<ScheduleOp> ops = MakeSchedule(5, 120, 12, 0.25, 9);
+  std::vector<std::vector<double>> probes = MakeProbes(src, 3);
+  core::IimOptions l5 = RecoveryOptions();
+  core::IimOptions l20 = l5;
+  l20.ell = 20;
+  core::IimOptions adaptive = l5;
+  adaptive.adaptive = true;
+  adaptive.max_ell = 20;
+  adaptive.step_h = 2;
+  const size_t m = src.NumCols();
+  // The container: 28-byte header, 12-byte footer, 16 bytes framing each
+  // of the three sections (src/stream/persist/snapshot.h).
+  const size_t kContainer = 28 + 12 + 3 * 16;
+
+  std::vector<size_t> sizes;
+  for (const core::IimOptions& opt : {l5, l20, adaptive}) {
+    std::unique_ptr<OnlineIim> e = MakeEngine(src, opt);
+    size_t imputes = 0;
+    for (const ScheduleOp& op : ops) {
+      if (op.kind == ScheduleOp::kImpute) {
+        const std::vector<double>& p = probes[imputes++ % probes.size()];
+        ASSERT_TRUE(e->ImputeOne(data::RowView(p.data(), p.size())).ok());
+      } else {
+        (void)ApplyOp(e.get(), src, op);
+      }
+    }
+    // At least one tombstoned slot, which the image must skip.
+    for (size_t i = 120; e->index().stats().tombstones == 0; ++i) {
+      ASSERT_LT(i, src.NumRows());
+      ASSERT_TRUE(e->Ingest(src.Row(i)).ok());
+    }
+    const std::string bytes = e->SerializeSnapshot();
+    Result<persist::SnapshotView> view = persist::SnapshotView::Parse(bytes);
+    ASSERT_TRUE(view.ok());
+    Result<persist::SectionReader> meta =
+        view.value().Section(persist::kSecMeta);
+    Result<persist::SectionReader> eng =
+        view.value().Section(persist::kSecEngine);
+    Result<persist::SectionReader> rows =
+        view.value().Section(persist::kSecRows);
+    ASSERT_TRUE(meta.ok() && eng.ok() && rows.ok());
+    EXPECT_FALSE(view.value().Section(persist::kSecQuality).ok());
+    EXPECT_EQ(eng.value().remaining(), 16u);
+    EXPECT_EQ(rows.value().remaining(), 16 + 8 * (m + 1) * e->size());
+    EXPECT_EQ(bytes.size(), kContainer + meta.value().remaining() +
+                                eng.value().remaining() +
+                                rows.value().remaining());
+    sizes.push_back(bytes.size());
+  }
+  EXPECT_EQ(sizes[1], sizes[0]) << "l = 20 against l = 5";
+  EXPECT_EQ(sizes[2], sizes[0]) << "adaptive against l = 5";
 }
 
 // ---------------------------------------------------------------------------
