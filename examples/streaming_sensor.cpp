@@ -51,13 +51,13 @@
 // Act six asks the question the agreement checks above cannot: is the
 // imputation any good *right now*? moo_sample_rate arms the
 // masking-one-out monitor — a deterministic hash picks 1% of arrivals,
-// holds one monitored cell out, and imputes it from the pre-arrival
-// window by IIM plus three cheap challengers (column mean, kNN, global
-// ridge); the absolute errors feed per-column decayed estimates and
-// percentile rings surfaced through the service stats. With
-// quality_routing = kAutoRoute each request is additionally served by
-// the target column's current champion method (hysteresis-guarded, with
-// a weighted ensemble while a fresh champion settles). The deployment
+// masks the target, and imputes it from the pre-arrival window through
+// the engine's own served IIM path plus three cheap challengers (column
+// mean, kNN, global ridge); the absolute errors feed the target's
+// decayed estimates and percentile rings surfaced through the service
+// stats. With quality_routing = kAutoRoute each request is additionally
+// served by the current champion method (hysteresis-guarded, with a
+// weighted ensemble while a fresh champion settles). The deployment
 // here runs four laps of the stream through a sliding window; on the
 // last two laps the power channel recalibrates — exactly the drift a
 // batch-agreement check is blind to and the monitor exists to expose.
@@ -677,30 +677,22 @@ int main() {
               "ensemble serves, %zu champion switches\n",
               qstats.moo_probes, qstats.moo_skipped, qstats.routed_serves,
               qstats.ensemble_serves, qstats.champion_switches);
-  std::printf("Held-out absolute error per channel (decayed rms, then the "
-              "recent-error percentiles):\n");
-  for (size_t c = 0; c < qstats.quality.size(); ++c) {
-    const iim::stream::QualityColumnStats& col = qstats.quality[c];
-    const std::string& name =
-        c < features.size()
-            ? readings.schema().name(static_cast<size_t>(features[c]))
-            : readings.schema().name(static_cast<size_t>(target));
-    std::printf("  %s: %llu holdouts, champion %s\n", name.c_str(),
-                static_cast<unsigned long long>(col.holdouts),
-                iim::stream::QualityMethodName(col.champion));
-    for (int m = 0; m < iim::stream::kQualityMethods; ++m) {
-      size_t mi = static_cast<size_t>(m);
-      if (col.samples[mi] == 0) continue;
-      std::printf("    %-4s n=%-3llu rms %7.3f   abs err p50 %7.3f / p99 "
-                  "%7.3f / max %7.3f\n",
-                  iim::stream::QualityMethodName(m),
-                  static_cast<unsigned long long>(col.samples[mi]),
-                  col.ewma_rms[mi], col.abs_error[mi].p50,
-                  col.abs_error[mi].p99, col.abs_error[mi].max);
-    }
+  const iim::stream::QualityStats& q = qstats.quality;
+  std::printf("Held-out absolute error of %s (decayed rms, then the "
+              "recent-error percentiles), champion %s:\n",
+              readings.schema().name(static_cast<size_t>(target)).c_str(),
+              iim::stream::QualityMethodName(q.champion));
+  for (int m = 0; m < iim::stream::kQualityMethods; ++m) {
+    size_t mi = static_cast<size_t>(m);
+    if (q.samples[mi] == 0) continue;
+    std::printf("    %-4s n=%-3llu rms %7.3f   abs err p50 %7.3f / p99 "
+                "%7.3f / max %7.3f\n",
+                iim::stream::QualityMethodName(m),
+                static_cast<unsigned long long>(q.samples[mi]),
+                q.ewma_rms[mi], q.abs_error[mi].p50, q.abs_error[mi].p99,
+                q.abs_error[mi].max);
   }
-  if (qstats.moo_probes == 0 ||
-      qstats.quality.size() != features.size() + 1) {
+  if (qstats.moo_probes == 0) {
     std::fprintf(stderr, "quality act left unexpected state\n");
     return 1;
   }

@@ -1,100 +1,58 @@
 #include "baselines/streaming_fit.h"
 
-#include <string>
-
 namespace iim::baselines {
 
-void StreamingMeanFit::Add(const double* row) {
-  for (size_t c = 0; c < d_; ++c) sums_[c] += row[c];
+void StreamingMeanFit::Add(double y) {
+  sum_ += y;
   ++rows_;
 }
 
-void StreamingMeanFit::Remove(const double* row) {
-  for (size_t c = 0; c < d_; ++c) sums_[c] -= row[c];
+void StreamingMeanFit::Remove(double y) {
+  sum_ -= y;
   --rows_;
-  // An emptied window restarts the sums exactly at zero so a long
+  // An emptied window restarts the sum exactly at zero so a long
   // add/remove history cannot leave drift behind.
-  if (rows_ == 0) sums_.assign(d_, 0.0);
+  if (rows_ == 0) sum_ = 0.0;
 }
 
-Result<double> StreamingMeanFit::Mean(size_t c) const {
+Result<double> StreamingMeanFit::Mean() const {
   if (rows_ == 0) {
     return Status::NotFound("streaming mean: no rows fitted");
   }
-  return sums_[c] / static_cast<double>(rows_);
+  return sum_ / static_cast<double>(rows_);
 }
 
-StreamingRidgeFit::StreamingRidgeFit(size_t d, double alpha)
-    : d_(d), alpha_(alpha) {
-  acc_.reserve(d_);
-  for (size_t c = 0; c < d_; ++c) {
-    acc_.emplace_back(d_ > 0 ? d_ - 1 : 0);
-  }
-  needs_restream_.assign(d_, 0);
-  model_valid_.assign(d_, 0);
-  models_.resize(d_);
-  x_.resize(d_ > 0 ? d_ - 1 : 0);
-}
-
-void StreamingRidgeFit::GatherInto(size_t c, const double* row) {
-  size_t j = 0;
-  for (size_t i = 0; i < d_; ++i) {
-    if (i == c) continue;
-    x_[j++] = row[i];
-  }
-}
-
-void StreamingRidgeFit::Add(const double* row) {
-  for (size_t c = 0; c < d_; ++c) {
-    if (needs_restream_[c]) continue;  // rebuilt from scratch anyway
-    GatherInto(c, row);
-    acc_[c].AddRow(x_.data(), row[c]);
-    model_valid_[c] = 0;
-  }
+void StreamingRidgeFit::Add(const double* x, double y) {
+  // A fit pending a restream is rebuilt from scratch anyway.
+  if (!needs_restream_) acc_.AddRow(x, y);
+  model_valid_ = false;
   ++rows_;
 }
 
-void StreamingRidgeFit::Remove(const double* row) {
-  for (size_t c = 0; c < d_; ++c) {
-    if (needs_restream_[c]) continue;
-    GatherInto(c, row);
-    if (!acc_[c].RemoveRow(x_.data(), row[c])) {
-      needs_restream_[c] = 1;
-    }
-    model_valid_[c] = 0;
-  }
+void StreamingRidgeFit::Remove(const double* x, double y) {
+  if (!needs_restream_ && !acc_.RemoveRow(x, y)) needs_restream_ = true;
+  model_valid_ = false;
   --rows_;
 }
 
-Result<const regress::LinearModel*> StreamingRidgeFit::ModelFor(
-    size_t c, const RowSource& source) {
-  if (needs_restream_[c]) {
-    acc_[c].Reset();
-    source([this, c](const double* row) {
-      GatherInto(c, row);
-      acc_[c].AddRow(x_.data(), row[c]);
-    });
-    needs_restream_[c] = 0;
-    ++restreams_;
-  }
-  if (!model_valid_[c]) {
-    auto solved = acc_[c].Solve(alpha_);
-    if (!solved.ok()) return solved.status();
-    models_[c] = std::move(solved).value();
-    model_valid_[c] = 1;
-  }
-  return &models_[c];
-}
-
-Result<double> StreamingRidgeFit::Predict(size_t c, const double* row,
-                                          const RowSource& source) {
+Result<const regress::LinearModel*> StreamingRidgeFit::Model(
+    const RowSource& source) {
   if (rows_ == 0) {
     return Status::NotFound("streaming ridge: no rows fitted");
   }
-  auto model = ModelFor(c, source);
-  if (!model.ok()) return model.status();
-  GatherInto(c, row);
-  return model.value()->Predict(x_.data(), x_.size());
+  if (needs_restream_) {
+    acc_.Reset();
+    source([this](const double* x, double y) { acc_.AddRow(x, y); });
+    needs_restream_ = false;
+    ++restreams_;
+  }
+  if (!model_valid_) {
+    auto solved = acc_.Solve(alpha_);
+    if (!solved.ok()) return solved.status();
+    model_ = std::move(solved).value();
+    model_valid_ = true;
+  }
+  return &model_;
 }
 
 }  // namespace iim::baselines

@@ -123,34 +123,31 @@ struct IimOptions {
   size_t max_nondurable_ops = 0;
 
   // --- Quality monitoring (stream engines; see stream/quality.h) ---
-  // Masking-one-out holdout rate: the fraction of arriving tuples whose
-  // observed cells are (deterministically, by arrival-number hash)
-  // sampled for a prequential quality probe — one monitored cell is held
-  // out and imputed by IIM plus the mean/kNN/GLR challengers against the
-  // pre-arrival window, and the per-column error estimates decay toward
-  // the newest errors. 0 disables monitoring entirely (no monitor state,
-  // no per-ingest challenger maintenance).
+  // Masking-one-out holdout rate: the fraction of arriving tuples
+  // (deterministically, by arrival-number hash) sampled for a prequential
+  // quality probe — the target is masked and imputed by the engine's own
+  // served IIM path (k neighbors, their models, the aggregate) plus the
+  // mean/kNN/GLR challengers against the pre-arrival window, and the
+  // target's error estimates decay toward the newest errors. 0 disables
+  // monitoring entirely (no monitor state, no challenger maintenance).
   double moo_sample_rate = 0.0;
   // Exponential-decay weight of the newest holdout error in the
-  // per-column estimates: est <- (1 - moo_decay) * est + moo_decay * err.
+  // estimates: est <- (1 - moo_decay) * est + moo_decay * err.
   double moo_decay = 0.05;
-  // Challenger fan-ins: kNN neighbors and IIM learning neighbors used by
-  // the probe imputers (0 = inherit k / ell).
-  size_t moo_knn = 0;
-  size_t moo_ell = 0;
-  // Routing guards: a column needs this many holdouts per method before
-  // its champion may switch, and a challenger must beat the incumbent's
-  // decayed squared error by this fraction (hysteresis) to take over.
+  // Routing guards: a method needs this many holdouts before it may
+  // become champion, and a challenger must beat the incumbent's decayed
+  // squared error by this fraction (hysteresis) to take over.
   size_t moo_min_samples = 32;
   double moo_margin = 0.1;
   // What the engines do with the estimates.
   enum class QualityRouting {
     // Maintain estimates only; every impute request is served by IIM.
-    // Imputed values are bit-identical to a quality-disabled engine.
+    // Imputed values are bit-identical to a quality-disabled engine (the
+    // probes solve models early, so solve counters differ).
     kObserveOnly,
-    // Route each impute request to the target column's current champion
-    // method; blend all methods MIB-style (inverse decayed-squared-error
-    // weights) while a freshly switched champion is still settling.
+    // Route each impute request to the current champion method; blend
+    // all methods MIB-style (inverse decayed-squared-error weights) while
+    // a freshly switched champion is still settling.
     kAutoRoute,
   };
   QualityRouting quality_routing = QualityRouting::kObserveOnly;

@@ -62,6 +62,12 @@
 // brute-force until it lands), and the old-slot -> new-slot map is
 // returned so the owner can remap its own slot-indexed state.
 //
+// Coordinates, of stored points and of queries alike, must be finite: a
+// tree walk from an infinite coordinate can return a different neighbor
+// than a brute-force scan (its box and split distances can turn NaN on
+// inf - inf). OnlineIim refuses non-finite features at Ingest, at every
+// impute request and in a restored snapshot, so none reach the index.
+//
 // Results are bit-identical to a BruteForceIndex over the live points for
 // every append/remove/compact interleaving AND every rebuild timing: tree
 // and tail use the same Formula 1 distance and the same (distance, slot)

@@ -118,14 +118,14 @@ class ImputationService {
     size_t global_fits_reused = 0;
     size_t adaptive_l_changes = 0;
     // Masking-one-out quality monitoring (see stream/quality.h),
-    // refreshed at the same quiesce points — all zero/empty when the
-    // engine runs with moo_sample_rate == 0.
+    // refreshed at the same quiesce points — all zero when the engine
+    // runs with moo_sample_rate == 0.
     size_t moo_probes = 0;
     size_t moo_skipped = 0;
     size_t routed_serves = 0;
     size_t ensemble_serves = 0;
     size_t champion_switches = 0;
-    std::vector<QualityColumnStats> quality;
+    QualityStats quality;
     // Engine-serve latency (seconds) over the most recent requests of
     // each kind (bounded reservoir of kLatencySamples): ingest is
     // per-arrival — the tail the background index rebuild bounds;

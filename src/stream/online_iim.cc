@@ -109,23 +109,33 @@ OnlineIim::OnlineIim(const data::Schema& schema, int target,
       table_(schema),
       core_(MakeOrderCoreConfig(options, features_.size())),
       pool_(options.threads) {
-  if (options_.moo_sample_rate > 0.0) {
-    monitor_ = std::make_unique<QualityMonitor>(
-        MakeQualityConfig(options_, q_));
-  }
+  if (options_.moo_sample_rate > 0.0) monitor_ = MakeMonitor();
+}
+
+std::unique_ptr<QualityMonitor> OnlineIim::MakeMonitor() {
+  // Slot order is arrival order, so a restream folds the window the way
+  // the adds did.
+  return std::make_unique<QualityMonitor>(
+      options_, q_, [this](const std::function<void(const double*, double)>&
+                               emit) {
+        for (size_t s = 0; s < core_.n(); ++s) {
+          if (core_.SlotAlive(s)) emit(core_.Features(s), core_.Target(s));
+        }
+      });
 }
 
 Status OnlineIim::Ingest(const data::RowView& row) {
   if (row.size() != table_.NumCols()) {
     return Status::InvalidArgument("OnlineIim: tuple arity mismatch");
   }
-  if (std::isnan(row[static_cast<size_t>(target_)])) {
-    return Status::InvalidArgument("OnlineIim: NaN target in ingested tuple");
+  if (!std::isfinite(row[static_cast<size_t>(target_)])) {
+    return Status::InvalidArgument(
+        "OnlineIim: non-finite target in ingested tuple");
   }
   for (int f : features_) {
-    if (std::isnan(row[static_cast<size_t>(f)])) {
+    if (!std::isfinite(row[static_cast<size_t>(f)])) {
       return Status::InvalidArgument(
-          "OnlineIim: NaN feature in ingested tuple");
+          "OnlineIim: non-finite feature in ingested tuple");
     }
   }
 
@@ -149,16 +159,22 @@ Status OnlineIim::Ingest(const data::RowView& row) {
   // The fallible append runs before the core's (infallible) arrival scan
   // so a failure leaves the engine unchanged.
   RETURN_IF_ERROR(table_.AppendRow(row.ToVector()));
-  if (monitor_ != nullptr) {
-    // Prequential order: the probe runs against the PRE-arrival mirror
-    // (the holdout never matches itself), then the row joins it.
-    std::vector<double> mv(q_ + 1);
-    std::copy(f_new.begin(), f_new.end(), mv.begin());
-    mv[q_] = y_new;
-    monitor_->Observe(stats_.ingested, mv.data());
-    monitor_->Add(stats_.ingested, mv.data());
+  // Prequential order: a sampled arrival is probed against the PRE-arrival
+  // window (the holdout never matches itself), from inside the core's
+  // arrival so the probe shares its index walk; then the row joins the
+  // challenger fits.
+  OrderCore::Peek probe;
+  if (monitor_ != nullptr && monitor_->Sampled(stats_.ingested)) {
+    if (core_.live() < 2) {
+      monitor_->Skip();
+    } else {
+      probe = [&](const std::vector<neighbors::Neighbor>& nearest) {
+        Probe(row, f_new.data(), y_new, nearest);
+      };
+    }
   }
-  core_.Arrive(f_new.data(), y_new, stats_.ingested);
+  core_.Arrive(f_new.data(), y_new, stats_.ingested, options_.k, probe);
+  if (monitor_ != nullptr) monitor_->Add(f_new.data(), y_new);
   ++stats_.ingested;
   live_cache_valid_ = false;
 
@@ -167,7 +183,9 @@ Status OnlineIim::Ingest(const data::RowView& row) {
   if (options_.window_size > 0) {
     while (core_.live() > options_.window_size) {
       size_t oldest = core_.OldestLiveSlot();
-      if (monitor_ != nullptr) monitor_->Remove(core_.SeqOf(oldest));
+      if (monitor_ != nullptr) {
+        monitor_->Remove(core_.Features(oldest), core_.Target(oldest));
+      }
       core_.EvictSlot(oldest);
     }
     MaybeCompact();
@@ -194,7 +212,9 @@ Status OnlineIim::Evict(uint64_t arrival) {
     RETURN_IF_ERROR(LogDurably([&] { return store_->LogEvict(arrival); },
                                &nondurable));
   }
-  if (monitor_ != nullptr) monitor_->Remove(arrival);
+  if (monitor_ != nullptr) {
+    monitor_->Remove(core_.Features(slot), core_.Target(slot));
+  }
   core_.EvictSlot(slot);
   live_cache_valid_ = false;
   MaybeCompact();
@@ -295,9 +315,9 @@ Status OnlineIim::CheckQuery(const data::RowView& tuple) const {
     return Status::InvalidArgument("OnlineIim: tuple arity mismatch");
   }
   for (int f : features_) {
-    if (std::isnan(tuple[static_cast<size_t>(f)])) {
+    if (!std::isfinite(tuple[static_cast<size_t>(f)])) {
       return Status::InvalidArgument(
-          "OnlineIim: NaN in complete attribute of tuple");
+          "OnlineIim: non-finite complete attribute of tuple");
     }
   }
   return Status::OK();
@@ -319,54 +339,44 @@ Result<double> OnlineIim::AggregateClean(
   return core::CombineCandidates(candidates, options_.uniform_weights);
 }
 
-QualityRoute OnlineIim::CurrentRoute() const {
-  if (monitor_ == nullptr) return QualityRoute::kIim;
-  QualityRoute route = monitor_->RouteTarget();
-  // A cold mirror (restored estimates, window not yet re-populated, or
-  // every monitored tuple evicted) cannot serve challengers — IIM does.
-  if (route != QualityRoute::kIim && monitor_->live() == 0) {
-    return QualityRoute::kIim;
+QualityAnswers OnlineIim::Challengers(
+    const double* x, const std::vector<neighbors::Neighbor>& nbrs,
+    const regress::LinearModel* glr) const {
+  QualityAnswers answers;
+  double sum = 0.0;
+  for (const neighbors::Neighbor& nb : nbrs) sum += core_.Target(nb.index);
+  answers[kQualityKnn] = sum / static_cast<double>(nbrs.size());
+  Result<double> mean = monitor_->Mean();
+  if (mean.ok()) answers[kQualityMean] = mean.value();
+  if (glr != nullptr) answers[kQualityGlr] = glr->Predict(x, q_);
+  return answers;
+}
+
+void OnlineIim::Probe(const data::RowView& row, const double* x, double y,
+                      const std::vector<neighbors::Neighbor>& nearest) {
+  // The served path of ImputeBatch, for one row and without the serve's
+  // accounting: the k neighbors (the prefix of the arrival's kNN that a
+  // request's query returns), their models, the aggregate.
+  const size_t k = std::min(options_.k, nearest.size());
+  const std::vector<neighbors::Neighbor> nbrs(
+      nearest.begin(), nearest.begin() + static_cast<long>(k));
+  Status ensured = Status::OK();
+  for (const neighbors::Neighbor& nb : nbrs) {
+    ensured = core_.EnsureModel(nb.index);
+    if (!ensured.ok()) break;
   }
-  return route;
+  Result<const regress::LinearModel*> glr = monitor_->GlrModel();
+  QualityAnswers answers =
+      Challengers(x, nbrs, glr.ok() ? glr.value() : nullptr);
+  if (ensured.ok()) {
+    Result<double> iim = AggregateClean(row, nbrs);
+    if (iim.ok()) answers[kQualityIim] = iim.value();
+  }
+  monitor_->Record(answers, y);
 }
 
 Result<double> OnlineIim::ImputeOne(const data::RowView& tuple) {
-  RETURN_IF_ERROR(CheckQuery(tuple));
-  const QualityRoute route = CurrentRoute();
-  if (route != QualityRoute::kIim && route != QualityRoute::kEnsemble) {
-    std::vector<double> feat(q_);
-    for (size_t j = 0; j < q_; ++j) {
-      feat[j] = tuple[static_cast<size_t>(features_[j])];
-    }
-    auto served = monitor_->ServeTarget(feat.data(), route);
-    if (served.ok()) {
-      ++stats_.imputed;
-      ++stats_.routed_serves;
-      return served;
-    }
-    // Monitor could not answer — fall through to the IIM path.
-  }
-  std::vector<double> probe(q_);
-  for (size_t j = 0; j < q_; ++j) {
-    probe[j] = tuple[static_cast<size_t>(features_[j])];
-  }
-  neighbors::QueryOptions qopt;
-  qopt.k = options_.k;
-  std::vector<neighbors::Neighbor> nbrs =
-      core_.index().Query(data::RowView(probe.data(), q_), qopt);
-  if (nbrs.empty()) {
-    return Status::Internal("OnlineIim: no imputation neighbors");
-  }
-  for (const neighbors::Neighbor& nb : nbrs) {
-    RETURN_IF_ERROR(core_.EnsureModel(nb.index));
-  }
-  ++stats_.imputed;
-  Result<double> value = AggregateClean(tuple, nbrs);
-  if (route == QualityRoute::kEnsemble && value.ok()) {
-    ++stats_.ensemble_serves;
-    return monitor_->EnsembleTarget(probe.data(), value.value());
-  }
-  return value;
+  return ImputeBatch({tuple}).front();
 }
 
 std::vector<Result<double>> OnlineIim::ImputeBatch(
@@ -374,27 +384,11 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
   std::vector<Result<double>> out(rows.size(), Result<double>(0.0));
 
   // Routing is decided once per batch: imputations never mutate the
-  // monitor, so every row of the batch sees the same champion.
-  const QualityRoute route = CurrentRoute();
-  if (route != QualityRoute::kIim && route != QualityRoute::kEnsemble) {
-    std::vector<double> feat(q_);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      Status st = CheckQuery(rows[i]);
-      if (!st.ok()) {
-        out[i] = st;
-        continue;
-      }
-      for (size_t j = 0; j < q_; ++j) {
-        feat[j] = rows[i][static_cast<size_t>(features_[j])];
-      }
-      out[i] = monitor_->ServeTarget(feat.data(), route);
-      if (out[i].ok()) {
-        ++stats_.imputed;
-        ++stats_.routed_serves;
-      }
-    }
-    return out;
-  }
+  // monitor's estimates, so every row of the batch sees the same route.
+  // IIM and the ensemble read the neighbors' models, kNN their targets,
+  // and mean and GLR the monitor's fits.
+  const int route = monitor_ == nullptr ? kQualityIim : monitor_->Route();
+  const bool uses_models = route == kQualityIim || route == kQualityEnsemble;
 
   // Phase 1 (serial): validate, gather the queryable rows' probes into
   // one contiguous block (the core's index takes gathered points).
@@ -430,11 +424,13 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
   // the set is small (<= k models per distinct neighborhood, most already
   // clean — those count as reuses). A solve failure is recorded per
   // model, not broadcast: rows whose own neighborhoods solved fine still
-  // get answers, exactly as a per-row ImputeOne sequence would.
+  // get answers, exactly as a sequence of one-row batches would.
   std::vector<size_t> needed;
-  for (const std::vector<neighbors::Neighbor>& list : nbrs) {
-    for (const neighbors::Neighbor& nb : list) {
-      needed.push_back(nb.index);
+  if (uses_models) {
+    for (const std::vector<neighbors::Neighbor>& list : nbrs) {
+      for (const neighbors::Neighbor& nb : list) {
+        needed.push_back(nb.index);
+      }
     }
   }
   std::sort(needed.begin(), needed.end());
@@ -445,14 +441,26 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
     if (!st.ok()) failures.emplace_back(id, st);
   }
 
+  // The GLR route and the ensemble share one solved global model.
+  const regress::LinearModel* glr = nullptr;
+  if (route == kQualityGlr || route == kQualityEnsemble) {
+    Result<const regress::LinearModel*> solved = monitor_->GlrModel();
+    if (solved.ok()) glr = solved.value();
+  }
+
   // Phase 4 (parallel, read-only): aggregate candidates per row. A row
-  // inherits the error of its first failed neighbor model (ImputeOne's
-  // neighbor-order semantics).
+  // inherits the error of its first failed neighbor model (neighbor-order
+  // semantics). A routed row is then served by its route's answer.
   pool_.ParallelFor(batch.size(), kBatchGrain, [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       size_t i = row_of_query[b];
       if (nbrs[b].empty()) {
         out[i] = Status::Internal("OnlineIim: no imputation neighbors");
+        continue;
+      }
+      if (!uses_models) {
+        out[i] = monitor_->Serve(
+            route, Challengers(probes.data() + b * q_, nbrs[b], glr));
         continue;
       }
       const Status* failed = nullptr;
@@ -469,21 +477,22 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
       }
       out[i] = failed != nullptr ? Result<double>(*failed)
                                  : AggregateClean(rows[i], nbrs[b]);
+      if (route == kQualityEnsemble && out[i].ok()) {
+        QualityAnswers answers =
+            Challengers(probes.data() + b * q_, nbrs[b], glr);
+        answers[kQualityIim] = out[i].value();
+        out[i] = monitor_->Serve(route, answers);
+      }
     }
   });
-  // Mirror ImputeOne's accounting: only answered rows count as served.
+  // Only answered rows count as served.
   for (size_t b = 0; b < batch.size(); ++b) {
-    if (out[row_of_query[b]].ok()) ++stats_.imputed;
-  }
-  if (route == QualityRoute::kEnsemble) {
-    // Post-process each answered row exactly as ImputeOne would: blend
-    // the engine's IIM value with the challengers' serves.
-    for (size_t b = 0; b < batch.size(); ++b) {
-      size_t i = row_of_query[b];
-      if (!out[i].ok()) continue;
+    if (!out[row_of_query[b]].ok()) continue;
+    ++stats_.imputed;
+    if (route == kQualityEnsemble) {
       ++stats_.ensemble_serves;
-      out[i] = monitor_->EnsembleTarget(probes.data() + b * q_,
-                                        out[i].value());
+    } else if (route != kQualityIim) {
+      ++stats_.routed_serves;
     }
   }
   return out;
@@ -509,7 +518,7 @@ OnlineIim::Stats OnlineIim::stats() const {
     s.moo_probes = monitor_->probes();
     s.moo_skipped = monitor_->skipped();
     s.champion_switches = monitor_->champion_switches();
-    s.quality = monitor_->ColumnStats();
+    s.quality = monitor_->Stats();
   }
   return s;
 }
@@ -523,7 +532,7 @@ std::string OnlineIim::SerializeSnapshot() {
   // on any mismatch.
   const OrderCore::Config& cc = core_.config();
   b.BeginSection(persist::kSecMeta);
-  b.PutU32(5);  // engine layout version within the container
+  b.PutU32(6);  // engine layout version within the container
   b.PutU64(m);
   b.PutU32(static_cast<uint32_t>(target_));
   b.PutU64(q_);
@@ -541,8 +550,6 @@ std::string OnlineIim::SerializeSnapshot() {
   // estimates' meaning, so they are part of the fingerprint (v3).
   b.PutF64(options_.moo_sample_rate);
   b.PutF64(options_.moo_decay);
-  b.PutU64(options_.moo_knn);
-  b.PutU64(options_.moo_ell);
   b.PutU64(options_.moo_min_samples);
   b.PutF64(options_.moo_margin);
   b.PutU8(options_.quality_routing ==
@@ -593,7 +600,7 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
                    view.Section(persist::kSecMeta));
   size_t m = table_.NumCols();
   const OrderCore::Config& cc = core_.config();
-  if (meta.U32() != 5) return mismatch("engine layout version");
+  if (meta.U32() != 6) return mismatch("engine layout version");
   if (meta.U64() != m) return mismatch("schema arity");
   if (meta.U32() != static_cast<uint32_t>(target_)) return mismatch("target");
   if (meta.U64() != q_) return mismatch("feature set");
@@ -622,8 +629,6 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
   if (std::memcmp(&decay, &options_.moo_decay, sizeof(double)) != 0) {
     return mismatch("moo_decay");
   }
-  if (meta.U64() != options_.moo_knn) return mismatch("moo_knn");
-  if (meta.U64() != options_.moo_ell) return mismatch("moo_ell");
   if (meta.U64() != options_.moo_min_samples) {
     return mismatch("moo_min_samples");
   }
@@ -682,20 +687,20 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
           "the ingest cursor");
     }
   }
-  // Ingest's own admission rule: no NaN on the target or a feature.
+  // Ingest's own admission rule: a finite target and features.
   std::vector<double> features(live * q_);
   std::vector<double> targets(live);
   for (size_t i = 0; i < live; ++i) {
     const double* row = cells.data() + i * m;
     targets[i] = row[static_cast<size_t>(target_)];
-    bool nan = std::isnan(targets[i]);
+    bool finite = std::isfinite(targets[i]);
     for (size_t j = 0; j < q_; ++j) {
       features[i * q_ + j] = row[static_cast<size_t>(features_[j])];
-      nan = nan || std::isnan(features[i * q_ + j]);
+      finite = finite && std::isfinite(features[i * q_ + j]);
     }
-    if (nan) {
+    if (!finite) {
       return Status::IoError(
-          "OnlineIim: snapshot row has a NaN target or feature");
+          "OnlineIim: snapshot row has a non-finite target or feature");
     }
   }
   data::Table table(table_.schema());
@@ -710,8 +715,7 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
   if (monitor_ != nullptr) {
     ASSIGN_OR_RETURN(persist::SectionReader qr,
                      view.Section(persist::kSecQuality));
-    monitor = std::make_unique<QualityMonitor>(
-        MakeQualityConfig(options_, q_));
+    monitor = MakeMonitor();
     RETURN_IF_ERROR(monitor->RestoreFrom(&qr));
   }
 
@@ -720,18 +724,12 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
   RETURN_IF_ERROR(core_.Load(features, targets, seqs, &pool_));
   table_ = std::move(table);
   if (monitor != nullptr) {
-    // The mirror and challenger fits are rebuilt by re-adding the window
-    // in arrival order (the fits restream, so their numerics match a
-    // fresh engine fed the same window, not necessarily the exact
-    // accumulator bits of the writer — documented in stream/quality.h).
+    // The challenger fits are rebuilt by re-adding the window in arrival
+    // order: their numerics match a fresh engine fed the same window,
+    // not necessarily the writer's down-dated accumulator bits.
     monitor_ = std::move(monitor);
-    std::vector<double> mv(q_ + 1);
     for (size_t i = 0; i < live; ++i) {
-      std::copy(features.begin() + static_cast<long>(i * q_),
-                features.begin() + static_cast<long>((i + 1) * q_),
-                mv.begin());
-      mv[q_] = targets[i];
-      monitor_->Add(seqs[i], mv.data());
+      monitor_->Add(features.data() + i * q_, targets[i]);
     }
   }
   stats_.ingested = ingested;

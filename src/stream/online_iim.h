@@ -135,13 +135,12 @@ class OnlineIim {
     size_t moo_probes = 0;
     size_t moo_skipped = 0;
     // kAutoRoute serves answered by a non-IIM champion, by the
-    // churn-window ensemble, and champion changes across all columns.
+    // churn-window ensemble, and champion changes.
     size_t routed_serves = 0;
     size_t ensemble_serves = 0;
     size_t champion_switches = 0;
-    // Per-monitored-column estimator state (q feature columns then the
-    // target; empty when monitoring is off).
-    std::vector<QualityColumnStats> quality;
+    // The target's estimator state (all zero when monitoring is off).
+    QualityStats quality;
   };
 
   // Validates like Imputer::Fit: target/features in range for `schema`,
@@ -156,9 +155,12 @@ class OnlineIim {
   OnlineIim& operator=(const OnlineIim&) = delete;
 
   // Complete tuple arrival. The row must have the schema's arity and be
-  // non-NaN on target and features. When options.window_size > 0 and this
+  // finite on target and features. When options.window_size > 0 and this
   // arrival pushes the live count past it, the oldest live tuple(s) are
-  // evicted before returning.
+  // evicted before returning. With monitoring on, a sampled arrival is
+  // first scored as a masking-one-out holdout against the window it is
+  // about to join (stream/quality.h); the probe is not counted in
+  // stats().imputed.
   Status Ingest(const data::RowView& row);
 
   // Retires the tuple of the `arrival`-th successful Ingest (0-based — the
@@ -184,9 +186,8 @@ class OnlineIim {
   // FailedPrecondition when no timestamp column is configured.
   Result<size_t> EvictOlderThan(double cutoff);
 
-  // Incomplete tuple arrival (Algorithm 2 against the current relation).
-  // With quality routing enabled (kAutoRoute), the request is served by
-  // the target column's champion method — see stream/quality.h.
+  // Incomplete tuple arrival (Algorithm 2 against the current relation):
+  // a one-row ImputeBatch. The features must be finite.
   Result<double> ImputeOne(const data::RowView& tuple);
 
   // --- Arrival-keyed accessors (test and example hooks) ----------------
@@ -211,8 +212,11 @@ class OnlineIim {
 
   // Batched Algorithm 2: entry i answers rows[i]. Neighbor queries and
   // candidate aggregation fan out over options.threads workers; pending
-  // model solves run once, serially, so results are bit-identical to
-  // per-row ImputeOne calls for every thread count.
+  // model solves run once, serially, so each row's result is
+  // bit-identical for every thread count and batch composition. The one
+  // serving path: with quality routing enabled (kAutoRoute), every row of
+  // the batch is served by the current champion method, or the ensemble
+  // — see stream/quality.h.
   std::vector<Result<double>> ImputeBatch(
       const std::vector<data::RowView>& rows);
 
@@ -238,9 +242,6 @@ class OnlineIim {
   // Engine-owned cursors merged with the order-maintenance core's
   // counters (one coherent copy).
   Stats stats() const;
-  // The quality monitor, or nullptr when moo_sample_rate == 0 (test and
-  // example hook; stats() already surfaces everything it measures).
-  const QualityMonitor* quality_monitor() const { return monitor_.get(); }
 
   // --- Durability (options().persist_dir engines) ----------------------
   // Serializes the engine into the sectioned snapshot container: the
@@ -298,14 +299,25 @@ class OnlineIim {
             std::vector<int> features, const core::IimOptions& options);
 
   Status CheckQuery(const data::RowView& tuple) const;
-  // The quality route every impute request in the current quiescent span
-  // is served by (kIim without a monitor, or while the mirror is cold).
-  QualityRoute CurrentRoute() const;
   // Candidate collection + Formula 10-12 aggregation; models of `nbrs`
   // must already be ensured.
   Result<double> AggregateClean(
       const data::RowView& tuple,
       const std::vector<neighbors::Neighbor>& nbrs) const;
+  // The challengers' answers for gathered features x: kNN from the
+  // targets of `nbrs`, mean from the monitor's fit, GLR from `glr` (none
+  // when null). The IIM entry is left empty.
+  QualityAnswers Challengers(const double* x,
+                             const std::vector<neighbors::Neighbor>& nbrs,
+                             const regress::LinearModel* glr) const;
+  // The masking-one-out probe of an arriving tuple (`row`, gathered
+  // features x, target y) against the pre-arrival window, given the
+  // arrival's nearest live tuples (OrderCore::Arrive's peek): its target
+  // is imputed as a request would be, and every method's error recorded.
+  void Probe(const data::RowView& row, const double* x, double y,
+             const std::vector<neighbors::Neighbor>& nearest);
+  // A monitor whose GLR fit restreams from the core's live slots.
+  std::unique_ptr<QualityMonitor> MakeMonitor();
   // Runs the core's compaction check and, when one fired, drops the same
   // tombstoned rows from the full-row table.
   void MaybeCompact();

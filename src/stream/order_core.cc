@@ -149,7 +149,8 @@ void OrderCore::VPostRemove(size_t s, size_t judge) {
   assert(false && "validation reverse-list entry missing");
 }
 
-size_t OrderCore::Arrive(const double* f, double y, uint64_t seq) {
+size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
+                         size_t peek_k, const Peek& peek) {
   size_t id = n_;
 
   // How the arrival lands in each live tuple's learning order. The new
@@ -222,18 +223,19 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq) {
     if (changed) RefreshBound(i);
   };
 
-  // One kNN lookup serves both the newcomer's learning order (cap_ - 1
-  // nearest) and, in adaptive mode, its validation order (vk nearest):
-  // the longer prefix is queried once and sliced below — a sorted
-  // top-k's prefix IS the smaller query's result, bit for bit. The
-  // index does not contain `id` yet, so no exclusion is needed (same
-  // set LearningOrder retrieves with exclude = id), and the insertion
-  // visits touch only order/postings state, so querying before them
-  // sees the identical index.
+  // One kNN lookup serves the newcomer's learning order (cap_ - 1
+  // nearest), in adaptive mode its validation order (vk nearest), and a
+  // peek (peek_k nearest): the longest prefix is queried once and sliced
+  // — a sorted top-k's prefix IS the smaller query's result, bit for
+  // bit. The index does not contain `id` yet, so no exclusion is needed
+  // (same set LearningOrder retrieves with exclude = id), and the
+  // insertion visits touch only order/postings state, so querying before
+  // them sees the identical index.
   size_t order_k = cap_ > 1 ? std::min(cap_ - 1, live_) : 0;
   size_t vorder_k = config_.adaptive ? std::min(config_.vk, live_) : 0;
   neighbors::QueryOptions nopt;
   nopt.k = std::max(order_k, vorder_k);
+  if (peek) nopt.k = std::max(nopt.k, std::min(peek_k, live_));
   data::RowView point(f, q_);
   std::vector<neighbors::Neighbor> nearest;
 
@@ -268,12 +270,14 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq) {
       }
     }
 #endif
+    if (peek) peek(nearest);
     for (const neighbors::Neighbor& nb : admitters) {
       visit(nb.index, nb.distance);
     }
   } else if (live_ > 0) {
     // The differential oracle: every live order runs the insertion test.
     if (nopt.k > 0) nearest = index_.Query(point, nopt);
+    if (peek) peek(nearest);
     for (size_t i = 0; i < n_; ++i) {
       if (alive_[i] == 0) continue;
       visit(i, neighbors::NormalizedEuclidean(fb_.Features(i), f, q_));

@@ -63,6 +63,7 @@
 #define IIM_STREAM_ORDER_CORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <unordered_map>
 #include <vector>
@@ -140,13 +141,22 @@ class OrderCore {
 
   // --- Per-arrival maintenance (callers keep operations serialized) ----
 
+  // Sees an arrival's pre-arrival neighborhood; see Arrive.
+  using Peek = std::function<void(const std::vector<neighbors::Neighbor>&)>;
+
   // One arrival: f points at q gathered feature values, y is the target,
   // seq the caller's stable address (arrival number). Runs the insertion
   // scan over every live learning (and validation) order, computes the
   // newcomer's own orders from the index BEFORE appending it (the same
   // neighbor set an exclude-self query would return), and appends the new
-  // slot, which is returned.
-  size_t Arrive(const double* f, double y, uint64_t seq);
+  // slot, which is returned. A set `peek` runs after the index walk and
+  // before any order changes. It gets the newcomer's nearest live tuples
+  // ascending by (distance, slot), at least min(peek_k, live) of them:
+  // the prefix a kNN query on the pre-arrival window returns, bit for
+  // bit, from the walk's own query. It may ensure models (OnlineIim's
+  // masking-one-out probe does), since no order has changed yet.
+  size_t Arrive(const double* f, double y, uint64_t seq, size_t peek_k = 0,
+                const Peek& peek = nullptr);
 
   // Tombstones slot `gone` and repairs the surviving learning (and
   // validation) orders that contained it, found in O(l) from the reverse

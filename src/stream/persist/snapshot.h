@@ -37,10 +37,10 @@ namespace iim::stream::persist {
 constexpr uint32_t kSecMeta = 1;    // config fingerprint
 constexpr uint32_t kSecEngine = 2;  // ingest and impute cursors
 constexpr uint32_t kSecRows = 3;    // live rows, columnar, + arrival numbers
-// Quality monitor (src/stream/quality.h): decayed per-column error
-// estimates, error rings, champions and switch counters. Written only by
+// Quality monitor (src/stream/quality.h): the target's decayed error
+// estimates, error rings, champion and probe counters. Written only by
 // engines with moo_sample_rate > 0; the challenger fits themselves are
-// restreamed from the restored window instead of being serialized.
+// rebuilt from the restored window instead of being serialized.
 constexpr uint32_t kSecQuality = 48;
 
 constexpr uint32_t kSnapshotVersion = 1;

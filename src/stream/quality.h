@@ -1,36 +1,22 @@
 // Online imputation-quality monitoring by masking-one-out holdouts
-// (ROADMAP item 2).
+// (arXiv 2511.10048): a deterministic per-arrival hash samples a trickle
+// of arriving tuples (IimOptions::moo_sample_rate). Before a sampled tuple
+// joins the window, OnlineIim masks its target and imputes it through its
+// own served path (k neighbors, found by the arrival's own index walk;
+// their individual models; the Formula 10-12 aggregate), so the IIM error
+// is the error a request would have seen. kNN answers from the same
+// neighbors' targets; mean and GLR from this monitor's streaming fits of
+// the target. Each method's absolute error feeds a decayed estimate,
+// est <- (1 - moo_decay) * est + moo_decay * err (abs and err^2), and a
+// ring of recent errors.
 //
-// The streaming engines measure latency but — until this layer — never
-// accuracy: the learned orders can go stale on a drifting stream with no
-// operator-visible signal. QualityMonitor closes that gap with the
-// prequential masking-one-out estimator: a deterministic per-arrival hash
-// samples a trickle of arriving tuples (IimOptions::moo_sample_rate), one
-// monitored cell of each sampled tuple is held out, and the holdout is
-// imputed from the PRE-arrival window by IIM plus three cheap challengers
-// (mean, kNN, GLR). Each probe's absolute error feeds per-column
-// exponentially-decayed estimates
-//
-//   est <- (1 - moo_decay) * est + moo_decay * err        (abs and err^2)
-//
-// plus a bounded ring of recent absolute errors for percentile reporting.
-// The monitored space is the engine's gathered projection: columns
-// 0..q-1 are the feature attributes, column q the target; a probe of
-// column c predicts it from the other q monitored columns, so a probe of
-// the target column exercises exactly the engine's imputation problem.
-//
-// The monitor is fully self-contained: it keeps its own window mirror
-// (arrival -> monitored row) and computes every probe — the mini-IIM one
-// included — from that mirror, never reaching into the engine. That makes
-// kObserveOnly trivially zero-impact: imputed values AND engine counters
-// are bit-identical to a quality-disabled engine.
-//
-// On top of the estimates sits per-column champion/challenger routing
-// (IimOptions::QualityRouting::kAutoRoute): each impute request is served
-// by the target column's current champion method, with hysteresis
-// (moo_margin) and a minimum sample count (moo_min_samples) guarding
-// switches, and a Meta-Imputation-Balanced style inverse-decayed-error
-// weighted ensemble serving while a freshly switched champion settles.
+// A probe solves its neighbors' models before a request would, so solve
+// counters differ from a monitor-off engine's, but models are a function
+// of the window: under kObserveOnly every imputed value is bit-identical
+// to a monitor-off engine's. Under kAutoRoute each request is served by
+// the champion method (hysteresis moo_margin, after moo_min_samples), or
+// by an inverse-decayed-error weighted ensemble (Meta-Imputation-Balanced
+// style) while a freshly switched champion settles.
 
 #ifndef IIM_STREAM_QUALITY_H_
 #define IIM_STREAM_QUALITY_H_
@@ -38,7 +24,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "baselines/streaming_fit.h"
@@ -58,93 +44,75 @@ enum QualityMethod {
   kQualityGlr = 3,
   kQualityMethods = 4,
 };
+// The route while a freshly switched champion settles: the blend.
+constexpr int kQualityEnsemble = kQualityMethods;
 
 // Stable display name ("iim", "mean", "knn", "glr").
 const char* QualityMethodName(int method);
 
-// Where one impute request is served from under the current estimates.
-enum class QualityRoute {
-  kIim,
-  kMean,
-  kKnn,
-  kGlr,
-  kEnsemble,  // champion churning: inverse-error weighted blend
-};
+// One row's answer from each method, indexed by QualityMethod; empty where
+// a method could not answer.
+using QualityAnswers = std::array<std::optional<double>, kQualityMethods>;
 
-// Per-monitored-column snapshot of the estimator state, surfaced through
-// OnlineIim::Stats and ImputationService::stats().
-struct QualityColumnStats {
-  // Holdout probes that landed on this column.
-  uint64_t holdouts = 0;
+// The estimator state for the target, surfaced through OnlineIim::Stats
+// and ImputationService::stats().
+struct QualityStats {
   // Per method: probes answered, decayed mean absolute error, decayed
   // root-mean-squared error, and percentiles over the recent-error ring.
   std::array<uint64_t, kQualityMethods> samples{};
   std::array<double, kQualityMethods> ewma_abs{};
   std::array<double, kQualityMethods> ewma_rms{};
   std::array<LatencySummary, kQualityMethods> abs_error{};
-  // Current champion (a QualityMethod) and how often it changed.
+  // Current champion (a QualityMethod).
   int champion = kQualityIim;
-  uint64_t switches = 0;
 };
-
-// Resolved monitor configuration (MakeQualityConfig fills it from
-// IimOptions; 0-valued probe fan-ins inherit k / ell).
-struct QualityConfig {
-  size_t q = 0;  // predictors; the monitored space has q + 1 columns
-  double sample_rate = 0.0;
-  double decay = 0.05;
-  size_t k = 5;    // kNN probe fan-in (and mini-IIM candidate count)
-  size_t ell = 10; // mini-IIM learning neighbors per candidate
-  double alpha = 1e-6;
-  bool uniform_weights = false;
-  size_t min_samples = 32;
-  double margin = 0.1;
-  uint64_t seed = 7;
-  core::IimOptions::QualityRouting routing =
-      core::IimOptions::QualityRouting::kObserveOnly;
-};
-
-QualityConfig MakeQualityConfig(const core::IimOptions& options, size_t q);
 
 class QualityMonitor {
  public:
-  explicit QualityMonitor(const QualityConfig& config);
+  // q gathered features; `rows` emits the live window's (features,
+  // target) pairs, the GLR fit's restream source.
+  QualityMonitor(const core::IimOptions& options, size_t q,
+                 baselines::StreamingRidgeFit::RowSource rows);
 
-  // --- Prequential protocol (callers follow this order per arrival) ---
-  // 1. Observe(arrival, mv): maybe probe the arriving monitored row
-  //    against the PRE-arrival mirror (so the row never matches itself).
-  // 2. Add(arrival, mv): fold the row into the mirror and challenger fits.
-  // Window evictions call Remove(arrival) for each evicted tuple.
-  // `mv` is the monitored row: q feature values then the target, q+1 long.
-  void Observe(uint64_t arrival, const double* mv);
-  void Add(uint64_t arrival, const double* mv);
-  void Remove(uint64_t arrival);
+  // --- Prequential protocol (the owning engine, per arrival) ---
+  bool Sampled(uint64_t arrival) const;
+  // A sampled arrival with fewer than two live tuples to probe against.
+  void Skip() { ++skipped_; }
+  // Scores one probe whose masked target was `truth`.
+  void Record(const QualityAnswers& answers, double truth);
+  // Every live row is added once and removed when it leaves the window.
+  void Add(const double* x, double y) {
+    mean_fit_.Add(y);
+    ridge_fit_.Add(x, y);
+  }
+  void Remove(const double* x, double y) {
+    mean_fit_.Remove(y);
+    ridge_fit_.Remove(x, y);
+  }
 
-  // --- Routing (target column q; engines consult this per request) ---
-  // kIim under kObserveOnly, the champion (or the churn-window ensemble)
-  // under kAutoRoute.
-  QualityRoute RouteTarget() const;
-  // Serves the target from the mirror for a non-IIM, non-ensemble route.
-  // `features` are the q gathered feature values. Fails (NotFound) on an
-  // empty mirror — callers fall back to the IIM path.
-  Result<double> ServeTarget(const double* features, QualityRoute route);
-  // Inverse-decayed-squared-error weighted blend of every method's value,
-  // folding in the engine-computed IIM value.
-  Result<double> EnsembleTarget(const double* features, double iim_value);
+  // --- Challenger fits ---
+  Result<double> Mean() const { return mean_fit_.Mean(); }
+  // Solves, restreaming first if needed; call serially. The model stays
+  // valid until the next Add or Remove.
+  Result<const regress::LinearModel*> GlrModel() {
+    return ridge_fit_.Model(rows_);
+  }
+
+  // --- Routing ---
+  // A QualityMethod or kQualityEnsemble; kQualityIim under kObserveOnly.
+  int Route() const;
+  // The answer `route` serves: one method's, or the blend.
+  Result<double> Serve(int route, const QualityAnswers& answers) const;
 
   // --- Telemetry ---
   uint64_t probes() const { return probes_; }
   uint64_t skipped() const { return skipped_; }
   uint64_t champion_switches() const { return champion_switches_; }
-  // One entry per monitored column (q features then the target).
-  std::vector<QualityColumnStats> ColumnStats() const;
-  size_t live() const { return mirror_.size(); }
+  QualityStats Stats() const;
 
   // --- Persistence ---
-  // Writes one kSecQuality section: estimates, rings, champions,
-  // counters. The mirror and challenger fits are NOT serialized — the
-  // owning engine re-Adds every restored live tuple instead (restreamed
-  // challenger numerics; the estimates themselves restore bitwise).
+  // One kSecQuality section: estimates, rings, champion, counters. The
+  // fits are not written; the engine re-adds the restored window.
   void SerializeInto(persist::SnapshotBuilder* builder) const;
   Status RestoreFrom(persist::SectionReader* reader);
 
@@ -153,53 +121,24 @@ class QualityMonitor {
     uint64_t samples = 0;
     double ewma_abs = 0.0;
     double ewma_sq = 0.0;
-    std::vector<double> ring;  // recent absolute errors, capacity kRing
-    size_t ring_pos = 0;
-  };
-  struct ColumnState {
-    uint64_t holdouts = 0;
-    std::array<MethodState, kQualityMethods> methods;
-    int champion = kQualityIim;
-    uint64_t switches = 0;
-    uint64_t last_switch_holdout = 0;
+    // The newest kRing absolute errors, oldest first.
+    std::vector<double> ring;
   };
 
   static constexpr size_t kRing = 512;
 
-  bool ShouldProbe(uint64_t arrival) const;
-  size_t HoldoutColumn(uint64_t arrival) const;
-  // Positions (into rows_scratch_) of the k nearest mirror rows to `mv`
-  // in the predictor space of column c, ascending (distance, position).
-  // `exclude` skips one position (kNoExclude = none).
-  void CollectRows() const;
-  std::vector<std::pair<size_t, double>> TopK(const double* mv, size_t c,
-                                              size_t k,
-                                              size_t exclude) const;
-  Result<double> ProbeMethod(int method, const double* mv, size_t c);
-  Result<double> ProbeIim(const double* mv, size_t c) const;
-  Result<double> ProbeKnn(const double* mv, size_t c) const;
-  void Record(ColumnState* col, int method, double abs_err);
-  void UpdateChampion(ColumnState* col);
-  baselines::StreamingRidgeFit::RowSource MirrorSource() const;
+  void UpdateChampion();
 
-  static constexpr size_t kNoExclude = static_cast<size_t>(-1);
-
-  QualityConfig config_;
-  size_t d_;  // q + 1 monitored columns
-  // Window mirror keyed by arrival number; map order = arrival order,
-  // which is the tie-break every probe scan uses.
-  std::map<uint64_t, std::vector<double>> mirror_;
+  const core::IimOptions options_;
+  baselines::StreamingRidgeFit::RowSource rows_;
   baselines::StreamingMeanFit mean_fit_;
   baselines::StreamingRidgeFit ridge_fit_;
-  std::vector<ColumnState> columns_;  // d_ entries
+  std::array<MethodState, kQualityMethods> methods_;
+  int champion_ = kQualityIim;
+  uint64_t last_switch_probe_ = 0;
   uint64_t probes_ = 0;
   uint64_t skipped_ = 0;
   uint64_t champion_switches_ = 0;
-  // Probe scan scratch (rebuilt per probe; keeps allocations out of the
-  // steady state).
-  mutable std::vector<const double*> rows_scratch_;
-  mutable std::vector<double> gather_a_;  // query predictors
-  mutable std::vector<double> gather_b_;  // candidate predictors
 };
 
 }  // namespace iim::stream

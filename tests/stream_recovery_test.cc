@@ -337,7 +337,8 @@ std::string ForgeU64(const std::string& genuine, uint32_t tag, size_t offset,
 
 // Snapshots of an older layout hold state this build cannot read (the
 // engine layout 3 fingerprinted a down-date flag; layout 4 carried the
-// order core's own image beside a row block that kept tombstoned slots).
+// order core's own image beside a row block that kept tombstoned slots;
+// layout 5 fingerprinted the quality probe's own k and l).
 // Restore refuses them as a mismatch, and a persist dir holding one fails
 // Create instead of starting cold, which would silently drop the
 // acknowledged window.
@@ -366,7 +367,7 @@ TEST(SnapshotRoundTripTest, OlderLayoutVersionsAreRefused) {
   };
 
   // The layout version is the first u32 of the fingerprint section.
-  for (uint32_t version : {3u, 4u}) {
+  for (uint32_t version : {3u, 4u, 5u}) {
     std::string bytes = Reseal(genuine.value(), persist::kSecMeta, 0, &version,
                                sizeof(version));
     std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
@@ -462,11 +463,12 @@ TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
   // arrival numbers. Column 0 is feature 0.
   const size_t cells_at = 16;
   const size_t seqs_at = cells_at + 8 * m * live;
-  // kSecQuality: u32 layout | u64 columns | u64 probes, skipped, switches,
-  // then column 0's u64 holdouts and u32 champion.
-  const size_t champion_at = 4 + 4 * 8 + 8;
+  // kSecQuality: u32 layout | u64 probes, skipped, switches | u32
+  // champion.
+  const size_t champion_at = 4 + 3 * 8;
   const uint32_t bad_champion = 7;
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   // An unwindowed writer's 100 rows, re-sealed to claim the restoring
   // engine's window of 40: only the window bound breaks. kSecMeta: u32
   // layout | u64 arity | u32 target | u64 q | q u32 features | u64 k |
@@ -501,7 +503,10 @@ TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
        "more rows"},
       {"NaN feature",
        Reseal(genuine, persist::kSecRows, cells_at, &nan, sizeof(nan)),
-       "NaN"},
+       "non-finite"},
+      {"+inf feature",
+       Reseal(genuine, persist::kSecRows, cells_at, &inf, sizeof(inf)),
+       "non-finite"},
   };
   for (const Hostile& h : hostile) {
     std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
@@ -877,6 +882,47 @@ class ScopedFaultFactory {
   }
   ~ScopedFaultFactory() { persist::SetWriterFactory(nullptr); }
 };
+
+// Ingest admits only finite targets and features, and refuses the rest
+// before the write-ahead append: an infinite coordinate would reach the
+// index's tree walk, whose box distances turn NaN on inf - inf. A refused
+// ingest changes neither the window, the cursors nor the log, and an
+// impute request with an infinite feature is refused the same way.
+TEST(DurableIngestTest, NonFiniteInputsAreRefusedBeforeTheLog) {
+  data::Table src = HeterogeneousTable(20, 4, 3);
+  ScopedTempDir dir;
+  core::IimOptions opt = RecoveryOptions();
+  opt.persist_dir = dir.path();
+  std::unique_ptr<OnlineIim> e = MakeEngine(src, opt);
+  for (size_t i = 0; i < 10; ++i) ASSERT_TRUE(e->Ingest(src.Row(i)).ok());
+  const size_t live = e->size();
+  const size_t ingested = e->stats().ingested;
+  const uint64_t logged = e->durable_ops();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* what;
+    size_t col;
+    double value;
+  };
+  for (const Bad& bad : {Bad{"+inf feature", 0, inf},
+                         Bad{"-inf feature", 2, -inf},
+                         Bad{"+inf target", static_cast<size_t>(kTarget),
+                             inf}}) {
+    std::vector<double> row = src.Row(10).ToVector();
+    row[bad.col] = bad.value;
+    Status st = e->Ingest(data::RowView(row.data(), row.size()));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad.what;
+    EXPECT_EQ(e->size(), live) << bad.what;
+    EXPECT_EQ(e->stats().ingested, ingested) << bad.what;
+    EXPECT_EQ(e->durable_ops(), logged) << bad.what;
+  }
+  std::vector<double> probe = src.Row(11).ToVector();
+  probe[kTarget] = std::numeric_limits<double>::quiet_NaN();
+  probe[1] = -inf;
+  Result<double> v = e->ImputeOne(data::RowView(probe.data(), probe.size()));
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+}
 
 TEST(FaultInjectionTest, FailedWalAppendRejectsTheOpUnapplied) {
   data::Table src = HeterogeneousTable(60, 4, 17);
