@@ -232,7 +232,7 @@ EvictScalingCell MeasureEvictScaling(const iim::data::Table& data, int target,
       std::exit(1);
     }
   }
-  size_t backfills_before = engine.stats().backfills;
+  size_t backfills_before = engine.stats().core.backfills;
   std::vector<double> seconds;
   seconds.reserve(reps);
   iim::Stopwatch timer;
@@ -253,7 +253,7 @@ EvictScalingCell MeasureEvictScaling(const iim::data::Table& data, int target,
   cell.p50_seconds = lat.p50;
   cell.p99_seconds = lat.p99;
   cell.backfills_per_evict =
-      static_cast<double>(engine.stats().backfills - backfills_before) /
+      static_cast<double>(engine.stats().core.backfills - backfills_before) /
       static_cast<double>(std::max<size_t>(reps, 1));
   return cell;
 }
@@ -388,12 +388,12 @@ int main(int argc, char** argv) {
   // the arrival beats, typically a few dozen at n = 10k.
   iim::stream::OnlineIim::Stats admission_after = online.stats();
   double mean_orders_scanned =
-      static_cast<double>(admission_after.orders_scanned -
-                          admission_before.orders_scanned) /
+      static_cast<double>(admission_after.core.orders_scanned -
+                          admission_before.core.orders_scanned) /
       static_cast<double>(online_reps);
   double mean_orders_admitted =
-      static_cast<double>(admission_after.orders_admitted -
-                          admission_before.orders_admitted) /
+      static_cast<double>(admission_after.core.orders_admitted -
+                          admission_before.core.orders_admitted) /
       static_cast<double>(online_reps);
   double live_at_end = static_cast<double>(online.size());
   double affected_fraction =
@@ -872,15 +872,15 @@ int main(int argc, char** argv) {
   std::printf("engine: %zu prefix appends, %zu invalidations, %zu lazy "
               "solves; index tree over %zu/%zu (%zu rebuilds: %zu "
               "launched, %zu swapped, %zu discarded)\n",
-              stats.fast_path_appends, stats.models_invalidated,
-              stats.models_solved, istats.tree_size, istats.live,
+              stats.core.fast_path_appends, stats.core.models_invalidated,
+              stats.core.models_solved, istats.tree_size, istats.live,
               istats.rebuilds, istats.launches, istats.swaps,
               istats.discarded);
   std::printf("admission bound: %.1f orders visited / %.1f admitted per "
               "steady-state arrival over %.0f live (%.2f%% of a full "
               "scan; %zu skips lifetime)\n",
               mean_orders_scanned, mean_orders_admitted, live_at_end,
-              affected_fraction * 100.0, stats.admission_skips);
+              affected_fraction * 100.0, stats.core.admission_skips);
   std::printf("\nsliding window (window_size = n):\n");
   std::printf("%-34s %12.6f ms\n", "windowed per-arrival (+auto-evict)",
               windowed_mean * 1e3);
@@ -900,8 +900,8 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12.1fx\n", "eviction speedup", evict_speedup);
   std::printf("windowed engine: %zu evictions (%zu backfills, %zu "
               "compactions, %zu postings edges live)\n",
-              wstats.evicted, wstats.backfills, wstats.compactions,
-              wstats.postings_edges);
+              wstats.core.evicted, wstats.core.backfills,
+              wstats.core.compactions, wstats.core.postings_edges);
   std::printf("eviction cost vs l (window %zu, %zu evictions each):\n", n,
               scaling_reps);
   for (const EvictScalingCell& cell : scaling) {
@@ -1055,16 +1055,18 @@ int main(int argc, char** argv) {
                inlock_istats.rebuilds, istats.rebuilds, istats.launches,
                istats.swaps, istats.discarded, online_mean, online_lat.p50,
                online_lat.p99, online_lat.max, relearn_mean, speedup,
-               identical ? "true" : "false", stats.fast_path_appends,
-               stats.models_invalidated, stats.models_solved, windowed_mean,
-               windowed_lat.p50, windowed_lat.p99, windowed_lat.max,
+               identical ? "true" : "false", stats.core.fast_path_appends,
+               stats.core.models_invalidated, stats.core.models_solved,
+               windowed_mean, windowed_lat.p50, windowed_lat.p99,
+               windowed_lat.max,
                evict_mean, evict_lat.p50, evict_lat.p99, evict_lat.max,
                n_half, half_evict_mean, evict_window_ratio,
                window_relearn_mean, evict_speedup,
-               windowed_matches ? "true" : "false", wstats.evicted,
-               wstats.backfills, wstats.compactions, wstats.postings_edges,
-               wistats.swaps, wistats.tail_size, histats.tail_size,
-               evict_tail_rows, half_evict_tail_rows, hstats.evicted);
+               windowed_matches ? "true" : "false", wstats.core.evicted,
+               wstats.core.backfills, wstats.core.compactions,
+               wstats.core.postings_edges, wistats.swaps, wistats.tail_size,
+               histats.tail_size, evict_tail_rows, half_evict_tail_rows,
+               hstats.core.evicted);
   std::fprintf(out,
                "  \"online_samples\": %zu,\n"
                "  \"eviction_samples\": %zu,\n"
@@ -1090,8 +1092,8 @@ int main(int argc, char** argv) {
                iim::Percentile(evict_seconds, 99.9), kMinTailSamples,
                samples_ok ? "true" : "false", ingest_fullscan.p50,
                ingest_fullscan.p99, admission_speedup_p50,
-               stats.orders_scanned, stats.orders_admitted,
-               stats.admission_skips, mean_orders_scanned,
+               stats.core.orders_scanned, stats.core.orders_admitted,
+               stats.core.admission_skips, mean_orders_scanned,
                mean_orders_admitted, affected_fraction,
                affected_ok ? "true" : "false", compact_hold_seconds,
                compact_survivors, compact_hold_ok ? "true" : "false");

@@ -182,8 +182,8 @@ int main() {
   const auto& stats = online.stats();
   std::printf("Engine: %zu ingested; per-arrival maintenance: %zu cheap "
               "prefix appends, %zu invalidations, %zu lazy model solves\n",
-              stats.ingested, stats.fast_path_appends,
-              stats.models_invalidated, stats.models_solved);
+              stats.ingested, stats.core.fast_path_appends,
+              stats.core.models_invalidated, stats.core.models_solved);
   // One coherent index snapshot: rebuild counters, double-buffer state
   // and the worst writer-lock hold an arrival ever paid.
   iim::stream::DynamicIndex::Stats istats = online.index().stats();
@@ -259,7 +259,7 @@ int main() {
   const auto& wstats = windowed.stats();
   std::printf("\nSliding window (window_size = %zu): %zu ingested, %zu "
               "evicted, %zu live\n",
-              kWindow, wstats.ingested, wstats.evicted, windowed.size());
+              kWindow, wstats.ingested, wstats.core.evicted, windowed.size());
   // The tail-latency smoke check: every arrival above carried ingest +
   // auto-evict + any compaction; the percentiles make a regression in any
   // of them visible at a glance.
@@ -272,8 +272,9 @@ int main() {
   std::printf("Eviction repair: %zu backfills over %zu reverse-neighbor "
               "postings edges; %zu compactions kept %zu index slots (worst "
               "compact lock hold %.3f ms)\n",
-              wstats.backfills, wstats.postings_edges, wstats.compactions,
-              wistats.slots, wistats.max_compact_hold_seconds * 1e3);
+              wstats.core.backfills, wstats.core.postings_edges,
+              wstats.core.compactions, wistats.slots,
+              wistats.max_compact_hold_seconds * 1e3);
 
   // The windowed guarantee: a batch engine fitted on the live window (the
   // last kWindow readings) agrees with the windowed engine bit for bit.
@@ -477,8 +478,8 @@ int main() {
   const auto& astats = adaptive.stats();
   std::printf("  maintenance: %zu sweeps solved, %zu served clean, %zu "
               "holders dirtied by arrivals, %zu readings changed their l\n",
-              astats.models_solved, astats.global_fits_reused,
-              astats.holders_invalidated, astats.adaptive_l_changes);
+              astats.core.models_solved, astats.core.models_reused,
+              astats.core.holders_invalidated, astats.core.adaptive_l_changes);
 
   // The adaptive guarantee: a batch Algorithm 3 on the live window agrees
   // bitwise — adaptive sweeps always restream a fresh accumulator, so
@@ -675,9 +676,10 @@ int main() {
   std::printf("\nQuality monitor (1%% masking-one-out holdouts, "
               "auto-route): %zu probes, %zu skipped; %zu routed + %zu "
               "ensemble serves, %zu champion switches\n",
-              qstats.moo_probes, qstats.moo_skipped, qstats.routed_serves,
-              qstats.ensemble_serves, qstats.champion_switches);
-  const iim::stream::QualityStats& q = qstats.quality;
+              qstats.engine.moo_probes, qstats.engine.moo_skipped,
+              qstats.engine.routed_serves, qstats.engine.ensemble_serves,
+              qstats.engine.champion_switches);
+  const iim::stream::QualityStats& q = qstats.engine.quality;
   std::printf("Held-out absolute error of %s (decayed rms, then the "
               "recent-error percentiles), champion %s:\n",
               readings.schema().name(static_cast<size_t>(target)).c_str(),
@@ -692,7 +694,7 @@ int main() {
                 q.ewma_rms[mi], q.abs_error[mi].p50, q.abs_error[mi].p99,
                 q.abs_error[mi].max);
   }
-  if (qstats.moo_probes == 0) {
+  if (qstats.engine.moo_probes == 0) {
     std::fprintf(stderr, "quality act left unexpected state\n");
     return 1;
   }

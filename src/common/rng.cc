@@ -11,8 +11,12 @@ double Rng::Uniform(double lo, double hi) {
 }
 
 double Rng::Gaussian(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // A standard draw scaled here, not by the distribution: the standard
+  // requires stddev > 0, and callers pass 0 for noise-free data. For
+  // stddev > 0 this is bit for bit what normal_distribution(mean, stddev)
+  // returns, from the same engine output.
+  std::normal_distribution<double> dist(0.0, 1.0);
+  return dist(engine_) * stddev + mean;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {

@@ -539,31 +539,6 @@ DynamicIndex::Stats DynamicIndex::stats() const {
   return s;
 }
 
-size_t DynamicIndex::slots() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return n_;
-}
-
-size_t DynamicIndex::tombstones() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return dead_;
-}
-
-size_t DynamicIndex::tree_size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return tree_.size();
-}
-
-size_t DynamicIndex::rebuilds() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return rebuilds_;
-}
-
-size_t DynamicIndex::compactions() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return compactions_;
-}
-
 bool DynamicIndex::VerifyRadii() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (radius_.size() != n_) return false;

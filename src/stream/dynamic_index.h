@@ -120,9 +120,7 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   };
 
   // One coherent snapshot of every counter, taken under a single lock
-  // acquisition — the individual accessors below each lock separately, so
-  // reading several while a background builder runs can tear (e.g. a swap
-  // landing between rebuilds() and tree_size()).
+  // acquisition, so a background swap cannot land between two fields.
   struct Stats {
     size_t live = 0;        // non-tombstoned rows
     size_t slots = 0;       // including tombstones
@@ -168,8 +166,8 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // Appends one full-arity row (its `cols` values are gathered, matching
   // the BruteForceIndex constructor) with its admission radius, growing
   // the buffer amortized-O(1); the new row's slot id is the current
-  // slots() count. May launch (or install) a background rebuild per the
-  // tail policy — but never blocks on one.
+  // stats().slots count. May launch (or install) a background rebuild per
+  // the tail policy — but never blocks on one.
   void Append(const data::RowView& row, double radius = kNoRadius);
 
   // Sets one live slot's radius (a no-op for an out-of-range or dead
@@ -257,14 +255,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   const std::vector<int>& cols() const { return cols_; }
 
   Stats stats() const;
-
-  // Single-field conveniences (each takes the lock once; use stats() when
-  // reading more than one).
-  size_t slots() const;
-  size_t tombstones() const;
-  size_t tree_size() const;
-  size_t rebuilds() const;
-  size_t compactions() const;
 
   // True when the installed tree's subtree maxima cover every slot's
   // radius — the invariant QueryAdmitters prunes on. O(n).

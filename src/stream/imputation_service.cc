@@ -197,27 +197,11 @@ ImputationService::Stats ImputationService::stats() const {
 
 HealthState ImputationService::Health() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_.health;
+  return stats_.engine.health;
 }
 
 void ImputationService::RefreshEngineStats() {
-  const OnlineIim::Stats es = engine_->stats();
-  stats_.snapshots_written = es.snapshots_written;
-  stats_.snapshots_loaded = es.snapshots_loaded;
-  stats_.log_records_replayed = es.log_records_replayed;
-  stats_.holders_invalidated = es.holders_invalidated;
-  stats_.global_fits_reused = es.global_fits_reused;
-  stats_.adaptive_l_changes = es.adaptive_l_changes;
-  stats_.engine_wal_retries = es.wal_retries;
-  stats_.engine_nondurable_ops = es.nondurable_ops;
-  stats_.engine_health_transitions = es.health_transitions;
-  stats_.moo_probes = es.moo_probes;
-  stats_.moo_skipped = es.moo_skipped;
-  stats_.routed_serves = es.routed_serves;
-  stats_.ensemble_serves = es.ensemble_serves;
-  stats_.champion_switches = es.champion_switches;
-  stats_.quality = es.quality;
-  stats_.health = engine_->Health();
+  stats_.engine = engine_->stats();
 }
 
 void ImputationService::RecordLatency(std::vector<double>* ring,
@@ -327,7 +311,6 @@ void ImputationService::ServeLoop() {
     IIM_FAIL_POINT_VOID("service.drain");
 
     Kind kind = taken.front().kind;
-    size_t degraded = 0;  // engine kUnavailable refusals in this batch
     bool injected = false;
     Stopwatch serve_timer;
     // Batch-execution fault: the whole popped batch resolves to the
@@ -345,13 +328,10 @@ void ImputationService::ServeLoop() {
     } else if (kind == Kind::kIngest) {
       data::RowView row(taken.front().values.data(),
                         taken.front().values.size());
-      Status st = engine_->Ingest(row);
-      if (st.code() == StatusCode::kUnavailable) ++degraded;
-      taken.front().status_promise.set_value(std::move(st));
+      taken.front().status_promise.set_value(engine_->Ingest(row));
     } else if (kind == Kind::kEvict) {
-      Status st = engine_->Evict(taken.front().arrival);
-      if (st.code() == StatusCode::kUnavailable) ++degraded;
-      taken.front().status_promise.set_value(std::move(st));
+      taken.front().status_promise.set_value(
+          engine_->Evict(taken.front().arrival));
     } else if (use_fallback) {
       ServeImputeFallback(&taken);
     } else {
@@ -379,11 +359,9 @@ void ImputationService::ServeLoop() {
         // sample — only the quiesce/in-flight bookkeeping below.
       } else if (kind == Kind::kIngest) {
         ++stats_.ingests;
-        stats_.degraded_rejected += degraded;
         RecordLatency(&ingest_seconds_, &ingest_next_, serve_seconds);
       } else if (kind == Kind::kEvict) {
         ++stats_.evictions;
-        stats_.degraded_rejected += degraded;
       } else {
         stats_.imputations += taken.size();
         if (use_fallback) {

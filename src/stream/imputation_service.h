@@ -84,9 +84,6 @@ class ImputationService {
     size_t queue_shed = 0;         // shed at the queue bound
     size_t deadline_expired = 0;   // deadline passed while queued
     size_t shutdown_rejected = 0;  // submissions after Shutdown()
-    // Mutations the engine itself refused with kUnavailable because its
-    // health was degraded/read-only (see stream/health.h).
-    size_t degraded_rejected = 0;
     // Imputations answered by the overload fallback imputer
     // (Options::fallback_watermark) — degraded answers, counted so a
     // caller can tell how many results came from the cheap path.
@@ -95,37 +92,13 @@ class ImputationService {
     // consecutive fallback batches and only invalidated by a served
     // mutation, so this advances per changed window, not per batch.
     size_t fallback_fits = 0;
-    // Engine health at the last quiesce point, plus its ladder counters
-    // (see OnlineIim::Stats).
-    HealthState health = HealthState::kHealthy;
-    size_t engine_wal_retries = 0;
-    size_t engine_nondurable_ops = 0;
-    size_t engine_health_transitions = 0;
-    // Engine durability counters (see OnlineIim::Stats), refreshed at
-    // quiesce points (by Pause() once the engine is quiescent, and by the
-    // server thread when the queue goes idle) under the same mutex as the
-    // counters above — so a snapshot taken while Pause()d or after
-    // Drain() is both internally coherent and stable. Mid-stream reads
-    // may lag by the requests served since the last quiesce.
-    size_t snapshots_written = 0;
-    size_t snapshots_loaded = 0;
-    size_t log_records_replayed = 0;
-    // Engine model-maintenance counters (see OnlineIim::Stats), refreshed
-    // at the same quiesce points. Together they gauge how often a served
-    // model was a still-clean cached fit versus how much churn arrivals
-    // inflicted on the maintained orders.
-    size_t holders_invalidated = 0;
-    size_t global_fits_reused = 0;
-    size_t adaptive_l_changes = 0;
-    // Masking-one-out quality monitoring (see stream/quality.h),
-    // refreshed at the same quiesce points — all zero when the engine
-    // runs with moo_sample_rate == 0.
-    size_t moo_probes = 0;
-    size_t moo_skipped = 0;
-    size_t routed_serves = 0;
-    size_t ensemble_serves = 0;
-    size_t champion_switches = 0;
-    QualityStats quality;
+    // The engine's whole record (OnlineIim::Stats) as of the last
+    // quiesce point: Pause() once the engine is quiescent, the server
+    // thread when the queue goes idle, and Shutdown(). It is copied under
+    // the same mutex as the counters above, so a read while Pause()d or
+    // after Drain() is coherent and stable; mid-stream reads may lag by
+    // the requests served since the last quiesce.
+    OnlineIim::Stats engine;
     // Engine-serve latency (seconds) over the most recent requests of
     // each kind (bounded reservoir of kLatencySamples): ingest is
     // per-arrival — the tail the background index rebuild bounds;
@@ -217,7 +190,7 @@ class ImputationService {
   // request's absolute expiry.
   static std::chrono::steady_clock::time_point DeadlineFrom(
       double deadline_seconds);
-  // Copies the engine's counters into stats_ — caller holds mu_ at a
+  // Copies the engine's record into stats_ — caller holds mu_ at a
   // quiesce point.
   void RefreshEngineStats();
   // Appends one serve duration to a bounded ring (caller holds mu_).

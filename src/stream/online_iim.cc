@@ -343,9 +343,11 @@ QualityAnswers OnlineIim::Challengers(
     const double* x, const std::vector<neighbors::Neighbor>& nbrs,
     const regress::LinearModel* glr) const {
   QualityAnswers answers;
-  double sum = 0.0;
-  for (const neighbors::Neighbor& nb : nbrs) sum += core_.Target(nb.index);
-  answers[kQualityKnn] = sum / static_cast<double>(nbrs.size());
+  if (!nbrs.empty()) {
+    double sum = 0.0;
+    for (const neighbors::Neighbor& nb : nbrs) sum += core_.Target(nb.index);
+    answers[kQualityKnn] = sum / static_cast<double>(nbrs.size());
+  }
   Result<double> mean = monitor_->Mean();
   if (mean.ok()) answers[kQualityMean] = mean.value();
   if (glr != nullptr) answers[kQualityGlr] = glr->Predict(x, q_);
@@ -389,6 +391,7 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
   // and mean and GLR the monitor's fits.
   const int route = monitor_ == nullptr ? kQualityIim : monitor_->Route();
   const bool uses_models = route == kQualityIim || route == kQualityEnsemble;
+  const bool uses_neighbors = route != kQualityMean && route != kQualityGlr;
 
   // Phase 1 (serial): validate, gather the queryable rows' probes into
   // one contiguous block (the core's index takes gathered points).
@@ -415,9 +418,12 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
   }
 
   // Phase 2 (parallel, read-only): neighbor queries fan out; the fixed
-  // block partition keeps result order thread-count independent.
+  // block partition keeps result order thread-count independent. The mean
+  // and GLR routes read no neighbors and skip them.
   std::vector<std::vector<neighbors::Neighbor>> nbrs =
-      core_.index().QueryMany(batch, options_.k, &pool_);
+      uses_neighbors
+          ? core_.index().QueryMany(batch, options_.k, &pool_)
+          : std::vector<std::vector<neighbors::Neighbor>>(batch.size());
 
   // Phase 3 (serial): ensure every distinct neighbor model exactly once.
   // Serial keeps the core mutation trivially deterministic and race-free;
@@ -454,7 +460,7 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
   pool_.ParallelFor(batch.size(), kBatchGrain, [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       size_t i = row_of_query[b];
-      if (nbrs[b].empty()) {
+      if (uses_neighbors && nbrs[b].empty()) {
         out[i] = Status::Internal("OnlineIim: no imputation neighbors");
         continue;
       }
@@ -500,20 +506,7 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
 
 OnlineIim::Stats OnlineIim::stats() const {
   Stats s = stats_;
-  const OrderCore::Counters& c = core_.counters();
-  s.evicted = c.evicted;
-  s.fast_path_appends = c.fast_path_appends;
-  s.models_invalidated = c.models_invalidated;
-  s.models_solved = c.models_solved;
-  s.backfills = c.backfills;
-  s.compactions = c.compactions;
-  s.postings_edges = c.postings_edges;
-  s.holders_invalidated = c.holders_invalidated;
-  s.global_fits_reused = c.models_reused;
-  s.adaptive_l_changes = c.adaptive_l_changes;
-  s.orders_scanned = c.orders_scanned;
-  s.orders_admitted = c.orders_admitted;
-  s.admission_skips = c.admission_skips;
+  s.core = core_.counters();
   if (monitor_ != nullptr) {
     s.moo_probes = monitor_->probes();
     s.moo_skipped = monitor_->skipped();
@@ -774,21 +767,21 @@ Status OnlineIim::InitPersistence() {
 }
 
 void OnlineIim::SetHealth(HealthState next) {
-  if (health_ == next) return;
-  health_ = next;
+  if (stats_.health == next) return;
+  stats_.health = next;
   ++stats_.health_transitions;
 }
 
 Status OnlineIim::LogDurably(const std::function<Status()>& append,
                              bool* nondurable) {
   *nondurable = false;
-  if (health_ == HealthState::kReadOnly) {
+  if (stats_.health == HealthState::kReadOnly) {
     ++stats_.degraded_rejected;
     return Status::Unavailable(
         "OnlineIim: read-only — non-durable debt exceeded "
         "max_nondurable_ops; call RecoverDurability()");
   }
-  if (health_ == HealthState::kHealthy) {
+  if (stats_.health == HealthState::kHealthy) {
     Status st = append();
     double backoff = options_.wal_retry_base;
     for (size_t attempt = 0;
@@ -827,7 +820,7 @@ Status OnlineIim::RecoverDurability() {
     return Status::FailedPrecondition(
         "OnlineIim: no persist_dir was configured");
   }
-  if (health_ == HealthState::kHealthy) return Status::OK();
+  if (stats_.health == HealthState::kHealthy) return Status::OK();
   // Quiesce the store: wait out any in-flight background write and clear
   // its pending slot so the blocking write below is legal.
   RETURN_IF_ERROR(store_->Flush());
@@ -859,7 +852,7 @@ void OnlineIim::MaybeSnapshot() {
   // Degraded: the engine holds ops the log does not; a checkpoint here
   // would stamp a coverage count it does not honor. RecoverDurability()
   // is the only checkpoint allowed until then.
-  if (health_ != HealthState::kHealthy) return;
+  if (stats_.health != HealthState::kHealthy) return;
   store_->Harvest(&stats_.snapshots_written,
                   &stats_.snapshot_write_failures);
   if (!store_->snapshot_due()) return;

@@ -66,46 +66,11 @@ class OnlineIim {
     // The two cursors a snapshot carries; they survive a restore.
     size_t ingested = 0;
     size_t imputed = 0;
-    // --- Order maintenance (OrderCore::Counters) — lifetime counts that
-    // restart at a snapshot restore; postings_edges, a gauge, is
-    // recomputed from the restored orders ---
-    size_t evicted = 0;
-    // Arrivals folded onto the end of a tuple's growing prefix (the cheap
-    // Proposition 3 path, pending a lazy re-solve).
-    size_t fast_path_appends = 0;
-    // Arrivals that landed inside a tuple's prefix: accumulator reset,
-    // full restream on next use.
-    size_t models_invalidated = 0;
-    // Lazy model (re)solves actually performed.
-    size_t models_solved = 0;
-    // Next-nearest live tuples pulled into a shrunken learning order.
-    size_t backfills = 0;
-    // Physical compactions (tombstoned slots dropped, index rebuilt).
-    size_t compactions = 0;
-    // Live reverse-neighbor postings entries (one per (holder, neighbor)
-    // edge, self-edges excluded) — the gauge EvictSlot's O(l) bound rides
-    // on.
-    size_t postings_edges = 0;
-    // Clean models flipped stale by an arrival, eviction repair or
-    // validation-list change (0 -> 1 transitions only). With
-    // global_fits_reused, the refit-vs-reuse ratio of the engine.
-    size_t holders_invalidated = 0;
-    // Model requests answered by a still-clean cached model (no fold, no
-    // solve).
-    size_t global_fits_reused = 0;
-    // Adaptive re-evaluations whose chosen l differs from the tuple's
-    // previous one (0 unless options.adaptive).
-    size_t adaptive_l_changes = 0;
-    // Live orders an arrival's insertion test actually visited (with
-    // options.admission_bound: radius-query candidates that passed their
-    // per-order bound; without: every live order, i.e. live per arrival).
-    size_t orders_scanned = 0;
-    // Visited orders that adopted the arrival — the affected-order count
-    // the sublinear-ingest cost model is gated on.
-    size_t orders_admitted = 0;
-    // Live orders skipped because the admission bound proved the arrival
-    // could not enter them (always 0 with the bound disabled).
-    size_t admission_skips = 0;
+    // The order core's counters: models solved and reused, holders
+    // invalidated, orders scanned, ... Lifetime counts that restart at a
+    // snapshot restore; postings_edges, a gauge, is recomputed from the
+    // restored orders.
+    OrderCore::Counters core;
     // --- Durability (persist_dir engines; never serialized into
     // snapshots — each incarnation counts its own I/O) ---
     // Snapshot files durably published (background writes harvested +
@@ -120,6 +85,8 @@ class OnlineIim {
     // runs on the engine thread and thus the checkpoint "pause".
     double max_snapshot_serialize_seconds = 0.0;
     // --- Health (see stream/health.h; never serialized) ---
+    // The ladder's current state; always kHealthy without a persist_dir.
+    HealthState health = HealthState::kHealthy;
     // Extra write-ahead append attempts after a failure (the retry loop's
     // sleeps, not first tries).
     size_t wal_retries = 0;
@@ -239,8 +206,8 @@ class OnlineIim {
   // private so its slots cannot be moved out from under the core's
   // slot-aligned state.
   void WaitForIndexRebuild() { core_.WaitForIndexRebuild(); }
-  // Engine-owned cursors merged with the order-maintenance core's
-  // counters (one coherent copy).
+  // The engine's record with the core's counters and the monitor's
+  // telemetry filled in (one coherent copy).
   Stats stats() const;
 
   // --- Durability (options().persist_dir engines) ----------------------
@@ -257,11 +224,11 @@ class OnlineIim {
   // failure leaves the engine empty); then one bulk load rebuilds the
   // orders, and every model starts dirty. The restored engine's window,
   // learning orders and every later imputation are bitwise the writer's.
-  // What restarts: the OrderCore counters merged into stats() (evicted,
-  // models_solved, backfills, compactions, ...; postings_edges, a gauge,
-  // is recomputed), and, when adaptive, the chosen-l cache —
-  // ChosenEllByArrival reads 0 for a restored tuple until its model is
-  // next evaluated, as for a fresh arrival.
+  // What restarts: stats().core (evicted, models_solved, backfills,
+  // compactions, ...; postings_edges, a gauge, is recomputed), and, when
+  // adaptive, the chosen-l cache — ChosenEllByArrival reads 0 for a
+  // restored tuple until its model is next evaluated, as for a fresh
+  // arrival.
   Status RestoreFromSnapshot(const std::string& bytes);
   // Writes a snapshot synchronously (waits out any background write
   // first) and runs retention. FailedPrecondition without a persist_dir.
@@ -278,7 +245,7 @@ class OnlineIim {
   // --- Health (see stream/health.h) ------------------------------------
   // Current state of the sticky degradation ladder. Always kHealthy
   // without a persist_dir.
-  HealthState Health() const { return health_; }
+  HealthState Health() const { return stats_.health; }
   // The explicit way back to kHealthy after degradation: folds any
   // non-durable ops into the op count and publishes a BLOCKING snapshot
   // covering the engine's current state, so the acknowledged and
@@ -305,8 +272,8 @@ class OnlineIim {
       const data::RowView& tuple,
       const std::vector<neighbors::Neighbor>& nbrs) const;
   // The challengers' answers for gathered features x: kNN from the
-  // targets of `nbrs`, mean from the monitor's fit, GLR from `glr` (none
-  // when null). The IIM entry is left empty.
+  // targets of `nbrs` (none when empty), mean from the monitor's fit, GLR
+  // from `glr` (none when null). The IIM entry is left empty.
   QualityAnswers Challengers(const double* x,
                              const std::vector<neighbors::Neighbor>& nbrs,
                              const regress::LinearModel* glr) const;
@@ -368,13 +335,12 @@ class OnlineIim {
   std::unique_ptr<persist::StateStore> store_;
   bool replaying_ = false;
 
-  // Health ladder (stream/health.h) and the count of applied-but-unlogged
-  // ops not yet folded into the store by RecoverDurability().
-  HealthState health_ = HealthState::kHealthy;
+  // The count of applied-but-unlogged ops not yet folded into the store
+  // by RecoverDurability().
   uint64_t nondurable_debt_ = 0;
 
-  // Engine-owned cursors and durability counters; the maintenance
-  // counters live in core_.counters() and are merged in stats().
+  // Cursors, durability and health; stats() fills in the core's counters
+  // and the monitor's telemetry.
   Stats stats_;
 };
 

@@ -101,8 +101,13 @@ class OrderCore {
 
   struct Counters {
     size_t evicted = 0;
+    // Arrivals folded onto the end of a tuple's growing prefix (the cheap
+    // Proposition 3 path, pending a lazy re-solve).
     size_t fast_path_appends = 0;
+    // Arrivals that landed inside a tuple's prefix: accumulator reset,
+    // full restream on next use.
     size_t models_invalidated = 0;
+    // Lazy model (re)solves actually performed.
     size_t models_solved = 0;
     // EnsureModel calls answered by a still-clean cached model (the
     // refit-vs-reuse gauge of the query path).
@@ -110,8 +115,13 @@ class OrderCore {
     // Always 0 (evictions only restream); perfbench/layers.cc reads them.
     size_t downdates = 0;
     size_t downdate_fallbacks = 0;
+    // Next-nearest live tuples pulled into a shrunken learning order.
     size_t backfills = 0;
+    // Physical compactions (tombstoned slots dropped, index rebuilt).
     size_t compactions = 0;
+    // Live reverse-neighbor postings entries (one per (holder, neighbor)
+    // edge, self-edges excluded); a gauge, the bound EvictSlot's O(l)
+    // repair rides on.
     size_t postings_edges = 0;
     // Clean holders flipped dirty by an arrival entering their order, a
     // validation-list change, or an eviction repair (0 -> 1 transitions

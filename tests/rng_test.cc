@@ -1,6 +1,8 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <cstring>
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -55,6 +57,31 @@ TEST(RngTest, GaussianMomentsRoughlyCorrect) {
   double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.5);
+}
+
+TEST(RngTest, GaussianWithZeroStddevReturnsTheMean) {
+  Rng rng(37);
+  for (double mean : {0.0, -1.5, 3.25, 1e6}) {
+    EXPECT_EQ(rng.Gaussian(mean, 0.0), mean);
+  }
+}
+
+TEST(RngTest, GaussianMatchesTheStandardDistributionBitForBit) {
+  // Generated relations stay bitwise what they were when Gaussian handed
+  // (mean, stddev) to the distribution itself.
+  Rng rng(41);
+  std::mt19937_64 engine(41);
+  const double means[] = {0.0, -2.0, 5.5, 1e3};
+  const double stddevs[] = {1e-9, 0.1, 1.0, 2.5};
+  for (int i = 0; i < 4000; ++i) {
+    const double mean = means[i % 4];
+    const double stddev = stddevs[(i / 4) % 4];
+    std::normal_distribution<double> dist(mean, stddev);
+    const double want = dist(engine);
+    const double got = rng.Gaussian(mean, stddev);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << "draw " << i << ": " << got << " vs " << want;
+  }
 }
 
 TEST(RngTest, BernoulliFrequency) {

@@ -110,11 +110,11 @@ void RunAdaptiveBatchDifferential(uint64_t seed, size_t threads) {
   // as the window slid.
   EXPECT_TRUE(engine.VerifyPostings());
   OnlineIim::Stats stats = engine.stats();
-  EXPECT_GT(stats.models_solved, 0u);
-  EXPECT_GT(stats.holders_invalidated, 0u);
-  EXPECT_GT(stats.global_fits_reused, 0u);
-  EXPECT_GT(stats.adaptive_l_changes, 0u);
-  EXPECT_GT(stats.evicted, 0u);
+  EXPECT_GT(stats.core.models_solved, 0u);
+  EXPECT_GT(stats.core.holders_invalidated, 0u);
+  EXPECT_GT(stats.core.models_reused, 0u);
+  EXPECT_GT(stats.core.adaptive_l_changes, 0u);
+  EXPECT_GT(stats.core.evicted, 0u);
 }
 
 class AdaptiveBatchDifferentialTest
@@ -254,8 +254,8 @@ TEST(AdaptiveServiceTest, SurfacesMaintenanceCounters) {
   ImputationService::Stats stats = service.stats();
   EXPECT_EQ(stats.ingests, 100u);
   EXPECT_EQ(stats.imputations, 16u);
-  EXPECT_GT(stats.holders_invalidated, 0u);
-  EXPECT_GT(stats.global_fits_reused, 0u);
+  EXPECT_GT(stats.engine.core.holders_invalidated, 0u);
+  EXPECT_GT(stats.engine.core.models_reused, 0u);
   service.Resume();
   service.Shutdown();
 }

@@ -62,7 +62,8 @@ namespace {
 // Gives every slot the same radius: QueryAdmitters over uniform radii is
 // a plain range query, every live row within that radius.
 void SetUniformRadius(DynamicIndex* index, double radius) {
-  for (size_t s = 0; s < index->slots(); ++s) index->SetRadius(s, radius);
+  const size_t slots = index->stats().slots;
+  for (size_t s = 0; s < slots; ++s) index->SetRadius(s, radius);
 }
 
 std::vector<neighbors::Neighbor> BySlot(std::vector<neighbors::Neighbor> v) {
@@ -165,8 +166,8 @@ TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
     index.QueryAdmitters(probe.Row(0), no_knn, &nearest, &got);
     EXPECT_TRUE(got.empty());
   }
-  EXPECT_GE(index.compactions(), 1u);
-  EXPECT_GT(index.tree_size(), 0u);
+  EXPECT_GE(index.stats().compactions, 1u);
+  EXPECT_GT(index.stats().tree_size, 0u);
 }
 
 // Rows on a 6 x 6 integer grid: every squared sum is a small integer, so
@@ -641,24 +642,24 @@ void RunAdmissionDifferential(uint64_t seed, size_t threads, bool adaptive) {
   const OnlineIim::Stats soff = off.stats();
   // Counters that count REAL state changes must agree exactly.
   EXPECT_EQ(son.ingested, soff.ingested);
-  EXPECT_EQ(son.evicted, soff.evicted);
-  EXPECT_EQ(son.fast_path_appends, soff.fast_path_appends);
-  EXPECT_EQ(son.models_invalidated, soff.models_invalidated);
-  EXPECT_EQ(son.models_solved, soff.models_solved);
-  EXPECT_EQ(son.backfills, soff.backfills);
-  EXPECT_EQ(son.compactions, soff.compactions);
-  EXPECT_EQ(son.postings_edges, soff.postings_edges);
-  EXPECT_EQ(son.holders_invalidated, soff.holders_invalidated);
-  EXPECT_EQ(son.adaptive_l_changes, soff.adaptive_l_changes);
+  EXPECT_EQ(son.core.evicted, soff.core.evicted);
+  EXPECT_EQ(son.core.fast_path_appends, soff.core.fast_path_appends);
+  EXPECT_EQ(son.core.models_invalidated, soff.core.models_invalidated);
+  EXPECT_EQ(son.core.models_solved, soff.core.models_solved);
+  EXPECT_EQ(son.core.backfills, soff.core.backfills);
+  EXPECT_EQ(son.core.compactions, soff.core.compactions);
+  EXPECT_EQ(son.core.postings_edges, soff.core.postings_edges);
+  EXPECT_EQ(son.core.holders_invalidated, soff.core.holders_invalidated);
+  EXPECT_EQ(son.core.adaptive_l_changes, soff.core.adaptive_l_changes);
   // Admitted orders are the same set by construction; the bound engine
   // just visits fewer candidates to find them.
-  EXPECT_EQ(son.orders_admitted, soff.orders_admitted);
-  EXPECT_LE(son.orders_scanned, soff.orders_scanned);
-  EXPECT_GT(son.admission_skips, 0u) << "pruning never engaged";
-  EXPECT_EQ(soff.admission_skips, 0u);
+  EXPECT_EQ(son.core.orders_admitted, soff.core.orders_admitted);
+  EXPECT_LE(son.core.orders_scanned, soff.core.orders_scanned);
+  EXPECT_GT(son.core.admission_skips, 0u) << "pruning never engaged";
+  EXPECT_EQ(soff.core.admission_skips, 0u);
   // The interleavings this harness claims to cover really happened.
-  EXPECT_GT(son.evicted, 0u);
-  EXPECT_GT(son.compactions, 0u);
+  EXPECT_GT(son.core.evicted, 0u);
+  EXPECT_GT(son.core.compactions, 0u);
 }
 
 class StreamAdmissionDifferentialTest
@@ -739,13 +740,13 @@ void RunExactTieDifferential(bool adaptive) {
 
   const OnlineIim::Stats son = on.stats();
   const OnlineIim::Stats soff = off.stats();
-  EXPECT_EQ(son.orders_admitted, soff.orders_admitted);
-  EXPECT_EQ(son.fast_path_appends, soff.fast_path_appends);
-  EXPECT_EQ(son.models_invalidated, soff.models_invalidated);
-  EXPECT_EQ(son.postings_edges, soff.postings_edges);
+  EXPECT_EQ(son.core.orders_admitted, soff.core.orders_admitted);
+  EXPECT_EQ(son.core.fast_path_appends, soff.core.fast_path_appends);
+  EXPECT_EQ(son.core.models_invalidated, soff.core.models_invalidated);
+  EXPECT_EQ(son.core.postings_edges, soff.core.postings_edges);
   // Ties keep every duplicate's originals as candidates, but pruning
   // must still bite on the rest of the relation.
-  EXPECT_GT(son.admission_skips, 0u);
+  EXPECT_GT(son.core.admission_skips, 0u);
 }
 
 TEST(StreamAdmissionTest, ExactTieArrivalsBitIdenticalFixedEll) {

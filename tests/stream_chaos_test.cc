@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -754,14 +755,109 @@ TEST_F(ChaosServiceTest, HealthSurfacesThroughServiceStats) {
     EXPECT_EQ(f.get().code(), StatusCode::kUnavailable);
   }
   ImputationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.health, HealthState::kDegraded);
+  EXPECT_EQ(stats.engine.health, HealthState::kDegraded);
   EXPECT_EQ(service.Health(), HealthState::kDegraded);
-  EXPECT_EQ(stats.degraded_rejected, 5u);
-  EXPECT_EQ(stats.engine_health_transitions, 1u);
+  EXPECT_EQ(stats.engine.degraded_rejected, 5u);
+  EXPECT_EQ(stats.engine.health_transitions, 1u);
   // Imputations keep serving while degraded.
   std::future<Result<double>> probe =
       service.SubmitImpute(Probe(src, 20, kTarget));
   EXPECT_TRUE(probe.get().ok());
+}
+
+// Field-for-field equality of two engine records. OrderCore::Counters
+// holds only size_t fields, so its bytes are its fields.
+void ExpectSameRecord(const OnlineIim::Stats& a, const OnlineIim::Stats& b) {
+  EXPECT_EQ(a.ingested, b.ingested);
+  EXPECT_EQ(a.imputed, b.imputed);
+  EXPECT_EQ(std::memcmp(&a.core, &b.core, sizeof(a.core)), 0);
+  EXPECT_EQ(a.snapshots_written, b.snapshots_written);
+  EXPECT_EQ(a.snapshot_write_failures, b.snapshot_write_failures);
+  EXPECT_EQ(a.snapshots_loaded, b.snapshots_loaded);
+  EXPECT_EQ(a.log_records_replayed, b.log_records_replayed);
+  EXPECT_EQ(a.max_snapshot_serialize_seconds,
+            b.max_snapshot_serialize_seconds);
+  EXPECT_EQ(a.health, b.health);
+  EXPECT_EQ(a.wal_retries, b.wal_retries);
+  EXPECT_EQ(a.nondurable_ops, b.nondurable_ops);
+  EXPECT_EQ(a.degraded_rejected, b.degraded_rejected);
+  EXPECT_EQ(a.health_transitions, b.health_transitions);
+  EXPECT_EQ(a.moo_probes, b.moo_probes);
+  EXPECT_EQ(a.moo_skipped, b.moo_skipped);
+  EXPECT_EQ(a.routed_serves, b.routed_serves);
+  EXPECT_EQ(a.ensemble_serves, b.ensemble_serves);
+  EXPECT_EQ(a.champion_switches, b.champion_switches);
+  EXPECT_EQ(a.quality.champion, b.quality.champion);
+  for (int m = 0; m < kQualityMethods; ++m) {
+    EXPECT_EQ(a.quality.samples[m], b.quality.samples[m]) << m;
+    EXPECT_EQ(a.quality.ewma_abs[m], b.quality.ewma_abs[m]) << m;
+    EXPECT_EQ(a.quality.ewma_rms[m], b.quality.ewma_rms[m]) << m;
+    EXPECT_EQ(a.quality.abs_error[m].p50, b.quality.abs_error[m].p50) << m;
+    EXPECT_EQ(a.quality.abs_error[m].p99, b.quality.abs_error[m].p99) << m;
+    EXPECT_EQ(a.quality.abs_error[m].max, b.quality.abs_error[m].max) << m;
+  }
+}
+
+// The service embeds the engine's whole record: at a quiesce point it
+// reads, field for field, what the engine itself reports. A recovered,
+// monitored, windowed engine that then degrades gives the cursors, the
+// core counters, durability, health and quality all a value to carry.
+TEST_F(ChaosServiceTest, ServiceCarriesTheEngineRecordWhole) {
+  data::Table src = HeterogeneousTable(120, 4, 23);
+  ScopedTempDir dir;
+  core::IimOptions popt = ChaosOptions();
+  popt.persist_dir = dir.path();
+  popt.wal_fsync_every = 1;
+  popt.snapshot_every = 16;
+  popt.wal_retry_attempts = 1;
+  popt.wal_retry_base = 1e-4;
+  popt.moo_sample_rate = 0.25;
+  {
+    // A blocking snapshot at 40 ops is the newest: the next one is due at
+    // 56, so exactly 10 records follow it in the log.
+    std::unique_ptr<OnlineIim> first = MakeEngine(src, popt);
+    for (size_t i = 0; i < 50; ++i) {
+      ASSERT_TRUE(first->Ingest(src.Row(i)).ok());
+      if (i == 39) ASSERT_TRUE(first->SaveSnapshot().ok());
+    }
+  }
+  std::unique_ptr<OnlineIim> engine = MakeEngine(src, popt);
+  ImputationService service(engine.get());
+  std::vector<std::future<Status>> fed;
+  std::vector<std::future<Result<double>>> answered;
+  for (size_t i = 50; i < 100; ++i) {
+    fed.push_back(service.SubmitIngest(src.Row(i).ToVector()));
+    if (i % 5 == 0) {
+      answered.push_back(service.SubmitImpute(Probe(src, i, kTarget)));
+    }
+  }
+  service.Drain();
+  for (auto& f : fed) ASSERT_TRUE(f.get().ok());
+  for (auto& f : answered) ASSERT_TRUE(f.get().ok());
+  fail::Enable("wal.append", fail::Spec());
+  for (size_t i = 100; i < 103; ++i) {
+    EXPECT_EQ(service.SubmitIngest(src.Row(i).ToVector()).get().code(),
+              StatusCode::kUnavailable);
+  }
+
+  service.Pause();
+  const OnlineIim::Stats carried = service.stats().engine;
+  const OnlineIim::Stats direct = engine->stats();
+  service.Resume();
+  ExpectSameRecord(carried, direct);
+  EXPECT_EQ(carried.ingested, 100u);
+  EXPECT_EQ(carried.imputed, 10u);
+  EXPECT_GT(carried.core.evicted, 0u);
+  EXPECT_GT(carried.core.models_solved, 0u);
+  EXPECT_GT(carried.core.orders_scanned, 0u);
+  EXPECT_EQ(carried.snapshots_loaded, 1u);
+  EXPECT_EQ(carried.log_records_replayed, 10u);
+  EXPECT_EQ(carried.health, HealthState::kDegraded);
+  EXPECT_EQ(carried.degraded_rejected, 3u);
+  EXPECT_GE(carried.wal_retries, 1u);
+  EXPECT_EQ(carried.health_transitions, 1u);
+  EXPECT_GT(carried.moo_probes, 0u);
+  EXPECT_GT(carried.quality.samples[kQualityIim], 0u);
 }
 
 TEST_F(ChaosServiceTest, RandomFaultScheduleNeverHangsOrLosesAFuture) {

@@ -16,7 +16,8 @@
 //     must never perturb what it monitors.
 //   - Routing: on a deliberately drifted stream the kAutoRoute engine
 //     switches the target's champion off IIM and serves the drifted tail
-//     with LOWER held-out error than the kObserveOnly twin.
+//     with LOWER held-out error than the kObserveOnly twin; a mean or GLR
+//     serve never queries the index.
 //   - Time-based eviction: EvictWhere / EvictOlderThan retire exactly the
 //     matching tuples, tolerate holes anywhere in the window (no
 //     FIFO-prefix assumption), and leave imputations bitwise equal to a
@@ -279,11 +280,11 @@ TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngine) {
     EXPECT_EQ(sa.routed_serves, 0u);
     EXPECT_EQ(sa.ensemble_serves, 0u);
     EXPECT_EQ(sa.imputed, sb.imputed);
-    EXPECT_EQ(sa.fast_path_appends, sb.fast_path_appends);
-    EXPECT_EQ(sa.models_invalidated, sb.models_invalidated);
-    EXPECT_EQ(sa.backfills, sb.backfills);
-    EXPECT_EQ(sa.evicted, sb.evicted);
-    EXPECT_EQ(sa.orders_scanned, sb.orders_scanned);
+    EXPECT_EQ(sa.core.fast_path_appends, sb.core.fast_path_appends);
+    EXPECT_EQ(sa.core.models_invalidated, sb.core.models_invalidated);
+    EXPECT_EQ(sa.core.backfills, sb.core.backfills);
+    EXPECT_EQ(sa.core.evicted, sb.core.evicted);
+    EXPECT_EQ(sa.core.orders_scanned, sb.core.orders_scanned);
   }
 }
 
@@ -314,7 +315,7 @@ TEST_P(QualityConvergenceTest, DecayedErrorTracksBatchMaskingError) {
     }
     for (std::future<Status>& ack : acks) ASSERT_TRUE(ack.get().ok());
     service.Drain();
-    quality = service.stats().quality;
+    quality = service.stats().engine.quality;
   } else {
     for (size_t i = 0; i < n; ++i) {
       ASSERT_TRUE(engine.Ingest(full.Row(i)).ok());
@@ -389,6 +390,13 @@ TEST(QualityRoutingTest, AutoRouteSwitchesOffIimAndLowersDriftError) {
   double sq_observer = 0.0;
   double sq_router = 0.0;
   size_t served = 0;
+  size_t served_without_query = 0;
+  // The window is below the index's tree threshold, so every neighbor
+  // query scans the whole tail: the scan counter says whether a serve
+  // queried the index.
+  auto scanned = [](const OnlineIim& e) {
+    return e.index().stats().tail_rows_scanned;
+  };
   for (size_t i = 0; i < head + tail; ++i) {
     ASSERT_TRUE(observer.Ingest(full.Row(i)).ok());
     ASSERT_TRUE(router.Ingest(full.Row(i)).ok());
@@ -401,16 +409,32 @@ TEST(QualityRoutingTest, AutoRouteSwitchesOffIimAndLowersDriftError) {
       std::vector<double> probe = {
           x0, x1, std::numeric_limits<double>::quiet_NaN()};
       data::RowView row(probe.data(), probe.size());
+      const uint64_t observer_scanned = scanned(observer);
+      const uint64_t router_scanned = scanned(router);
+      const size_t routed_before = router.stats().routed_serves;
       Result<double> va = observer.ImputeOne(row);
       Result<double> vb = router.ImputeOne(row);
       ASSERT_TRUE(va.ok());
       ASSERT_TRUE(vb.ok());
+      // The IIM, kNN and ensemble routes read neighbors; the mean and GLR
+      // routes answer from the monitor's fits without a query.
+      EXPECT_GT(scanned(observer), observer_scanned) << "arrival " << i;
+      const OnlineIim::Stats rs = router.stats();
+      const int champion = rs.quality.champion;
+      if (rs.routed_serves > routed_before &&
+          (champion == kQualityMean || champion == kQualityGlr)) {
+        EXPECT_EQ(scanned(router), router_scanned) << "arrival " << i;
+        ++served_without_query;
+      } else {
+        EXPECT_GT(scanned(router), router_scanned) << "arrival " << i;
+      }
       sq_observer += (va.value() - truth) * (va.value() - truth);
       sq_router += (vb.value() - truth) * (vb.value() - truth);
       ++served;
     }
   }
   ASSERT_GT(served, 20u);
+  EXPECT_GT(served_without_query, 0u) << "no serve took the mean/GLR route";
 
   OnlineIim::Stats so = observer.stats();
   OnlineIim::Stats sr = router.stats();
@@ -583,9 +607,10 @@ TEST(QualityServiceTest, QualityStatsSurfaceThroughService) {
   service.Pause();
   ImputationService::Stats s = service.stats();
   service.Resume();
-  EXPECT_GT(s.moo_probes, 0u);
+  EXPECT_GT(s.engine.moo_probes, 0u);
   for (int m = 0; m < kQualityMethods; ++m) {
-    EXPECT_EQ(s.quality.samples[m], s.moo_probes) << QualityMethodName(m);
+    EXPECT_EQ(s.engine.quality.samples[m], s.engine.moo_probes)
+        << QualityMethodName(m);
   }
 }
 

@@ -120,7 +120,7 @@ TEST(DynamicIndexTest, BackgroundAndInLockRebuildsAgreeBitwise) {
   }
   // The baseline rebuilt synchronously; the background index launched
   // builds and, once flushed, has installed at least one.
-  EXPECT_GE(sync_index.rebuilds(), 1u);
+  EXPECT_GE(sync_index.stats().rebuilds, 1u);
   EXPECT_EQ(sync_index.stats().launches, 0u);
   bg_index.WaitForRebuild();
   DynamicIndex::Stats bg = bg_index.stats();
@@ -154,8 +154,8 @@ TEST(DynamicIndexTest, StaysBruteForceBelowThreshold) {
   data::Table t = HeterogeneousTable(50, 2, 3);
   for (size_t i = 0; i < t.NumRows(); ++i) index.Append(t.Row(i));
   EXPECT_EQ(index.size(), 50u);
-  EXPECT_EQ(index.tree_size(), 0u);  // default threshold is 4096
-  EXPECT_EQ(index.rebuilds(), 0u);
+  EXPECT_EQ(index.stats().tree_size, 0u);  // default threshold is 4096
+  EXPECT_EQ(index.stats().rebuilds, 0u);
   neighbors::QueryOptions qopt;
   qopt.k = 60;  // more than n: returns all
   EXPECT_EQ(index.Query(t.Row(0), qopt).size(), 50u);
@@ -174,7 +174,8 @@ uint64_t BuildCost(size_t n) {
 // Gives every slot the same radius: QueryAdmitters over uniform radii is
 // a plain range query, every live row within that radius.
 void SetUniformRadius(DynamicIndex* index, double radius) {
-  for (size_t s = 0; s < index->slots(); ++s) index->SetRadius(s, radius);
+  const size_t slots = index->stats().slots;
+  for (size_t s = 0; s < slots; ++s) index->SetRadius(s, radius);
 }
 
 // Ground truth for a uniform-radius QueryAdmitters: every row within
@@ -385,8 +386,8 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
     ASSERT_EQ(index.stats().tail_rows_scanned, visited) << "append " << i;
   }
   EXPECT_GT(visited, 0u);
-  EXPECT_GE(index.compactions(), 1u);
-  EXPECT_GE(index.rebuilds(), 2u);
+  EXPECT_GE(index.stats().compactions, 1u);
+  EXPECT_GE(index.stats().rebuilds, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,9 +449,9 @@ TEST(OnlineIimTest, BitIdenticalToBatchRefitAcrossStreamAndThreads) {
     }
 
     // Both incremental maintenance paths actually ran.
-    EXPECT_GT(online.stats().fast_path_appends, 0u);
-    EXPECT_GT(online.stats().models_invalidated, 0u);
-    EXPECT_GT(online.stats().models_solved, 0u);
+    EXPECT_GT(online.stats().core.fast_path_appends, 0u);
+    EXPECT_GT(online.stats().core.models_invalidated, 0u);
+    EXPECT_GT(online.stats().core.models_solved, 0u);
     EXPECT_EQ(online.stats().ingested, 200u);
   }
 }
@@ -657,7 +658,7 @@ TEST(ImputationServiceTest, SubmitEvictAppliesInSubmissionOrder) {
   ASSERT_TRUE(value.get().ok());
   EXPECT_EQ(engine.value()->size(), 40u);
   EXPECT_EQ(service.stats().evictions, 21u);
-  EXPECT_EQ(engine.value()->stats().evicted, 20u);
+  EXPECT_EQ(engine.value()->stats().core.evicted, 20u);
 }
 
 TEST(ImputationServiceTest, CoalescesConsecutiveImputations) {

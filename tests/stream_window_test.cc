@@ -88,10 +88,10 @@ TEST(DynamicIndexWindowTest, QueriesNeverReturnEvictedRows) {
   size_t live_count = 0;
   for (uint8_t a : live) live_count += a;
   EXPECT_EQ(index.size(), live_count);
-  EXPECT_EQ(index.slots(), full.NumRows());
-  EXPECT_EQ(index.tombstones(), full.NumRows() - live_count);
+  EXPECT_EQ(index.stats().slots, full.NumRows());
+  EXPECT_EQ(index.stats().tombstones, full.NumRows() - live_count);
   index.WaitForRebuild();  // flush the background builder, then count
-  EXPECT_GE(index.rebuilds(), 1u);  // the KD-tree path really ran
+  EXPECT_GE(index.stats().rebuilds, 1u);  // the KD-tree path really ran
 }
 
 TEST(DynamicIndexWindowTest, CompactionPreservesQueryResultsBitwise) {
@@ -123,10 +123,10 @@ TEST(DynamicIndexWindowTest, CompactionPreservesQueryResultsBitwise) {
   std::vector<size_t> remap = index.Compact();
   ASSERT_EQ(remap.size(), full.NumRows());
   ASSERT_FALSE(index.NeedsCompaction());
-  EXPECT_EQ(index.compactions(), 1u);
-  EXPECT_EQ(index.slots(), survivors.size());
+  EXPECT_EQ(index.stats().compactions, 1u);
+  EXPECT_EQ(index.stats().slots, survivors.size());
   EXPECT_EQ(index.size(), survivors.size());
-  EXPECT_EQ(index.tombstones(), 0u);
+  EXPECT_EQ(index.stats().tombstones, 0u);
   // The remap sends survivor slot j to dense position j, in order.
   for (size_t j = 0; j < survivors.size(); ++j) {
     EXPECT_EQ(remap[survivors[j]], j);
@@ -246,8 +246,8 @@ void RunWindowDifferential(uint64_t seed, size_t threads) {
 
   const OnlineIim::Stats& stats = online.stats();
   EXPECT_EQ(stats.ingested, 380u);
-  EXPECT_GT(stats.evicted, 0u);
-  EXPECT_GT(stats.backfills, 0u);
+  EXPECT_GT(stats.core.evicted, 0u);
+  EXPECT_GT(stats.core.backfills, 0u);
 }
 
 class StreamWindowDifferentialTest
@@ -297,8 +297,8 @@ TEST(StreamWindowTest, FifoWindowAutoEvictsAndCompacts) {
     ExpectWindowEquals(online, full, want_rows);
 
     const OnlineIim::Stats& stats = online.stats();
-    EXPECT_EQ(stats.evicted, 420u - kWindow);
-    EXPECT_GE(stats.compactions, 2u) << "tombstones never compacted";
+    EXPECT_EQ(stats.core.evicted, 420u - kWindow);
+    EXPECT_GE(stats.core.compactions, 2u) << "tombstones never compacted";
 
     // Differential: batch refit on the window.
     data::Table snapshot = online.table();
@@ -365,7 +365,7 @@ TEST(StreamWindowTest, PostingsMatchRecomputationAfterEveryStep) {
       ASSERT_TRUE(online.VerifyPostings())
           << "seed " << seed << " after arrival " << arrivals << " ("
           << explicit_evicts << " explicit evicts, "
-          << online.stats().compactions << " compactions)";
+          << online.stats().core.compactions << " compactions)";
       // DynamicIndex live-size accounting balances under the same
       // non-FIFO evictions and compactions.
       DynamicIndex::Stats istats = online.index().stats();
@@ -375,9 +375,9 @@ TEST(StreamWindowTest, PostingsMatchRecomputationAfterEveryStep) {
           << "seed " << seed << " after arrival " << arrivals;
     }
     EXPECT_GT(explicit_evicts, 0u);
-    EXPECT_GT(online.stats().compactions, 0u)
+    EXPECT_GT(online.stats().core.compactions, 0u)
         << "schedule never exercised the compaction remap";
-    EXPECT_GT(online.stats().postings_edges, 0u);
+    EXPECT_GT(online.stats().core.postings_edges, 0u);
   }
 }
 
