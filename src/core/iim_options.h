@@ -53,21 +53,6 @@ struct IimOptions {
   // folded prefix lost a row reset and refolded on next use, index
   // tombstoned). 0 = unbounded growth.
   size_t window_size = 0;
-  // Prune the per-arrival insertion scan with each live order's admission
-  // bound (its worst kept distance; infinite below capacity): the
-  // streaming index holds every bound as its slot's radius, and one walk
-  // that prunes subtrees by their max radius returns exactly the orders
-  // an arrival could enter, so per-arrival maintenance cost scales with
-  // the AFFECTED orders instead of n. Results are bit-identical at both
-  // settings — false keeps the O(n) full scan as the differential
-  // baseline (see stream::OrderCore).
-  bool admission_bound = true;
-  // Build replacement KD-trees for the streaming index on a background
-  // thread and install them with a brief writer-lock swap, bounding
-  // per-arrival ingest latency (results are identical either way; see
-  // stream::DynamicIndex::Options::background_rebuild). false rebuilds
-  // inside the ingest under the writer lock — the tail-latency baseline.
-  bool background_rebuild = true;
   // Streaming index tuning, forwarded to stream::DynamicIndex::Options
   // when nonzero (0 keeps that option's default). Results are identical
   // at every setting — these move only WHEN a KD-tree first appears and

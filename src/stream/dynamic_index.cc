@@ -1,7 +1,6 @@
 #include "stream/dynamic_index.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -76,14 +75,13 @@ DynamicIndex::DynamicIndex(std::vector<int> cols)
     : DynamicIndex(std::move(cols), Options()) {}
 
 DynamicIndex::DynamicIndex(std::vector<int> cols, const Options& options)
-    : cols_(std::move(cols)), options_(options) {
-  if (options_.background_rebuild) {
-    // Bring the builder worker up now, outside any lock: its OS
-    // thread-creation cost must not land inside the first launching
-    // Append's writer-lock hold (the metric this index exists to bound).
-    builder_ = std::make_unique<ThreadPool>(1);
-    builder_->Prestart();
-  }
+    : cols_(std::move(cols)),
+      options_(options),
+      builder_(std::make_unique<ThreadPool>(1)) {
+  // Bring the builder worker up now, outside any lock: its OS
+  // thread-creation cost must not land inside the first launching
+  // Append's writer-lock hold (the metric this index exists to bound).
+  builder_->Prestart();
 }
 
 DynamicIndex::~DynamicIndex() {
@@ -131,10 +129,6 @@ void DynamicIndex::BuildLocked() {
 }
 
 std::shared_ptr<DynamicIndex::PendingBuild> DynamicIndex::RebuildLocked() {
-  if (!options_.background_rebuild) {
-    BuildLocked();
-    return nullptr;
-  }
   scanned_at_launch_ = tail_scanned_.load(std::memory_order_relaxed);
   pending_ = std::make_shared<PendingBuild>();
   pending_->n = n_;
@@ -149,9 +143,7 @@ std::shared_ptr<DynamicIndex::PendingBuild> DynamicIndex::RebuildLocked() {
 
 void DynamicIndex::Launch(std::shared_ptr<PendingBuild> p) {
   if (p == nullptr) return;
-  // The constructor created and prestarted the builder for every
-  // background_rebuild index, so no Submit ever spawns a thread.
-  assert(builder_ != nullptr);
+  // The constructor prestarted the builder, so no Submit spawns a thread.
   builder_->Submit([this, p] {
     size_t d = cols_.size();
     auto finish = [&p] {
@@ -263,7 +255,7 @@ bool DynamicIndex::NeedsCompaction() const {
   size_t live = n_ - dead_;
   return dead_ >= options_.min_compact_tombstones &&
          static_cast<double>(dead_) >
-             options_.max_tombstone_fraction * static_cast<double>(live);
+             kMaxTombstoneFraction * static_cast<double>(live);
 }
 
 std::vector<size_t> DynamicIndex::Compact() {

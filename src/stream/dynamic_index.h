@@ -36,25 +36,24 @@
 // conservatively widened squared threshold and takes the square root only
 // for rows that pass (neighbors/distance.h).
 //
-// Rebuilds happen OFF the ingest path (Options::background_rebuild, on by
-// default): the replacement tree is built double-buffered on a ThreadPool
-// task — a brief shared-lock pass copies the prefix and its radii, the
-// O(n log n) build runs with no lock held — while arrivals keep landing in
-// the brute-force tail and queries keep hitting old-tree + tail. Writers
-// record the build and its future under the lock but hand the task to the
-// builder only after releasing it, so a preempted launcher never holds the
-// lock. The next writer operation installs the finished tree with a
-// pointer swap, replaying the radius raises that landed during the build,
-// and the tail shrinks to the arrivals that came in meanwhile. A
-// compaction racing the build bumps the prefix epoch, and the stale
-// result is discarded at install time. Per-arrival cost is thereby
-// bounded: the worst Append does an O(1) push plus a swap, never an
-// O(n log n) build under the writer lock.
+// Rebuilds happen OFF the ingest path: the replacement tree is built
+// double-buffered on a ThreadPool task — a brief shared-lock pass copies
+// the prefix and its radii, the O(n log n) build runs with no lock held —
+// while arrivals keep landing in the brute-force tail and queries keep
+// hitting old-tree + tail. Writers record the build and its future under
+// the lock but hand the task to the builder only after releasing it, so a
+// preempted launcher never holds the lock. The next writer operation
+// installs the finished tree with a pointer swap, replaying the radius
+// raises that landed during the build, and the tail shrinks to the
+// arrivals that came in meanwhile. A compaction racing the build bumps the
+// prefix epoch, and the stale result is discarded at install time.
+// Per-arrival cost is thereby bounded: the worst Append does an O(1) push
+// plus a swap, never an O(n log n) build under the writer lock.
 //
 // Eviction is two-phase. Remove(slot) *tombstones* the row: it stays in
 // the buffer (slot ids of the survivors are untouched) but every query
 // skips it — the tail scan checks the bitmap, the tree search takes it as
-// an alive-filter. Once tombstones pile up past a fraction of the live
+// an alive-filter. Once tombstones pile up past a quarter of the live
 // rows (NeedsCompaction), the owner calls Compact(): dead rows are
 // physically dropped, survivors slide onto a dense prefix in their
 // original relative order (radii with them), a rebuild over the survivors
@@ -107,16 +106,9 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     // rebuilds follow the work rule and tree/4 ceiling described at the
     // top of this file, neither of which is an option.
     size_t kdtree_threshold = 4096;
-    // NeedsCompaction() once tombstones exceed both this floor and this
-    // fraction of the live rows.
+    // NeedsCompaction() once tombstones exceed both this floor and
+    // kMaxTombstoneFraction of the live rows.
     size_t min_compact_tombstones = 64;
-    double max_tombstone_fraction = 0.25;
-    // Build replacement KD-trees on a background ThreadPool task and
-    // install them with a brief writer-lock swap (the double-buffered
-    // path described above). false rebuilds synchronously inside
-    // Append/Compact under the writer lock — the pre-overhaul behavior,
-    // kept as the tail-latency baseline for benches.
-    bool background_rebuild = true;
   };
 
   // One coherent snapshot of every counter, taken under a single lock
@@ -127,7 +119,7 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     size_t tombstones = 0;
     size_t tree_size = 0;   // points covered by the installed tree
     size_t tail_size = 0;   // slots - tree_size: brute-force scanned
-    size_t rebuilds = 0;    // trees installed (sync + background swaps)
+    size_t rebuilds = 0;    // trees installed (Load builds + swaps)
     size_t launches = 0;    // background builds launched
     size_t swaps = 0;       // background builds installed
     size_t discarded = 0;   // background builds dropped (compaction raced)
@@ -140,19 +132,20 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     uint64_t tail_rows_scanned = 0;
     // Longest writer-lock hold inside one Append — the ingest critical
     // section that bounds both arrival latency and how long concurrent
-    // queries can be blocked. In-lock rebuilds land their O(n log n)
-    // build here; the background path keeps it at the O(1) push + swap.
-    // (Wall-clock per-arrival percentiles can hide the difference on
-    // single-core machines, where the builder competes for the CPU; this
-    // cannot.)
+    // queries can be blocked: the O(1) push plus, at most, a tree swap
+    // and a build launch, never the O(n log n) build itself. (Wall-clock
+    // per-arrival percentiles can hide a long hold on single-core
+    // machines, where the builder competes for the CPU; this cannot.)
     double max_append_hold_seconds = 0.0;
-    // Same for Compact (the O(n) survivor slide, plus the in-lock build
-    // when background_rebuild is off).
+    // Same for Compact: the buffer swap and the rebuild launch (the
+    // survivor slide is staged under the reader lock).
     double max_compact_hold_seconds = 0.0;
   };
 
   // Compact()'s remap value for evicted slots.
   static constexpr size_t kGone = static_cast<size_t>(-1);
+  // NeedsCompaction()'s tombstone share of the live rows.
+  static constexpr double kMaxTombstoneFraction = 0.25;
   // The radius of a slot that admits nothing: every slot's radius until
   // set, and a tombstoned slot's from Remove on.
   static constexpr double kNoRadius = -std::numeric_limits<double>::infinity();
@@ -296,13 +289,12 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // Adopts a finished background build (writer lock held by caller).
   void InstallLocked();
   // Builds the tree over the current slots in place and restarts the
-  // work rule's count (writer lock held by caller).
+  // work rule's count (writer lock held by caller): Load's build.
   void BuildLocked();
   // Starts a rebuild over the current slots and restarts the work rule's
-  // count (writer lock held by caller; no build may be pending). Built in
-  // place when background_rebuild is off; otherwise records the pending
-  // build and its future and returns it for Launch, which the caller
-  // runs after releasing the lock.
+  // count (writer lock held by caller; no build may be pending): records
+  // the pending build and its future and returns it for Launch, which the
+  // caller runs after releasing the lock.
   std::shared_ptr<PendingBuild> RebuildLocked();
   // Applies the tail policy after an append (writer lock held by caller);
   // returns RebuildLocked's build to launch, or null.
@@ -345,10 +337,10 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   double max_append_hold_seconds_ = 0.0;
   double max_compact_hold_seconds_ = 0.0;
 
-  // Created (worker prestarted) at construction when background_rebuild
-  // is on, so no Append ever pays thread creation; declared last so its
-  // destructor (which drains any in-flight build task) runs before the
-  // members the task reads are torn down.
+  // Created (worker prestarted) at construction, so no Append ever pays
+  // thread creation; declared last so its destructor (which drains any
+  // in-flight build task) runs before the members the task reads are
+  // torn down.
   std::unique_ptr<ThreadPool> builder_;
 
   // Fault-injection hook: lets the regression test for the

@@ -41,8 +41,6 @@ OrderCore::Config MakeOrderCoreConfig(const core::IimOptions& options,
   // back to the imputation k, clamped to the shared cap).
   size_t vk = options.validation_k > 0 ? options.validation_k : options.k;
   c.vk = std::clamp<size_t>(vk, 1, core::kMaxValidationK);
-  c.admission_bound = options.admission_bound;
-  c.index.background_rebuild = options.background_rebuild;
   if (options.index_kdtree_threshold > 0) {
     c.index.kdtree_threshold = options.index_kdtree_threshold;
   }
@@ -153,7 +151,53 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
                          size_t peek_k, const Peek& peek) {
   size_t id = n_;
 
-  // How the arrival lands in each live tuple's learning order. The new
+  // One kNN lookup serves the newcomer's learning order (cap_ - 1
+  // nearest), in adaptive mode its validation order (vk nearest), and a
+  // peek (peek_k nearest): the longest prefix is queried once and sliced
+  // — a sorted top-k's prefix IS the smaller query's result, bit for
+  // bit. The index does not contain `id` yet, so no exclusion is needed
+  // (same set LearningOrder retrieves with exclude = id).
+  size_t order_k = cap_ > 1 ? std::min(cap_ - 1, live_) : 0;
+  size_t vorder_k = config_.adaptive ? std::min(config_.vk, live_) : 0;
+  neighbors::QueryOptions nopt;
+  nopt.k = std::max(order_k, vorder_k);
+  if (peek) nopt.k = std::max(nopt.k, std::min(peek_k, live_));
+  data::RowView point(f, q_);
+
+  // One index walk answers both lookups: the newcomer's kNN and the
+  // orders it could enter — every live slot whose distance is within its
+  // own admission bound (the index holds each order's bound as the slot's
+  // radius), ties included, ascending by slot. A candidate exactly at its
+  // bound is a no-op in the insertion test below, and so is every order
+  // the walk prunes, so state and every maintenance counter that counts
+  // real work are what testing every live order would leave. The
+  // distances come back from the same kernel such a scan would run
+  // ((a-b)^2 == (b-a)^2 bitwise), so they are reused as-is.
+  std::vector<neighbors::Neighbor> nearest;
+  std::vector<neighbors::Neighbor> admitters;
+  index_.QueryAdmitters(point, nopt, &nearest, &admitters);
+#ifndef NDEBUG
+  {
+    // Differential check against the full-scan filter: exactly the live
+    // orders whose bound the arrival's distance meets, same bits.
+    std::vector<neighbors::Neighbor> scan;
+    for (size_t i = 0; i < n_; ++i) {
+      if (alive_[i] == 0) continue;
+      double d = neighbors::NormalizedEuclidean(fb_.Features(i), f, q_);
+      if (d <= ComputeBound(i)) scan.push_back(neighbors::Neighbor{i, d});
+    }
+    assert(scan.size() == admitters.size() &&
+           "admitters query disagrees with the full-scan filter");
+    for (size_t c = 0; c < scan.size(); ++c) {
+      assert(scan[c].index == admitters[c].index &&
+             scan[c].distance == admitters[c].distance &&
+             "admitters query disagrees with the full-scan filter");
+    }
+  }
+#endif
+  if (peek) peek(nearest);
+
+  // How the arrival lands in each admitted tuple's learning order. The new
   // point carries the largest slot, so it loses every distance tie — the
   // insertion point is after all entries with distance <= d. Every tuple
   // that adopts the arrival is also recorded as a holder in the new
@@ -163,9 +207,9 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
   // w) has a stale judge set, so w's candidate sweep is dirtied.
   std::vector<size_t> holders_of_new;
   std::vector<size_t> judges_of_new;
-  size_t scanned = 0;
-  auto visit = [&](size_t i, double d) {
-    ++scanned;
+  for (const neighbors::Neighbor& nb : admitters) {
+    const size_t i = nb.index;
+    const double d = nb.distance;
     bool changed = false;
     std::vector<neighbors::Neighbor>& order = orders_[i];
     auto pos =
@@ -221,71 +265,10 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
       }
     }
     if (changed) RefreshBound(i);
-  };
-
-  // One kNN lookup serves the newcomer's learning order (cap_ - 1
-  // nearest), in adaptive mode its validation order (vk nearest), and a
-  // peek (peek_k nearest): the longest prefix is queried once and sliced
-  // — a sorted top-k's prefix IS the smaller query's result, bit for
-  // bit. The index does not contain `id` yet, so no exclusion is needed
-  // (same set LearningOrder retrieves with exclude = id), and the
-  // insertion visits touch only order/postings state, so querying before
-  // them sees the identical index.
-  size_t order_k = cap_ > 1 ? std::min(cap_ - 1, live_) : 0;
-  size_t vorder_k = config_.adaptive ? std::min(config_.vk, live_) : 0;
-  neighbors::QueryOptions nopt;
-  nopt.k = std::max(order_k, vorder_k);
-  if (peek) nopt.k = std::max(nopt.k, std::min(peek_k, live_));
-  data::RowView point(f, q_);
-  std::vector<neighbors::Neighbor> nearest;
-
-  if (config_.admission_bound && live_ > 0) {
-    // One index walk answers both lookups: the newcomer's kNN and the
-    // orders it could enter — every live slot whose distance is within
-    // its own admission bound (the index holds each order's bound as the
-    // slot's radius), ties included, ascending by slot: the full scan's
-    // visit order. A candidate exactly at its bound is a no-op in the
-    // insertion body, so the pruned scan leaves state and every
-    // maintenance counter that counts real work bit-identical to the full
-    // one. The distances come back from the same kernel the scan would
-    // run ((a-b)^2 == (b-a)^2 bitwise), so they are reused as-is.
-    std::vector<neighbors::Neighbor> admitters;
-    index_.QueryAdmitters(point, nopt, &nearest, &admitters);
-#ifndef NDEBUG
-    {
-      // Differential check against the full-scan filter: exactly the live
-      // orders whose bound the arrival's distance meets, same bits.
-      std::vector<neighbors::Neighbor> scan;
-      for (size_t i = 0; i < n_; ++i) {
-        if (alive_[i] == 0) continue;
-        double d = neighbors::NormalizedEuclidean(fb_.Features(i), f, q_);
-        if (d <= ComputeBound(i)) scan.push_back(neighbors::Neighbor{i, d});
-      }
-      assert(scan.size() == admitters.size() &&
-             "admitters query disagrees with the full-scan filter");
-      for (size_t c = 0; c < scan.size(); ++c) {
-        assert(scan[c].index == admitters[c].index &&
-               scan[c].distance == admitters[c].distance &&
-               "admitters query disagrees with the full-scan filter");
-      }
-    }
-#endif
-    if (peek) peek(nearest);
-    for (const neighbors::Neighbor& nb : admitters) {
-      visit(nb.index, nb.distance);
-    }
-  } else if (live_ > 0) {
-    // The differential oracle: every live order runs the insertion test.
-    if (nopt.k > 0) nearest = index_.Query(point, nopt);
-    if (peek) peek(nearest);
-    for (size_t i = 0; i < n_; ++i) {
-      if (alive_[i] == 0) continue;
-      visit(i, neighbors::NormalizedEuclidean(fb_.Features(i), f, q_));
-    }
   }
-  counters_.orders_scanned += scanned;
+  counters_.orders_scanned += admitters.size();
   counters_.orders_admitted += holders_of_new.size();
-  counters_.admission_skips += live_ - scanned;
+  counters_.admission_skips += live_ - admitters.size();
 
   // The new tuple's own order: itself first, then up to cap_ - 1 nearest
   // live tuples.

@@ -30,18 +30,18 @@
 // from them), so a snapshot holds only the window's rows and Load
 // rebuilds the rest in one pass.
 //
-// Arrival cost scales with the AFFECTED orders, not n
-// (config.admission_bound, on by default): each order carries an
-// admission bound — the worst kept distance, infinite below capacity —
-// held by the index as its slot's radius, and an arrival finds the orders
-// it could enter with one admitters walk (DynamicIndex::QueryAdmitters)
-// that also returns its own kNN: exactly the live slots within their own
-// bound. Ties are included: a candidate AT its bound is visited so the
-// (distance, slot) tie-break resolves exactly as the full scan would —
-// visiting a no-op order changes no state, which is why the pruned scan
-// is bit-identical to the full one. An eviction that leaves one vacancy
-// in an order fills it with one successor query (the next live neighbor
-// after the order's last entry) instead of a full l - 1 neighbor query.
+// Arrival cost scales with the AFFECTED orders, not n: each order carries an
+// admission bound — the worst kept distance, infinite below capacity — held
+// by the index as its slot's radius, and an arrival finds the orders it could
+// enter with one admitters walk (DynamicIndex::QueryAdmitters) that also
+// returns its own kNN: exactly the live slots within their own bound. Ties
+// are included: a candidate AT its bound is visited so the (distance, slot)
+// tie-break resolves exactly as an insertion test over every live order would
+// — visiting a no-op order changes no state, so skipping the rest changes
+// nothing. Debug builds check every arrival's admitters against that
+// full-scan filter. An eviction that leaves one vacancy in an order fills it
+// with one successor query (the next live neighbor after the order's last
+// entry) instead of a full l - 1 neighbor query.
 //
 // Adaptive per-tuple l (Algorithm 3, config.adaptive): the core also
 // maintains each live tuple's VALIDATION order — its vk nearest live
@@ -89,13 +89,6 @@ class OrderCore {
     size_t step_h = 1;     // adaptive: candidate-l stride
     size_t vk = 1;         // adaptive: resolved validation fan-out, in
                            // [1, core::kMaxValidationK]
-    // Prune the per-arrival insertion scan with each order's admission
-    // bound (ComputeBound, held by the index as the slot's radius): an
-    // arrival visits only the orders it could actually enter, found by the
-    // index's admitters walk instead of the O(n) scan. Results are
-    // bit-identical either way — false keeps the full scan as the
-    // differential baseline.
-    bool admission_bound = true;
     DynamicIndex::Options index;
   };
 
@@ -130,12 +123,11 @@ class OrderCore {
     // Adaptive re-evaluations whose chosen l differs from the tuple's
     // previously chosen l.
     size_t adaptive_l_changes = 0;
-    // Live orders actually run through an arrival's insertion test (with
-    // the admission bound: radius-query candidates that passed their
-    // per-order bound; without: every live order).
+    // Live orders actually run through an arrival's insertion test: the
+    // admitters walk's candidates, each within its own admission bound.
     size_t orders_scanned = 0;
     // Scanned orders the arrival actually entered (learning order adopted
-    // it) — the "affected orders" the tentpole cost model counts.
+    // it) — the "affected orders" an arrival's cost scales with.
     size_t orders_admitted = 0;
     // Live orders an arrival never visited because the admission bound
     // proved it could not enter them (live - scanned, accumulated).
@@ -154,17 +146,17 @@ class OrderCore {
   // Sees an arrival's pre-arrival neighborhood; see Arrive.
   using Peek = std::function<void(const std::vector<neighbors::Neighbor>&)>;
 
-  // One arrival: f points at q gathered feature values, y is the target,
-  // seq the caller's stable address (arrival number). Runs the insertion
-  // scan over every live learning (and validation) order, computes the
-  // newcomer's own orders from the index BEFORE appending it (the same
-  // neighbor set an exclude-self query would return), and appends the new
-  // slot, which is returned. A set `peek` runs after the index walk and
-  // before any order changes. It gets the newcomer's nearest live tuples
-  // ascending by (distance, slot), at least min(peek_k, live) of them:
-  // the prefix a kNN query on the pre-arrival window returns, bit for
-  // bit, from the walk's own query. It may ensure models (OnlineIim's
-  // masking-one-out probe does), since no order has changed yet.
+  // One arrival: f points at q gathered feature values, y is the target, seq
+  // the caller's stable address (arrival number). Runs the insertion test on
+  // every live learning (and validation) order the admitters walk returns,
+  // computes the newcomer's own orders from the index BEFORE appending it
+  // (the same neighbor set an exclude-self query would return), and appends
+  // the new slot, which is returned. A set `peek` runs after the index walk
+  // and before any order changes. It gets the newcomer's nearest live tuples
+  // ascending by (distance, slot), at least min(peek_k, live) of them: the
+  // prefix a kNN query on the pre-arrival window returns, bit for bit, from
+  // the walk's own query. It may ensure models (OnlineIim's masking-one-out
+  // probe does), since no order has changed yet.
   size_t Arrive(const double* f, double y, uint64_t seq, size_t peek_k = 0,
                 const Peek& peek = nullptr);
 
@@ -261,9 +253,8 @@ class OrderCore {
   // validation orders.
   double ComputeBound(size_t i) const;
   // Hands slot i's recomputed bound to the index after its orders
-  // changed (the index keeps it as the slot's radius). Runs whatever
-  // config.admission_bound says: the flag only decides whether Arrive
-  // reads the radii.
+  // changed (the index keeps it as the slot's radius, which Arrive's
+  // admitters walk prunes on).
   void RefreshBound(size_t i);
   // The live neighbor of slot i ranked right after `after` (i excluded):
   // the entry a full query would return at position `rank`. False when

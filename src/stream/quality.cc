@@ -19,6 +19,8 @@ double UnitHash(uint64_t x) {
   return static_cast<double>((x ^ (x >> 31)) >> 11) * 0x1.0p-53;
 }
 
+bool IsErrorEstimate(double v) { return std::isfinite(v) && v >= 0.0; }
+
 }  // namespace
 
 const char* QualityMethodName(int method) {
@@ -176,6 +178,16 @@ Status QualityMonitor::RestoreFrom(persist::SectionReader* reader) {
     if (!reader->ok()) return reader->status();
     ms.ring.assign(ring_n, 0.0);
     reader->Doubles(ms.ring.data(), ring_n);
+    if (!reader->ok()) return reader->status();
+    // Decayed means of absolute and squared errors, and the absolute
+    // errors themselves: a negative or non-finite one would turn the
+    // ensemble's inverse-error weights into inf or NaN.
+    bool sane = IsErrorEstimate(ms.ewma_abs) && IsErrorEstimate(ms.ewma_sq);
+    for (double e : ms.ring) sane = sane && IsErrorEstimate(e);
+    if (!sane) {
+      return Status::InvalidArgument(
+          "quality snapshot: negative or non-finite error estimate");
+    }
   }
   return reader->status();
 }

@@ -1,21 +1,23 @@
 // Admission-bound pruning and the staged-compaction bugfixes.
 //
-// The sublinear-ingest overhaul replaces the per-arrival O(n) insertion
-// scan with one index walk for the slots within their own admission bound
-// (DynamicIndex::QueryAdmitters, each bound held as the slot's radius) —
-// a pure pruning of no-op visits, so every
-// observable (imputations, learning orders, maintenance counters that
-// count real work) must stay bitwise identical whether the bound is on
-// or off. This file pins that claim over randomized
-// ingest/evict/compact/rebuild interleavings (threads 1 and 4, fixed and
-// adaptive l), with a dedicated exact-tie schedule
-// (duplicate rows land arrivals exactly on full orders' l-th distances,
-// the boundary where "<=" admits a candidate the order then rejects).
-// The index's two order-maintenance queries — the admitters walk over
-// per-slot radii and the successor query eviction backfills use — are
-// checked against brute recomputation on integer grids full of exact
-// distance ties, at both rebuild modes; so are the restore bulk load's
-// neighbor lists (NearestOthers), against one query per row.
+// Each arrival finds the orders it could enter with one index walk for the
+// slots within their own admission bound (DynamicIndex::QueryAdmitters,
+// each bound held as the slot's radius) — a pure pruning of no-op visits,
+// so every learning order and imputation must be what a from-scratch
+// computation on the live window gives. This file pins that claim over
+// randomized ingest/evict/compact/rebuild interleavings (threads 1 and 4,
+// fixed and adaptive l) against two oracles that share no code with the
+// engine's maintenance: a brute-force neighbor scan over table() for the
+// learning orders, and a batch IimImputer fitted on table() for the
+// imputations. A dedicated exact-tie schedule (duplicate rows land
+// arrivals exactly on full orders' l-th distances, the boundary where
+// "<=" admits a candidate the order then rejects) runs against the same
+// oracles. The index's two order-maintenance queries — the admitters walk
+// over per-slot radii and the successor query eviction backfills use —
+// are checked against brute recomputation on integer grids full of exact
+// distance ties, with the builder flushed after every step and with its
+// builds left racing the stream; so are the restore bulk load's neighbor
+// lists (NearestOthers), against one query per row.
 // It also pins the two DynamicIndex bugfixes that rode along: a spurious
 // Compact (zero tombstones) must be an identity no-op that never
 // discards an in-flight build, and WaitForRebuild must not spin forever
@@ -35,8 +37,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/iim_imputer.h"
 #include "data/table.h"
 #include "neighbors/distance.h"
+#include "neighbors/knn.h"
 #include "stream/dynamic_index.h"
 #include "stream/online_iim.h"
 #include "stream_test_util.h"
@@ -93,7 +97,6 @@ TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
   dopt.min_compact_tombstones = 8;
-  dopt.background_rebuild = false;  // deterministic tree coverage
   DynamicIndex index({0, 1}, dopt);
 
   data::Table full = HeterogeneousTable(200, 3, 29);
@@ -107,6 +110,7 @@ TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
                            0, static_cast<int64_t>(i) - 1))
                      : i;
     index.Append(full.Row(src));
+    index.WaitForRebuild();  // deterministic tree coverage
     live.push_back(1);
     if (i > 30 && rng.Bernoulli(0.45)) {
       size_t victim = static_cast<size_t>(
@@ -118,6 +122,7 @@ TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
     }
     if (index.NeedsCompaction()) {
       std::vector<size_t> remap = index.Compact();
+      index.WaitForRebuild();
       std::vector<uint8_t> packed;
       for (size_t s = 0; s < live.size(); ++s) {
         if (remap[s] != DynamicIndex::kGone) {
@@ -195,12 +200,14 @@ double PickRadius(Rng* rng) {
 // earlier row), tombstones, compactions, and radius raises and lowers
 // between tree installs; `check` runs on the live state every third step.
 // The model vectors track what the index should hold, slot for slot.
+// With `flush`, every append and compaction waits out the build it
+// launched, so each check sees the tree as it stands right after a
+// rebuild; without, builds race the stream and land whenever they finish.
 template <typename Check>
-void RunGridStream(bool background, uint64_t seed, Check check) {
+void RunGridStream(bool flush, uint64_t seed, Check check) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 24;
   dopt.min_compact_tombstones = 8;
-  dopt.background_rebuild = background;
   DynamicIndex index({0, 1}, dopt);
   Rng rng(seed);
   std::vector<std::vector<double>> rows;  // per slot
@@ -213,6 +220,7 @@ void RunGridStream(bool background, uint64_t seed, Check check) {
                         : GridRow(&rng);
     double r = PickRadius(&rng);
     index.Append(data::RowView(row.data(), row.size()), r);
+    if (flush) index.WaitForRebuild();
     rows.push_back(row);
     live.push_back(1);
     radius.push_back(r);
@@ -227,6 +235,7 @@ void RunGridStream(bool background, uint64_t seed, Check check) {
     }
     if (index.NeedsCompaction()) {
       std::vector<size_t> remap = index.Compact();
+      if (flush) index.WaitForRebuild();
       std::vector<std::vector<double>> rows2;
       std::vector<uint8_t> live2;
       std::vector<double> radius2;
@@ -462,10 +471,10 @@ TEST(DynamicIndexBulkTest, NearestOthersMatchesPerRowQueries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RebuildModes, DynamicIndexRadiiTest,
-                         ::testing::Values(false, true),
+                         ::testing::Values(true, false),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("Background")
-                                             : std::string("InLock");
+                           return info.param ? std::string("Flushed")
+                                             : std::string("Background");
                          });
 
 // ---------------------------------------------------------------------------
@@ -477,7 +486,6 @@ INSTANTIATE_TEST_SUITE_P(RebuildModes, DynamicIndexRadiiTest,
 TEST(DynamicIndexAdmissionTest, SpuriousCompactNeverDiscardsBuilds) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 16;
-  dopt.background_rebuild = true;
   DynamicIndex index({0, 1}, dopt);
 
   data::Table full = HeterogeneousTable(120, 3, 41);
@@ -527,14 +535,13 @@ TEST(DynamicIndexAdmissionTest, WaitForRebuildToleratesPendingWithoutFuture) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission-bound differential harness
+// Admission-bound harness: one engine against oracles on table()
 
-core::IimOptions AdmissionOptions(size_t threads, bool adaptive, bool bound) {
+core::IimOptions AdmissionOptions(size_t threads, bool adaptive) {
   core::IimOptions opt;
   opt.k = 4;
   opt.ell = 6;
   opt.threads = threads;
-  opt.admission_bound = bound;
   if (adaptive) {
     opt.adaptive = true;
     opt.max_ell = 6;
@@ -548,35 +555,79 @@ core::IimOptions AdmissionOptions(size_t threads, bool adaptive, bool bound) {
   return opt;
 }
 
-void ExpectSameOrder(const std::vector<neighbors::Neighbor>& on,
-                     const std::vector<neighbors::Neighbor>& off,
-                     uint64_t arrival) {
-  ASSERT_EQ(on.size(), off.size()) << "arrival " << arrival;
-  for (size_t j = 0; j < on.size(); ++j) {
-    EXPECT_EQ(on[j].index, off[j].index) << "arrival " << arrival;
-    EXPECT_EQ(on[j].distance, off[j].distance)  // bit-identical
-        << "arrival " << arrival << " rank " << j;
+// The learning-order oracle. table() holds the live window in arrival
+// order, so row r is the r-th entry of `live_arrivals` (ascending), and a
+// brute-force scan of the window lists each tuple's neighbors ascending
+// by (distance, row), which is (distance, arrival). Every live tuple's
+// order must be itself followed by the first min(cap, live) - 1 entries
+// of that scan, distances bit for bit; cap is l, or max_ell when
+// adaptive.
+void ExpectOrdersMatchBruteForce(const OnlineIim& engine,
+                                 const std::vector<uint64_t>& live_arrivals,
+                                 const std::string& where) {
+  const core::IimOptions& opt = engine.options();
+  const size_t cap = opt.adaptive ? opt.max_ell : opt.ell;
+  const data::Table& window = engine.table();
+  ASSERT_EQ(window.NumRows(), live_arrivals.size()) << where;
+  neighbors::BruteForceIndex brute(&window, engine.features());
+  const size_t len = std::min(cap, live_arrivals.size());
+  for (size_t r = 0; r < live_arrivals.size(); ++r) {
+    const uint64_t a = live_arrivals[r];
+    std::vector<neighbors::Neighbor> got = engine.LearningOrderByArrival(a);
+    std::vector<neighbors::Neighbor> all = brute.QueryAll(window.Row(r), r);
+    ASSERT_EQ(got.size(), len) << where << " arrival " << a;
+    EXPECT_EQ(got[0].index, a) << where << " arrival " << a;
+    EXPECT_EQ(got[0].distance, 0.0) << where << " arrival " << a;
+    for (size_t j = 1; j < len; ++j) {
+      EXPECT_EQ(got[j].index, live_arrivals[all[j - 1].index])
+          << where << " arrival " << a << " rank " << j;
+      EXPECT_EQ(got[j].distance, all[j - 1].distance)  // bit-identical
+          << where << " arrival " << a << " rank " << j;
+    }
   }
 }
 
-// Drives one identical randomized schedule through two engines differing
-// ONLY in options.admission_bound and asserts every observable matches
-// bit for bit.
+// The imputation oracle: a batch IimImputer fitted on a copy of table()
+// with the engine's options answers every probe bit for bit.
+void ExpectImputationsMatchBatchRefit(OnlineIim* engine,
+                                      const std::vector<data::RowView>& probes,
+                                      const std::string& where) {
+  data::Table window = engine->table();
+  core::IimImputer batch(engine->options());
+  ASSERT_TRUE(batch.Fit(window, engine->target(), engine->features()).ok())
+      << where;
+  std::vector<Result<double>> got = engine->ImputeBatch(probes);
+  std::vector<Result<double>> want = batch.ImputeBatch(probes);
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t p = 0; p < got.size(); ++p) {
+    ASSERT_TRUE(got[p].ok()) << where << " probe " << p;
+    ASSERT_TRUE(want[p].ok()) << where << " probe " << p;
+    EXPECT_EQ(got[p].value(), want[p].value()) << where << " probe " << p;
+  }
+}
+
+// The pruning engaged, never admitted an order it did not scan, and the
+// interleavings the harness claims to cover really happened.
+void ExpectPruningCounters(const OnlineIim::Stats& stats, bool windowed) {
+  EXPECT_LE(stats.core.orders_admitted, stats.core.orders_scanned);
+  EXPECT_GT(stats.core.admission_skips, 0u) << "pruning never engaged";
+  if (!windowed) return;
+  EXPECT_GT(stats.core.evicted, 0u);
+  EXPECT_GT(stats.core.compactions, 0u);
+}
+
+// Drives one randomized ingest/evict/impute schedule through one engine
+// and checks its learning orders and imputations against the oracles on
+// table() along the way.
 void RunAdmissionDifferential(uint64_t seed, size_t threads, bool adaptive) {
   const int target = 2;
   const std::vector<int> features = {0, 1};
   data::Table full = HeterogeneousTable(360, 3, seed);
 
-  Result<std::unique_ptr<OnlineIim>> on_r = OnlineIim::Create(
-      full.schema(), target, features,
-      AdmissionOptions(threads, adaptive, /*bound=*/true));
-  Result<std::unique_ptr<OnlineIim>> off_r = OnlineIim::Create(
-      full.schema(), target, features,
-      AdmissionOptions(threads, adaptive, /*bound=*/false));
-  ASSERT_TRUE(on_r.ok());
-  ASSERT_TRUE(off_r.ok());
-  OnlineIim& on = *on_r.value();
-  OnlineIim& off = *off_r.value();
+  Result<std::unique_ptr<OnlineIim>> engine_r = OnlineIim::Create(
+      full.schema(), target, features, AdmissionOptions(threads, adaptive));
+  ASSERT_TRUE(engine_r.ok());
+  OnlineIim& engine = *engine_r.value();
 
   data::Table probes(data::Schema::Default(3));
   for (size_t i = 320; i < 360; ++i) {
@@ -594,72 +645,29 @@ void RunAdmissionDifferential(uint64_t seed, size_t threads, bool adaptive) {
   size_t step = 0;
   for (const ScheduleOp& op : ops) {
     ++step;
+    const std::string where =
+        "seed " + std::to_string(seed) + " step " + std::to_string(step);
     switch (op.kind) {
       case ScheduleOp::kIngest:
-        ASSERT_TRUE(on.Ingest(full.Row(op.src_row)).ok());
-        ASSERT_TRUE(off.Ingest(full.Row(op.src_row)).ok());
+        ASSERT_TRUE(engine.Ingest(full.Row(op.src_row)).ok());
         live_arrivals.push_back(op.arrival);
         break;
       case ScheduleOp::kEvict:
-        ASSERT_TRUE(on.Evict(op.arrival).ok());
-        ASSERT_TRUE(off.Evict(op.arrival).ok());
+        ASSERT_TRUE(engine.Evict(op.arrival).ok());
         live_arrivals.erase(std::find(live_arrivals.begin(),
                                       live_arrivals.end(), op.arrival));
         break;
-      case ScheduleOp::kImpute: {
-        std::vector<Result<double>> got = on.ImputeBatch(probe_rows);
-        std::vector<Result<double>> want = off.ImputeBatch(probe_rows);
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t p = 0; p < got.size(); ++p) {
-          ASSERT_EQ(got[p].ok(), want[p].ok()) << "probe " << p;
-          if (!got[p].ok()) continue;
-          // Bit-identical: both engines walk the SAME path, only the
-          // no-op visits are pruned.
-          EXPECT_EQ(got[p].value(), want[p].value())
-              << "seed " << seed << " step " << step << " probe " << p;
-        }
+      case ScheduleOp::kImpute:
+        ExpectImputationsMatchBatchRefit(&engine, probe_rows, where);
         break;
-      }
     }
     if (step % 110 != 0) continue;
-    ASSERT_TRUE(on.VerifyPostings()) << "seed " << seed << " step " << step;
-    ASSERT_TRUE(off.VerifyPostings());
-    for (uint64_t a : live_arrivals) {
-      ExpectSameOrder(on.LearningOrderByArrival(a),
-                      off.LearningOrderByArrival(a), a);
-    }
+    ASSERT_TRUE(engine.VerifyPostings()) << where;
+    ExpectOrdersMatchBruteForce(engine, live_arrivals, where);
   }
-  for (uint64_t a : live_arrivals) {
-    ExpectSameOrder(on.LearningOrderByArrival(a),
-                    off.LearningOrderByArrival(a), a);
-    if (adaptive) {
-      EXPECT_EQ(on.ChosenEllByArrival(a), off.ChosenEllByArrival(a))
-          << "arrival " << a;
-    }
-  }
-
-  const OnlineIim::Stats son = on.stats();
-  const OnlineIim::Stats soff = off.stats();
-  // Counters that count REAL state changes must agree exactly.
-  EXPECT_EQ(son.ingested, soff.ingested);
-  EXPECT_EQ(son.core.evicted, soff.core.evicted);
-  EXPECT_EQ(son.core.fast_path_appends, soff.core.fast_path_appends);
-  EXPECT_EQ(son.core.models_invalidated, soff.core.models_invalidated);
-  EXPECT_EQ(son.core.models_solved, soff.core.models_solved);
-  EXPECT_EQ(son.core.backfills, soff.core.backfills);
-  EXPECT_EQ(son.core.compactions, soff.core.compactions);
-  EXPECT_EQ(son.core.postings_edges, soff.core.postings_edges);
-  EXPECT_EQ(son.core.holders_invalidated, soff.core.holders_invalidated);
-  EXPECT_EQ(son.core.adaptive_l_changes, soff.core.adaptive_l_changes);
-  // Admitted orders are the same set by construction; the bound engine
-  // just visits fewer candidates to find them.
-  EXPECT_EQ(son.core.orders_admitted, soff.core.orders_admitted);
-  EXPECT_LE(son.core.orders_scanned, soff.core.orders_scanned);
-  EXPECT_GT(son.core.admission_skips, 0u) << "pruning never engaged";
-  EXPECT_EQ(soff.core.admission_skips, 0u);
-  // The interleavings this harness claims to cover really happened.
-  EXPECT_GT(son.core.evicted, 0u);
-  EXPECT_GT(son.core.compactions, 0u);
+  ExpectOrdersMatchBruteForce(engine, live_arrivals, "end");
+  ExpectImputationsMatchBatchRefit(&engine, probe_rows, "end");
+  ExpectPruningCounters(engine.stats(), /*windowed=*/true);
 }
 
 class StreamAdmissionDifferentialTest
@@ -688,8 +696,8 @@ INSTANTIATE_TEST_SUITE_P(
 // original's, so when the original sits at the back of a full order the
 // duplicate arrives exactly on that order's admission bound. The bound
 // filter must still surface the order as a candidate ("<=", not "<") and
-// the insertion test must still reject it (strict "<") — on both
-// engines, identically.
+// the insertion test must still reject it (strict "<"), leaving every
+// order and imputation what the oracles on table() give.
 void RunExactTieDifferential(bool adaptive) {
   const int target = 2;
   const std::vector<int> features = {0, 1};
@@ -704,49 +712,31 @@ void RunExactTieDifferential(bool adaptive) {
     }
   }
 
-  Result<std::unique_ptr<OnlineIim>> on_r = OnlineIim::Create(
-      full.schema(), target, features,
-      AdmissionOptions(1, adaptive, /*bound=*/true));
-  Result<std::unique_ptr<OnlineIim>> off_r = OnlineIim::Create(
-      full.schema(), target, features,
-      AdmissionOptions(1, adaptive, /*bound=*/false));
-  ASSERT_TRUE(on_r.ok());
-  ASSERT_TRUE(off_r.ok());
-  OnlineIim& on = *on_r.value();
-  OnlineIim& off = *off_r.value();
+  Result<std::unique_ptr<OnlineIim>> engine_r = OnlineIim::Create(
+      full.schema(), target, features, AdmissionOptions(1, adaptive));
+  ASSERT_TRUE(engine_r.ok());
+  OnlineIim& engine = *engine_r.value();
 
+  std::vector<uint64_t> live_arrivals;
   for (size_t i = 0; i < full.NumRows(); ++i) {
-    ASSERT_TRUE(on.Ingest(full.Row(i)).ok());
-    ASSERT_TRUE(off.Ingest(full.Row(i)).ok());
+    ASSERT_TRUE(engine.Ingest(full.Row(i)).ok());
+    live_arrivals.push_back(i);
   }
-  ASSERT_TRUE(on.VerifyPostings());
-  ASSERT_TRUE(off.VerifyPostings());
-  for (uint64_t a = 0; a < full.NumRows(); ++a) {
-    ExpectSameOrder(on.LearningOrderByArrival(a),
-                    off.LearningOrderByArrival(a), a);
-  }
+  ASSERT_TRUE(engine.VerifyPostings());
+  ExpectOrdersMatchBruteForce(engine, live_arrivals, "exact ties");
 
   data::Table probes(data::Schema::Default(3));
   for (size_t i = 0; i < 16; ++i) {
     ASSERT_TRUE(probes.AppendRow(Probe(base, i * 3, target)).ok());
   }
+  std::vector<data::RowView> probe_rows;
   for (size_t p = 0; p < probes.NumRows(); ++p) {
-    Result<double> got = on.ImputeOne(probes.Row(p));
-    Result<double> want = off.ImputeOne(probes.Row(p));
-    ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(want.ok());
-    EXPECT_EQ(got.value(), want.value()) << "probe " << p;
+    probe_rows.push_back(probes.Row(p));
   }
-
-  const OnlineIim::Stats son = on.stats();
-  const OnlineIim::Stats soff = off.stats();
-  EXPECT_EQ(son.core.orders_admitted, soff.core.orders_admitted);
-  EXPECT_EQ(son.core.fast_path_appends, soff.core.fast_path_appends);
-  EXPECT_EQ(son.core.models_invalidated, soff.core.models_invalidated);
-  EXPECT_EQ(son.core.postings_edges, soff.core.postings_edges);
+  ExpectImputationsMatchBatchRefit(&engine, probe_rows, "exact ties");
   // Ties keep every duplicate's originals as candidates, but pruning
   // must still bite on the rest of the relation.
-  EXPECT_GT(son.core.admission_skips, 0u);
+  ExpectPruningCounters(engine.stats(), /*windowed=*/false);
 }
 
 TEST(StreamAdmissionTest, ExactTieArrivalsBitIdenticalFixedEll) {

@@ -18,9 +18,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -444,7 +446,10 @@ TEST(SnapshotRoundTripTest, ForgedCountsAreRejectedBeforeAllocation) {
 // leaves the engine empty, and the same engine then takes the genuine
 // image. The quality section is decoded last, so the champion case is the
 // one that catches a window installed too early: that engine would refuse
-// every later restore and reissue arrival 0 while arrival 0 was live.
+// every later restore and reissue arrival 0 while arrival 0 was live. The
+// error estimates must be finite and non-negative: a routed engine weighs
+// each method by 1 / (ewma_sq + 1e-12), so an ewma_sq of -1e-12 made that
+// weight infinite and the served value NaN.
 TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
   data::Table src = HeterogeneousTable(120, 4, 37);
   core::IimOptions opt = RecoveryOptions();
@@ -464,11 +469,17 @@ TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
   const size_t cells_at = 16;
   const size_t seqs_at = cells_at + 8 * m * live;
   // kSecQuality: u32 layout | u64 probes, skipped, switches | u32
-  // champion.
+  // champion | u64 last switch probe | per method: u64 samples | f64
+  // ewma_abs | f64 ewma_sq | u64 ring size | the ring. IIM comes first.
   const size_t champion_at = 4 + 3 * 8;
+  const size_t ewma_abs_at = champion_at + 4 + 8 + 8;
+  const size_t ewma_sq_at = ewma_abs_at + 8;
+  const size_t ring_at = ewma_sq_at + 8 + 8;
+  ASSERT_GE(a->stats().quality.samples[kQualityIim], 2u);
   const uint32_t bad_champion = 7;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
+  const double negative = -1e-12;
   // An unwindowed writer's 100 rows, re-sealed to claim the restoring
   // engine's window of 40: only the window bound breaks. kSecMeta: u32
   // layout | u64 arity | u32 target | u64 q | q u32 features | u64 k |
@@ -507,6 +518,23 @@ TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
       {"+inf feature",
        Reseal(genuine, persist::kSecRows, cells_at, &inf, sizeof(inf)),
        "non-finite"},
+      {"negative ewma_sq",
+       Reseal(genuine, persist::kSecQuality, ewma_sq_at, &negative,
+              sizeof(negative)),
+       "error estimate"},
+      {"NaN ewma_sq",
+       Reseal(genuine, persist::kSecQuality, ewma_sq_at, &nan, sizeof(nan)),
+       "error estimate"},
+      {"NaN ewma_abs",
+       Reseal(genuine, persist::kSecQuality, ewma_abs_at, &nan, sizeof(nan)),
+       "error estimate"},
+      {"+inf ring entry",
+       Reseal(genuine, persist::kSecQuality, ring_at, &inf, sizeof(inf)),
+       "error estimate"},
+      {"negative ring entry",
+       Reseal(genuine, persist::kSecQuality, ring_at + 8, &negative,
+              sizeof(negative)),
+       "error estimate"},
   };
   for (const Hostile& h : hostile) {
     std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
@@ -520,6 +548,195 @@ TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
     EXPECT_EQ(b->stats().moo_probes, a->stats().moo_probes) << h.what;
     ExpectEngineStateEq(b.get(), a.get(), probes, h.what);
   }
+}
+
+// One field of a snapshot image: `width` bytes (1, 4 or 8) at `offset`
+// in the payload of section `tag`.
+struct ImageField {
+  uint32_t tag;
+  size_t offset;
+  size_t width;
+};
+
+// The integer and estimator fields of an engine image with q features,
+// walked from its own bytes: every kSecMeta and kSecEngine field, the row
+// block's count, arity and arrival numbers, and the quality section's
+// layout, counters, champion and, per method, samples, estimates, ring
+// size and first and last ring entries. Row cells are left out: any
+// finite cell is a valid window, and the hostile-image test covers the
+// non-finite ones.
+std::vector<ImageField> ImageFields(const std::string& image, size_t q) {
+  std::vector<ImageField> out;
+  Result<persist::SnapshotView> view = persist::SnapshotView::Parse(image);
+  EXPECT_TRUE(view.ok());
+  if (!view.ok()) return out;
+  auto section = [&](uint32_t tag) {
+    Result<persist::SectionReader> r = view.value().Section(tag);
+    EXPECT_TRUE(r.ok()) << "section " << tag;
+    return r.ok() ? r.value() : persist::SectionReader();
+  };
+  size_t at = 0;
+  auto walk = [&](uint32_t tag, std::initializer_list<size_t> widths) {
+    for (size_t w : widths) {
+      out.push_back(ImageField{tag, at, w});
+      at += w;
+    }
+  };
+  // kSecMeta: layout, arity, target, q, the q features, then k, ell,
+  // alpha, weighting, window, adaptive, max_ell, step_h, vk, sample rate,
+  // decay, min samples, margin, routing, seed, timestamp column.
+  walk(persist::kSecMeta, {4, 8, 4, 8});
+  for (size_t f = 0; f < q; ++f) walk(persist::kSecMeta, {4});
+  walk(persist::kSecMeta, {8, 8, 8, 1, 8, 1, 8, 8, 8, 8, 8, 8, 8, 1, 8, 4});
+  EXPECT_EQ(at, section(persist::kSecMeta).remaining());
+  at = 0;
+  walk(persist::kSecEngine, {8, 8});  // ingest and impute cursors
+  EXPECT_EQ(at, section(persist::kSecEngine).remaining());
+
+  persist::SectionReader rows = section(persist::kSecRows);
+  const uint64_t live = rows.U64();
+  const uint64_t m = rows.U64();
+  at = 0;
+  walk(persist::kSecRows, {8, 8});
+  at += 8 * m * live;  // the cells
+  for (uint64_t i = 0; i < live; ++i) walk(persist::kSecRows, {8});
+  EXPECT_EQ(at, 16 + rows.remaining());
+
+  persist::SectionReader quality = section(persist::kSecQuality);
+  const size_t quality_bytes = quality.remaining();
+  at = 0;
+  // Layout, probes, skipped, switches, champion, last switch probe.
+  walk(persist::kSecQuality, {4, 8, 8, 8, 4, 8});
+  quality.U32();
+  for (int c = 0; c < 3; ++c) quality.U64();
+  quality.U32();
+  quality.U64();
+  for (int method = 0; method < kQualityMethods; ++method) {
+    walk(persist::kSecQuality, {8, 8, 8, 8});
+    quality.U64();
+    quality.F64();
+    quality.F64();
+    const uint64_t ring = quality.U64();
+    std::vector<double> entries(ring);
+    quality.Doubles(entries.data(), ring);
+    if (ring > 0) out.push_back(ImageField{persist::kSecQuality, at, 8});
+    if (ring > 1) {
+      out.push_back(ImageField{persist::kSecQuality, at + 8 * (ring - 1), 8});
+    }
+    at += 8 * ring;
+  }
+  EXPECT_TRUE(quality.ok());
+  EXPECT_EQ(at, quality_bytes);
+  return out;
+}
+
+// The field's current value, zero-extended from its width.
+uint64_t ReadField(const std::string& image, const ImageField& f) {
+  Result<persist::SnapshotView> view = persist::SnapshotView::Parse(image);
+  Result<persist::SectionReader> r =
+      view.ok() ? view.value().Section(f.tag)
+                : Result<persist::SectionReader>(view.status());
+  EXPECT_TRUE(r.ok());
+  if (!r.ok()) return 0;
+  persist::SectionReader reader = r.value();
+  for (size_t i = 0; i < f.offset; ++i) reader.U8();
+  uint64_t value = 0;
+  for (size_t i = 0; i < f.width; ++i) {
+    value |= uint64_t{reader.U8()} << (8 * i);
+  }
+  return value;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+bool IsErrorEstimate(double v) { return std::isfinite(v) && v >= 0.0; }
+
+// Structure-aware fuzz of the snapshot decode. A monitored, windowed,
+// routed engine's image has one integer or estimator field at a time
+// overwritten — with a boundary value (0, 1, 2^32, 2^40, 2^64 - 1, or
+// the bits of -1e-12, NaN and +-inf), the genuine value +-1, or a random
+// 64-bit pattern, cut to the field's width — and is re-sealed with valid
+// CRCs. Every restore must either fail, leave the engine empty and let
+// it take the genuine image, or succeed into an engine whose postings
+// verify, whose quality estimates are finite and non-negative, and whose
+// next imputation is finite.
+TEST(SnapshotFuzzTest, EveryMutatedFieldRestoresWholeOrNotAtAll) {
+  data::Table src = HeterogeneousTable(120, 4, 53);
+  core::IimOptions opt = RecoveryOptions();
+  opt.moo_sample_rate = 1.0;
+  opt.moo_min_samples = 4;
+  opt.quality_routing = core::IimOptions::QualityRouting::kAutoRoute;
+  std::unique_ptr<OnlineIim> a = MakeEngine(src, opt);
+  for (size_t i = 0; i < 100; ++i) ASSERT_TRUE(a->Ingest(src.Row(i)).ok());
+  const std::string genuine = a->SerializeSnapshot();
+  const size_t live = a->size();
+  const std::vector<ImageField> fields =
+      ImageFields(genuine, Features().size());
+  ASSERT_GT(fields.size(), 40u);
+  const std::vector<double> probe = Probe(src, 110, kTarget);
+  const data::RowView probe_row(probe.data(), probe.size());
+  const std::vector<uint64_t> boundary = {
+      0,
+      1,
+      uint64_t{1} << 32,
+      uint64_t{1} << 40,
+      ~uint64_t{0},
+      DoubleBits(-1e-12),
+      DoubleBits(std::numeric_limits<double>::quiet_NaN()),
+      DoubleBits(std::numeric_limits<double>::infinity()),
+      DoubleBits(-std::numeric_limits<double>::infinity())};
+
+  Rng rng(1009);
+  size_t refused = 0, accepted = 0;
+  for (size_t trial = 0; trial < 600; ++trial) {
+    const ImageField& f = fields[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(fields.size()) - 1))];
+    uint64_t value;
+    const double u = rng.Uniform();
+    if (u < 0.6) {
+      value = boundary[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(boundary.size()) - 1))];
+    } else if (u < 0.8) {
+      value = ReadField(genuine, f) + (rng.Bernoulli(0.5) ? 1 : ~uint64_t{0});
+    } else {
+      value = rng.engine()();
+    }
+    const std::string where = "trial " + std::to_string(trial) +
+                              " section " + std::to_string(f.tag) +
+                              " offset " + std::to_string(f.offset) +
+                              " value " + std::to_string(value);
+    std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);
+    Status st =
+        b->RestoreFromSnapshot(Reseal(genuine, f.tag, f.offset, &value,
+                                      f.width));
+    if (!st.ok()) {
+      ++refused;
+      ASSERT_EQ(b->size(), 0u) << where;
+      ASSERT_EQ(b->stats().ingested, 0u) << where;
+      ASSERT_TRUE(b->RestoreFromSnapshot(genuine).ok()) << where;
+      ASSERT_EQ(b->size(), live) << where;
+      continue;
+    }
+    ++accepted;
+    ASSERT_TRUE(b->VerifyPostings()) << where;
+    const QualityStats q = b->stats().quality;
+    for (int m = 0; m < kQualityMethods; ++m) {
+      ASSERT_TRUE(IsErrorEstimate(q.ewma_abs[m])) << where << " method " << m;
+      ASSERT_TRUE(IsErrorEstimate(q.ewma_rms[m])) << where << " method " << m;
+      ASSERT_TRUE(IsErrorEstimate(q.abs_error[m].max))
+          << where << " method " << m;
+    }
+    Result<double> v = b->ImputeOne(probe_row);
+    ASSERT_TRUE(v.ok()) << where << ": " << v.status().ToString();
+    ASSERT_TRUE(std::isfinite(v.value())) << where;
+  }
+  // Both outcomes really occurred.
+  EXPECT_GT(refused, 100u);
+  EXPECT_GT(accepted, 100u);
 }
 
 // A snapshot holds the live window and nothing else: engines over the

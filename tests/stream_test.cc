@@ -83,52 +83,6 @@ TEST(DynamicIndexTest, MatchesBruteForceUnderInterleavedAppendsAndQueries) {
   EXPECT_EQ(stats.tree_size + stats.tail_size, stats.slots);
 }
 
-TEST(DynamicIndexTest, BackgroundAndInLockRebuildsAgreeBitwise) {
-  // The double-buffered background rebuild must be invisible in results:
-  // an index rebuilding in-lock (the latency baseline) and one rebuilding
-  // on the builder thread return identical neighbors at every step, no
-  // matter when the swap lands.
-  DynamicIndex::Options sync_opt;
-  sync_opt.kdtree_threshold = 40;
-  sync_opt.background_rebuild = false;
-  DynamicIndex::Options bg_opt = sync_opt;
-  bg_opt.background_rebuild = true;
-  DynamicIndex sync_index({0, 1}, sync_opt);
-  DynamicIndex bg_index({0, 1}, bg_opt);
-
-  data::Table full = HeterogeneousTable(260, 3, 52);
-  Rng rng(7);
-  for (size_t i = 0; i < full.NumRows(); ++i) {
-    sync_index.Append(full.Row(i));
-    bg_index.Append(full.Row(i));
-    if (i % 5 != 0) continue;
-    data::Table probe(data::Schema::Default(3));
-    ASSERT_TRUE(probe
-                    .AppendRow({rng.Uniform(-5.0, 15.0),
-                                rng.Uniform(-5.0, 15.0), 0.0})
-                    .ok());
-    neighbors::QueryOptions qopt;
-    qopt.k = 1 + static_cast<size_t>(i % 6);
-    std::vector<neighbors::Neighbor> want =
-        sync_index.Query(probe.Row(0), qopt);
-    std::vector<neighbors::Neighbor> got = bg_index.Query(probe.Row(0), qopt);
-    ASSERT_EQ(got.size(), want.size()) << "append " << i;
-    for (size_t j = 0; j < got.size(); ++j) {
-      EXPECT_EQ(got[j].index, want[j].index) << "append " << i;
-      EXPECT_EQ(got[j].distance, want[j].distance);
-    }
-  }
-  // The baseline rebuilt synchronously; the background index launched
-  // builds and, once flushed, has installed at least one.
-  EXPECT_GE(sync_index.stats().rebuilds, 1u);
-  EXPECT_EQ(sync_index.stats().launches, 0u);
-  bg_index.WaitForRebuild();
-  DynamicIndex::Stats bg = bg_index.stats();
-  EXPECT_GE(bg.launches, 1u);
-  EXPECT_EQ(bg.swaps, bg.rebuilds);
-  EXPECT_GE(bg.swaps, 1u);
-}
-
 TEST(DynamicIndexTest, StatsSnapshotIsCoherent) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
@@ -206,11 +160,12 @@ void ExpectSameNeighbors(const std::vector<neighbors::Neighbor>& got,
 }
 
 TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
-  // In-lock rebuilds make every rebuild point exact: the tail is empty
-  // right after one, and the work count restarts there.
+  // Flushing the builder after every append makes every rebuild point
+  // exact: the build an append launches is installed before the next
+  // step, so the tail is empty right after it, and the work count
+  // restarts there.
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
-  dopt.background_rebuild = false;
   DynamicIndex index({0, 2}, dopt);
   // Every query below scans the tail once.
   constexpr size_t kQueriesPerAppend = 12;
@@ -224,6 +179,7 @@ TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
     DynamicIndex::Stats before = index.stats();
     ASSERT_TRUE(grown.AppendRow(full.Row(i).ToVector()).ok());
     index.Append(full.Row(i));
+    index.WaitForRebuild();
     DynamicIndex::Stats after = index.stats();
     uint64_t scanned = after.tail_rows_scanned - scanned_at_rebuild;
     uint64_t cost = BuildCost(after.slots);
@@ -281,16 +237,18 @@ TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
 TEST(DynamicIndexTest, QueryFreeBurstRebuildsAtQuarterTreeCeiling) {
   // No query ever scans the tail, so the work count never moves and the
   // tree/4 ceiling alone schedules rebuilds: the first at the threshold,
-  // then each once the tail reaches a quarter of the tree.
+  // then each once the tail reaches a quarter of the tree. Each append's
+  // build is flushed before the next, so every launch lands where it
+  // starts.
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
-  dopt.background_rebuild = false;
   DynamicIndex index({0, 1}, dopt);
   data::Table full = HeterogeneousTable(2000, 3, 13);
   size_t tree = 0;
   std::vector<size_t> rebuilt_at;
   for (size_t i = 0; i < full.NumRows(); ++i) {
     index.Append(full.Row(i));
+    index.WaitForRebuild();
     size_t n = i + 1;
     if (n >= dopt.kdtree_threshold && n - tree >= tree / 4) {
       tree = n;
@@ -314,7 +272,6 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
   dopt.min_compact_tombstones = 16;
-  dopt.background_rebuild = false;
   DynamicIndex index({0, 1}, dopt);
   ThreadPool pool(4);
   data::Table full = HeterogeneousTable(600, 3, 23);
@@ -323,6 +280,7 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
   uint64_t visited = 0;  // tail slots this test's queries scanned
   for (size_t i = 0; i < full.NumRows(); ++i) {
     index.Append(full.Row(i));
+    index.WaitForRebuild();
     live.push_back(1);
     if (i > 40 && rng.Bernoulli(0.3)) {
       size_t victim = static_cast<size_t>(
@@ -331,6 +289,7 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
     }
     if (index.NeedsCompaction()) {
       std::vector<size_t> remap = index.Compact();
+      index.WaitForRebuild();
       std::vector<uint8_t> packed;
       for (size_t s = 0; s < live.size(); ++s) {
         if (remap[s] != DynamicIndex::kGone) packed.push_back(live[s]);

@@ -98,7 +98,6 @@ TEST(DynamicIndexWindowTest, CompactionPreservesQueryResultsBitwise) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 48;
   dopt.min_compact_tombstones = 20;
-  dopt.max_tombstone_fraction = 0.25;
   DynamicIndex index({0, 2}, dopt);
 
   data::Table full = HeterogeneousTable(200, 3, 31);
