@@ -53,15 +53,6 @@ struct IimOptions {
   // folded prefix lost a row reset and refolded on next use, index
   // tombstoned). 0 = unbounded growth.
   size_t window_size = 0;
-  // Streaming index tuning, forwarded to stream::DynamicIndex::Options
-  // when nonzero (0 keeps that option's default). Results are identical
-  // at every setting — these move only WHEN a KD-tree first appears and
-  // when tombstones are compacted. Once a tree exists, rebuilds follow
-  // the index's own work rule (tail scans paid for one build), which has
-  // no knob. Tests lower these so small-n schedules still cross KD-tree
-  // rebuilds and compactions.
-  size_t index_kdtree_threshold = 0;
-  size_t index_min_compact_tombstones = 0;
   // --- Durability (stream engines; the batch imputer ignores these) ---
   // Directory for snapshots and the write-ahead arrival log. Empty
   // disables persistence. When set, Create() first recovers from the

@@ -72,12 +72,7 @@ class SelectScan {
 }  // namespace
 
 DynamicIndex::DynamicIndex(std::vector<int> cols)
-    : DynamicIndex(std::move(cols), Options()) {}
-
-DynamicIndex::DynamicIndex(std::vector<int> cols, const Options& options)
-    : cols_(std::move(cols)),
-      options_(options),
-      builder_(std::make_unique<ThreadPool>(1)) {
+    : cols_(std::move(cols)), builder_(std::make_unique<ThreadPool>(1)) {
   // Bring the builder worker up now, outside any lock: its OS
   // thread-creation cost must not land inside the first launching
   // Append's writer-lock hold (the metric this index exists to bound).
@@ -188,7 +183,6 @@ void DynamicIndex::Launch(std::shared_ptr<PendingBuild> p) {
 std::shared_ptr<DynamicIndex::PendingBuild>
 DynamicIndex::MaybeRebuildLocked() {
   if (pending_ != nullptr) return nullptr;  // one build in flight at a time
-  if (n_ - dead_ < options_.kdtree_threshold) return nullptr;
   // Work rule: the tail scans since the last launch cost as much as the
   // build that ends them. Ceiling: a quarter of the tree, for append
   // bursts that no query reads (they never advance the count).
@@ -252,10 +246,8 @@ bool DynamicIndex::Remove(size_t slot) {
 
 bool DynamicIndex::NeedsCompaction() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  size_t live = n_ - dead_;
-  return dead_ >= options_.min_compact_tombstones &&
-         static_cast<double>(dead_) >
-             kMaxTombstoneFraction * static_cast<double>(live);
+  return static_cast<double>(dead_) >
+         kMaxTombstoneFraction * static_cast<double>(n_ - dead_);
 }
 
 std::vector<size_t> DynamicIndex::Compact() {
@@ -326,7 +318,7 @@ std::vector<size_t> DynamicIndex::Compact() {
     // Same double-buffered machinery as Append: queries scan the whole (now
     // dense) buffer brute-force — still exact — until the replacement tree
     // lands.
-    if (n_ >= options_.kdtree_threshold) launch = RebuildLocked();
+    if (n_ > 0) launch = RebuildLocked();
     max_compact_hold_seconds_ =
         std::max(max_compact_hold_seconds_, hold.ElapsedSeconds());
   }
@@ -375,7 +367,7 @@ std::vector<std::vector<neighbors::Neighbor>> DynamicIndex::NearestOthers(
       buf.clear();
       SelectScan scan(points_.data(), points_.data() + i * d, d, k, i,
                       AliveFilter(), &buf);
-      CountTailScan();
+      CountSearch();
       tree_.Walk(&scan);
       for (size_t t = tree_.size(); t < n_; ++t) scan.Visit(t);
       scan.Finish();
@@ -410,7 +402,8 @@ Status DynamicIndex::Load(std::vector<double> points) {
   return Status::OK();
 }
 
-void DynamicIndex::CountTailScan() const {
+void DynamicIndex::CountSearch() const {
+  queries_.fetch_add(1, std::memory_order_relaxed);
   size_t tail = n_ - tree_.size();
   if (tail > 0) tail_scanned_.fetch_add(tail, std::memory_order_relaxed);
 }
@@ -427,7 +420,7 @@ void DynamicIndex::Collect(const std::vector<double>& q,
   // is unchanged bit for bit. The same holds for the scans below.
   neighbors::KnnScan scan(points_.data(), q.data(), cols_.size(), options,
                           heap, AliveFilter());
-  CountTailScan();
+  CountSearch();
   tree_.Walk(&scan);
   for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
 }
@@ -462,7 +455,7 @@ void DynamicIndex::QueryAdmitters(
   neighbors::AdmitScan scan(points_.data(), q.data(), cols_.size(), options,
                             nearest, AliveFilter(), radius_.data(),
                             admitters);
-  CountTailScan();
+  CountSearch();
   tree_.Walk(&scan);
   for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
   std::sort(nearest->begin(), nearest->end(), neighbors::NeighborLess);
@@ -482,7 +475,7 @@ bool DynamicIndex::Successor(const data::RowView& query,
   std::vector<double> q = query.Gather(cols_);
   neighbors::SuccessorScan scan(points_.data(), q.data(), cols_.size(), after,
                                 exclude, AliveFilter());
-  CountTailScan();
+  CountSearch();
   tree_.Walk(&scan);
   for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
   if (scan.found()) *out = scan.best();
@@ -525,6 +518,7 @@ DynamicIndex::Stats DynamicIndex::stats() const {
   s.discarded = discarded_;
   s.compactions = compactions_;
   s.rebuild_in_flight = pending_ != nullptr;
+  s.queries = queries_.load(std::memory_order_relaxed);
   s.tail_rows_scanned = tail_scanned_.load(std::memory_order_relaxed);
   s.max_append_hold_seconds = max_append_hold_seconds_;
   s.max_compact_hold_seconds = max_compact_hold_seconds_;

@@ -4,9 +4,8 @@
 // Points live in one flat contiguous row-major buffer with amortized
 // growth. A FlatKdTree covers the immutable prefix that existed at the
 // last rebuild; arrivals since then sit in an unindexed tail that queries
-// scan brute-force. Once the relation crosses the same 4096-point
-// threshold MakeIndex uses, the tree is rebuilt over everything as soon
-// as the tail has cost as much as the rebuild would: every Query,
+// scan brute-force. The tree is rebuilt over everything as soon as the
+// tail has cost as much as the rebuild would: every Query,
 // QueryAdmitters and Successor adds the tail slots it scanned to a
 // counter, and Append launches a rebuild once the scans since the last
 // launch reach the build's own n·⌈log2 n⌉ slot visits. Those builds
@@ -14,8 +13,10 @@
 // issuing q tail-scanning queries per append keeps its tail near
 // sqrt(2·n·log2 n / q) rows instead of letting it grow with n. Appends
 // no query reads never advance the counter, so a ceiling catches them:
-// a tail past a quarter of the tree also triggers a rebuild, which
-// keeps query-free bursts at amortized O(log n) rebuilds.
+// a tail of a quarter of the tree also triggers a rebuild, which keeps
+// query-free bursts at amortized O(log n) rebuilds. Both rules hold from
+// the first append (an empty tree's ceiling is zero), so a window of any
+// size gets its tree.
 //
 // Besides plain kNN, the index answers the two questions the streaming
 // order maintenance asks:
@@ -100,17 +101,6 @@ namespace iim::stream {
 
 class DynamicIndex final : public neighbors::NeighborIndex {
  public:
-  struct Options {
-    // Minimum live size before any KD-tree is built (matches the
-    // MakeIndex default: brute force is faster below it). Above it,
-    // rebuilds follow the work rule and tree/4 ceiling described at the
-    // top of this file, neither of which is an option.
-    size_t kdtree_threshold = 4096;
-    // NeedsCompaction() once tombstones exceed both this floor and
-    // kMaxTombstoneFraction of the live rows.
-    size_t min_compact_tombstones = 64;
-  };
-
   // One coherent snapshot of every counter, taken under a single lock
   // acquisition, so a background swap cannot land between two fields.
   struct Stats {
@@ -125,9 +115,13 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     size_t discarded = 0;   // background builds dropped (compaction raced)
     size_t compactions = 0;
     bool rebuild_in_flight = false;
-    // Lifetime brute-tail slots visited by Query, QueryAdmitters and
-    // Successor (tombstones included; QueryAll scans everything and does
-    // not count). The work rule launches a rebuild once this advances by
+    // Lifetime searches: one per Query, QueryAdmitters and Successor
+    // call, one per row of NearestOthers. QueryAll scans everything and
+    // does not count, nor does a call that returns before searching (no
+    // live row, or k == 0).
+    uint64_t queries = 0;
+    // Lifetime brute-tail slots those searches visited (tombstones
+    // included). The work rule launches a rebuild once this advances by
     // one build's cost.
     uint64_t tail_rows_scanned = 0;
     // Longest writer-lock hold inside one Append — the ingest critical
@@ -153,7 +147,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // Indexes attribute subset `cols` of rows appended later; `cols` must be
   // non-empty. Starts empty.
   explicit DynamicIndex(std::vector<int> cols);
-  DynamicIndex(std::vector<int> cols, const Options& options);
   ~DynamicIndex() override;
 
   // Appends one full-arity row (its `cols` values are gathered, matching
@@ -178,11 +171,10 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   bool NeedsCompaction() const;
 
   // Drops tombstoned rows, slides survivors onto a dense prefix (relative
-  // order preserved), schedules a rebuild over the survivors when they
-  // still clear kdtree_threshold (Clear()s the tree otherwise — queries
-  // are brute-force and still exact until the new tree lands), and
-  // returns the old-slot -> new-slot map (kGone for evicted slots) for
-  // the owner's own remapping.
+  // order preserved), Clear()s the tree and schedules a rebuild over the
+  // survivors, if any (queries are brute-force and still exact until the
+  // new tree lands), and returns the old-slot -> new-slot map (kGone for
+  // evicted slots) for the owner's own remapping.
   //
   // The O(n·d) survivor slide is STAGED: it packs into a side buffer
   // under a reader lock (the caller is the engine's single writer, so
@@ -232,9 +224,8 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // Bulk-loads gathered points (row-major, cols().size() values per row)
   // into an EMPTY index as live slots 0, 1, ... with radius kNoRadius
   // (the owner sets radii once it knows them), and builds the tree over
-  // them in place, below kdtree_threshold too: a load is followed by one
-  // query per row, and n brute-force scans of n rows cost more than any
-  // build.
+  // them in place rather than on the builder: a load is followed by one
+  // query per row, so the tree must land first.
   Status Load(std::vector<double> points);
 
   std::vector<neighbors::Neighbor> Query(
@@ -279,9 +270,9 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   void Collect(const std::vector<double>& q,
                const neighbors::QueryOptions& options,
                std::vector<neighbors::Neighbor>* heap) const;
-  // Adds the current tail to tail_scanned_ (reader or writer lock held by
-  // caller): every tail-scanning query calls it once.
-  void CountTailScan() const;
+  // Counts one search and the current tail it scans (reader or writer
+  // lock held by caller): every tail-scanning query calls it once.
+  void CountSearch() const;
   // The scans' tombstone filter: null while every slot is live.
   const uint8_t* AliveFilter() const {
     return dead_ > 0 ? alive_.data() : nullptr;
@@ -304,7 +295,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   void Launch(std::shared_ptr<PendingBuild> p);
 
   std::vector<int> cols_;
-  Options options_;
 
   mutable std::shared_mutex mu_;
   std::vector<double> points_;  // row-major n_ x cols_.size()
@@ -328,9 +318,11 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   size_t swaps_ = 0;
   size_t discarded_ = 0;
   size_t compactions_ = 0;
-  // Lifetime tail slots scanned (Stats::tail_rows_scanned). Queries bump
-  // it under the READER lock, concurrently with each other, hence the
-  // relaxed atomic (a count, ordering nothing else).
+  // Lifetime searches and tail slots scanned (Stats::queries,
+  // Stats::tail_rows_scanned). Queries bump them under the READER lock,
+  // concurrently with each other, hence the relaxed atomics (counts,
+  // ordering nothing else).
+  mutable std::atomic<uint64_t> queries_{0};
   mutable std::atomic<uint64_t> tail_scanned_{0};
   // tail_scanned_ when the last rebuild started (writer lock).
   uint64_t scanned_at_launch_ = 0;

@@ -207,7 +207,8 @@ class OnlineIim {
   // slot-aligned state.
   void WaitForIndexRebuild() { core_.WaitForIndexRebuild(); }
   // The engine's record with the core's counters and the monitor's
-  // telemetry filled in (one coherent copy).
+  // telemetry filled in (one coherent copy). Like every call, it must not
+  // overlap another: the monitor keeps the summary it last computed.
   Stats stats() const;
 
   // --- Durability (options().persist_dir engines) ----------------------

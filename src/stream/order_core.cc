@@ -41,12 +41,6 @@ OrderCore::Config MakeOrderCoreConfig(const core::IimOptions& options,
   // back to the imputation k, clamped to the shared cap).
   size_t vk = options.validation_k > 0 ? options.validation_k : options.k;
   c.vk = std::clamp<size_t>(vk, 1, core::kMaxValidationK);
-  if (options.index_kdtree_threshold > 0) {
-    c.index.kdtree_threshold = options.index_kdtree_threshold;
-  }
-  if (options.index_min_compact_tombstones > 0) {
-    c.index.min_compact_tombstones = options.index_min_compact_tombstones;
-  }
   return c;
 }
 
@@ -55,7 +49,7 @@ OrderCore::OrderCore(const Config& config)
       q_(config.q),
       cap_(config.adaptive ? std::max<size_t>(config.max_ell, 1)
                            : std::max<size_t>(config.ell, 1)),
-      index_(IdentityCols(config.q), config.index),
+      index_(IdentityCols(config.q)),
       fb_(config.q) {}
 
 double OrderCore::ComputeBound(size_t i) const {

@@ -89,7 +89,6 @@ class OrderCore {
     size_t step_h = 1;     // adaptive: candidate-l stride
     size_t vk = 1;         // adaptive: resolved validation fan-out, in
                            // [1, core::kMaxValidationK]
-    DynamicIndex::Options index;
   };
 
   struct Counters {
@@ -170,7 +169,8 @@ class OrderCore {
   size_t OldestLiveSlot();
 
   // Replays the index's compaction remap over every slot-indexed
-  // structure once the tombstone pile crosses the index's threshold.
+  // structure once tombstones pass a quarter of the live rows
+  // (DynamicIndex::NeedsCompaction).
   // Returns true (and the old-slot -> new-slot map, kGone for evicted
   // slots, when remap != nullptr) if a compaction ran — the owner replays
   // it over its own slot-aligned state (e.g. the full-row table).

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
 
 #include "common/crc32.h"
 
@@ -122,8 +123,14 @@ void SectionReader::Doubles(double* out, size_t n) {
 }
 
 Status SectionReader::status() const {
-  if (!failed_) return Status::OK();
-  return Status::OutOfRange("snapshot section payload exhausted mid-decode");
+  if (failed_) {
+    return Status::OutOfRange("snapshot section payload exhausted mid-decode");
+  }
+  if (pos_ != len_) {
+    return Status::IoError("snapshot section holds " +
+                           std::to_string(len_ - pos_) + " unread bytes");
+  }
+  return Status::OK();
 }
 
 Result<SnapshotView> SnapshotView::Parse(const std::string& bytes) {

@@ -71,7 +71,7 @@ class SnapshotBuilder {
 // Bounds-checked sequential decoder over one section's payload. Reads
 // past the end return zeros and latch an error instead of touching
 // out-of-range memory — callers decode the whole section, then check
-// status() once.
+// status() once, which also refuses a section with bytes left unread.
 class SectionReader {
  public:
   SectionReader() = default;
@@ -86,7 +86,9 @@ class SectionReader {
 
   size_t remaining() const { return len_ - pos_; }
   bool ok() const { return !failed_; }
-  // OK, or OutOfRange once any read overran the payload.
+  // The end-of-section verdict: OutOfRange once any read overran the
+  // payload, IoError while bytes remain unread, OK once exactly every
+  // byte was read.
   Status status() const;
 
  private:

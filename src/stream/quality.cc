@@ -44,6 +44,7 @@ bool QualityMonitor::Sampled(uint64_t arrival) const {
 }
 
 void QualityMonitor::Record(const QualityAnswers& answers, double truth) {
+  stats_.reset();
   ++probes_;
   const double lambda = options_.moo_decay;
   for (size_t m = 0; m < kQualityMethods; ++m) {
@@ -124,7 +125,8 @@ Result<double> QualityMonitor::Serve(int route,
 }
 
 QualityStats QualityMonitor::Stats() const {
-  QualityStats s;
+  if (stats_) return *stats_;
+  QualityStats& s = stats_.emplace();
   s.champion = champion_;
   for (size_t m = 0; m < kQualityMethods; ++m) {
     const MethodState& ms = methods_[m];
@@ -154,6 +156,7 @@ void QualityMonitor::SerializeInto(persist::SnapshotBuilder* builder) const {
 }
 
 Status QualityMonitor::RestoreFrom(persist::SectionReader* reader) {
+  stats_.reset();
   const uint32_t version = reader->U32();
   if (reader->ok() && version != 2) {
     return Status::InvalidArgument("quality snapshot: unsupported layout");

@@ -108,6 +108,8 @@ class QualityMonitor {
   uint64_t probes() const { return probes_; }
   uint64_t skipped() const { return skipped_; }
   uint64_t champion_switches() const { return champion_switches_; }
+  // Summarizes the rings once per Record: later calls return the kept
+  // record (service idle points read it under the service mutex).
   QualityStats Stats() const;
 
   // --- Persistence ---
@@ -139,6 +141,10 @@ class QualityMonitor {
   uint64_t probes_ = 0;
   uint64_t skipped_ = 0;
   uint64_t champion_switches_ = 0;
+  // What Stats() last computed; dropped by Record and RestoreFrom, the
+  // only calls that change estimates, rings or the champion. The owning
+  // engine is externally synchronized, so it needs no lock.
+  mutable std::optional<QualityStats> stats_;
 };
 
 }  // namespace iim::stream

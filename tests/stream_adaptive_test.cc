@@ -31,11 +31,6 @@ core::IimOptions AdaptiveOptions(size_t threads = 1) {
   opt.validation_k = 3;
   opt.threads = threads;
   opt.window_size = 70;
-  // Lowered so these small-n schedules still cross KD-tree background
-  // rebuilds and tombstone compactions (results are identical at any
-  // setting — that is exactly what is under test).
-  opt.index_kdtree_threshold = 16;
-  opt.index_min_compact_tombstones = 12;
   return opt;
 }
 

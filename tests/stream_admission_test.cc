@@ -94,10 +94,7 @@ void ExpectSameNeighbors(const std::vector<neighbors::Neighbor>& got,
 // admission filter depends on ties surviving the KD-tree pruning) —
 // against tombstones, a compacted prefix, and the un-treed tail.
 TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 32;
-  dopt.min_compact_tombstones = 8;
-  DynamicIndex index({0, 1}, dopt);
+  DynamicIndex index({0, 1});
 
   data::Table full = HeterogeneousTable(200, 3, 29);
   Rng rng(31);
@@ -205,10 +202,7 @@ double PickRadius(Rng* rng) {
 // rebuild; without, builds race the stream and land whenever they finish.
 template <typename Check>
 void RunGridStream(bool flush, uint64_t seed, Check check) {
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 24;
-  dopt.min_compact_tombstones = 8;
-  DynamicIndex index({0, 1}, dopt);
+  DynamicIndex index({0, 1});
   Rng rng(seed);
   std::vector<std::vector<double>> rows;  // per slot
   std::vector<uint8_t> live;
@@ -409,9 +403,7 @@ TEST(DynamicIndexBulkTest, NearestOthersMatchesPerRowQueries) {
   ASSERT_TRUE(loaded.Load(points).ok());
   EXPECT_EQ(loaded.stats().tree_size, rows.size());
 
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 24;
-  DynamicIndex appended({0, 1}, dopt);
+  DynamicIndex appended({0, 1});
   for (const std::vector<double>& row : rows) {
     appended.Append(data::RowView(row.data(), row.size()));
   }
@@ -484,9 +476,7 @@ INSTANTIATE_TEST_SUITE_P(RebuildModes, DynamicIndexRadiiTest,
 // no compaction counted, the installed tree kept, and — the original
 // bug — an in-flight background build must NOT be discarded.
 TEST(DynamicIndexAdmissionTest, SpuriousCompactNeverDiscardsBuilds) {
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 16;
-  DynamicIndex index({0, 1}, dopt);
+  DynamicIndex index({0, 1});
 
   data::Table full = HeterogeneousTable(120, 3, 41);
   for (size_t i = 0; i < full.NumRows(); ++i) {
@@ -548,10 +538,6 @@ core::IimOptions AdmissionOptions(size_t threads, bool adaptive) {
     opt.step_h = 2;
     opt.validation_k = 3;
   }
-  // Low index thresholds so small-n schedules still cross KD-tree
-  // rebuilds and physical compactions mid-stream.
-  opt.index_kdtree_threshold = 48;
-  opt.index_min_compact_tombstones = 8;
   return opt;
 }
 

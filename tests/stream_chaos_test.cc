@@ -80,8 +80,6 @@ core::IimOptions ChaosOptions() {
   opt.ell = 5;
   opt.threads = 1;
   opt.window_size = 40;
-  opt.index_kdtree_threshold = 32;
-  opt.index_min_compact_tombstones = 4;
   return opt;
 }
 

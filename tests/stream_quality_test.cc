@@ -113,6 +113,8 @@ void ExpectSameQuality(const OnlineIim::Stats& x, const OnlineIim::Stats& y,
         << where << " method " << m;
     EXPECT_EQ(a.abs_error[m].p99, b.abs_error[m].p99)
         << where << " method " << m;
+    EXPECT_EQ(a.abs_error[m].max, b.abs_error[m].max)
+        << where << " method " << m;
   }
 }
 
@@ -391,12 +393,10 @@ TEST(QualityRoutingTest, AutoRouteSwitchesOffIimAndLowersDriftError) {
   double sq_router = 0.0;
   size_t served = 0;
   size_t served_without_query = 0;
-  // The window is below the index's tree threshold, so every neighbor
-  // query scans the whole tail: the scan counter says whether a serve
-  // queried the index.
-  auto scanned = [](const OnlineIim& e) {
-    return e.index().stats().tail_rows_scanned;
-  };
+  // The index's lifetime search count says whether a serve queried it, at
+  // every rebuild timing (a tail scan count would not: a serve right
+  // after a tree install scans an empty tail).
+  auto queries = [](const OnlineIim& e) { return e.index().stats().queries; };
   for (size_t i = 0; i < head + tail; ++i) {
     ASSERT_TRUE(observer.Ingest(full.Row(i)).ok());
     ASSERT_TRUE(router.Ingest(full.Row(i)).ok());
@@ -409,8 +409,8 @@ TEST(QualityRoutingTest, AutoRouteSwitchesOffIimAndLowersDriftError) {
       std::vector<double> probe = {
           x0, x1, std::numeric_limits<double>::quiet_NaN()};
       data::RowView row(probe.data(), probe.size());
-      const uint64_t observer_scanned = scanned(observer);
-      const uint64_t router_scanned = scanned(router);
+      const uint64_t observer_queries = queries(observer);
+      const uint64_t router_queries = queries(router);
       const size_t routed_before = router.stats().routed_serves;
       Result<double> va = observer.ImputeOne(row);
       Result<double> vb = router.ImputeOne(row);
@@ -418,15 +418,15 @@ TEST(QualityRoutingTest, AutoRouteSwitchesOffIimAndLowersDriftError) {
       ASSERT_TRUE(vb.ok());
       // The IIM, kNN and ensemble routes read neighbors; the mean and GLR
       // routes answer from the monitor's fits without a query.
-      EXPECT_GT(scanned(observer), observer_scanned) << "arrival " << i;
+      EXPECT_GT(queries(observer), observer_queries) << "arrival " << i;
       const OnlineIim::Stats rs = router.stats();
       const int champion = rs.quality.champion;
       if (rs.routed_serves > routed_before &&
           (champion == kQualityMean || champion == kQualityGlr)) {
-        EXPECT_EQ(scanned(router), router_scanned) << "arrival " << i;
+        EXPECT_EQ(queries(router), router_queries) << "arrival " << i;
         ++served_without_query;
       } else {
-        EXPECT_GT(scanned(router), router_scanned) << "arrival " << i;
+        EXPECT_GT(queries(router), router_queries) << "arrival " << i;
       }
       sq_observer += (va.value() - truth) * (va.value() - truth);
       sq_router += (vb.value() - truth) * (vb.value() - truth);
@@ -652,6 +652,36 @@ TEST(QualitySnapshotTest, EstimatesRoundTripAndProbesStayDeterministic) {
     EXPECT_EQ(sa.quality.samples[m], sb.quality.samples[m])
         << "method " << m;
   }
+}
+
+// The monitor keeps the record Stats() last computed and recomputes it
+// only after a probe is recorded. After every ingest, sampled or not, the
+// kept record must equal the one an engine restored from the same image
+// computes afresh (its monitor has computed nothing yet).
+TEST(QualitySnapshotTest, KeptStatsMatchAFreshRestoreAfterEveryIngest) {
+  data::Table full = StationaryTable(300, 41);
+  core::IimOptions opt = QualityOptions();
+  opt.window_size = 40;
+  opt.moo_sample_rate = 0.5;
+  auto a_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(a_r.ok());
+  OnlineIim& engine = *a_r.value();
+  uint64_t probes = 0;
+  size_t unprobed = 0;  // ingests that recorded no probe
+  for (size_t i = 0; i < full.NumRows(); ++i) {
+    ASSERT_TRUE(engine.Ingest(full.Row(i)).ok());
+    const OnlineIim::Stats kept = engine.stats();
+    if (kept.moo_probes == probes) ++unprobed;
+    probes = kept.moo_probes;
+    auto b_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+    ASSERT_TRUE(b_r.ok());
+    ASSERT_TRUE(
+        b_r.value()->RestoreFromSnapshot(engine.SerializeSnapshot()).ok());
+    const std::string where = "ingest " + std::to_string(i);
+    ExpectSameQuality(kept, b_r.value()->stats(), where.c_str());
+  }
+  EXPECT_GT(probes, 100u);
+  EXPECT_GT(unprobed, 100u);
 }
 
 TEST(QualitySnapshotTest, RestoreRefusesMismatchedQualityConfig) {

@@ -80,10 +80,6 @@ core::IimOptions RecoveryOptions() {
   opt.ell = 5;
   opt.threads = 1;
   opt.window_size = 40;
-  // Low thresholds so small schedules still cross KD-tree rebuilds and
-  // physical compactions (results are invariant to both).
-  opt.index_kdtree_threshold = 32;
-  opt.index_min_compact_tombstones = 4;
   return opt;
 }
 
@@ -303,10 +299,11 @@ TEST(SnapshotRoundTripTest, EveryByteFlipIsRejected) {
 }
 
 // Re-seals a genuine snapshot with the `len` bytes at `offset` of section
-// `tag` replaced by `patch`. Every CRC in the result is valid, so only the
-// engine's own decode stands between a forged field and the engine state.
+// `tag` replaced by `patch`, then `trailing` zero bytes appended to that
+// section. Every CRC in the result is valid, so only the engine's own
+// decode stands between a forged field and the engine state.
 std::string Reseal(const std::string& genuine, uint32_t tag, size_t offset,
-                   const void* patch, size_t len) {
+                   const void* patch, size_t len, size_t trailing = 0) {
   Result<persist::SnapshotView> view = persist::SnapshotView::Parse(genuine);
   EXPECT_TRUE(view.ok());
   if (!view.ok()) return std::string();
@@ -324,7 +321,8 @@ std::string Reseal(const std::string& genuine, uint32_t tag, size_t offset,
     }
     if (t == tag) {
       EXPECT_LE(offset + len, payload.size());
-      std::memcpy(&payload[offset], patch, len);
+      if (len > 0) std::memcpy(&payload[offset], patch, len);
+      payload.append(trailing, '\0');
     }
     b.BeginSection(t);
     for (char c : payload) b.PutU8(static_cast<uint8_t>(c));
@@ -449,7 +447,9 @@ TEST(SnapshotRoundTripTest, ForgedCountsAreRejectedBeforeAllocation) {
 // every later restore and reissue arrival 0 while arrival 0 was live. The
 // error estimates must be finite and non-negative: a routed engine weighs
 // each method by 1 / (ewma_sq + 1e-12), so an ewma_sq of -1e-12 made that
-// weight infinite and the served value NaN.
+// weight infinite and the served value NaN. Every section must be read to
+// its last byte: bytes left over mean the image and the decode disagree on
+// its layout.
 TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
   data::Table src = HeterogeneousTable(120, 4, 37);
   core::IimOptions opt = RecoveryOptions();
@@ -476,6 +476,32 @@ TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
   const size_t ewma_sq_at = ewma_abs_at + 8;
   const size_t ring_at = ewma_sq_at + 8 + 8;
   ASSERT_GE(a->stats().quality.samples[kQualityIim], 2u);
+  // Where the last method's ring size sits, and its value: the walk steps
+  // over the header and every earlier method's ring.
+  size_t last_ring_at = 0;
+  uint64_t last_ring = 0;
+  {
+    Result<persist::SnapshotView> view = persist::SnapshotView::Parse(genuine);
+    ASSERT_TRUE(view.ok());
+    Result<persist::SectionReader> r =
+        view.value().Section(persist::kSecQuality);
+    ASSERT_TRUE(r.ok());
+    persist::SectionReader quality = r.value();
+    size_t at = champion_at + 4 + 8;
+    for (size_t i = 0; i < at; ++i) quality.U8();
+    for (int method = 0; method < kQualityMethods; ++method) {
+      quality.U64();
+      quality.F64();
+      quality.F64();
+      last_ring_at = at + 24;
+      last_ring = quality.U64();
+      std::vector<double> ring(last_ring);
+      quality.Doubles(ring.data(), ring.size());
+      at = last_ring_at + 8 + 8 * last_ring;
+    }
+    ASSERT_TRUE(quality.status().ok());
+    ASSERT_GE(last_ring, 1u);
+  }
   const uint32_t bad_champion = 7;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -535,6 +561,15 @@ TEST(SnapshotRoundTripTest, HostileImageLeavesEngineEmptyAndRestorable) {
        Reseal(genuine, persist::kSecQuality, ring_at + 8, &negative,
               sizeof(negative)),
        "error estimate"},
+      {"8 trailing bytes on kSecMeta",
+       Reseal(genuine, persist::kSecMeta, 0, nullptr, 0, 8), "8 unread"},
+      {"8 trailing bytes on kSecEngine",
+       Reseal(genuine, persist::kSecEngine, 0, nullptr, 0, 8), "8 unread"},
+      {"8 trailing bytes on kSecQuality",
+       Reseal(genuine, persist::kSecQuality, 0, nullptr, 0, 8), "8 unread"},
+      {"last ring size lowered by one",
+       ForgeU64(genuine, persist::kSecQuality, last_ring_at, last_ring - 1),
+       "8 unread"},
   };
   for (const Hostile& h : hostile) {
     std::unique_ptr<OnlineIim> b = MakeEngine(src, opt);

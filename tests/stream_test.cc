@@ -27,11 +27,9 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 // DynamicIndex
 
 TEST(DynamicIndexTest, MatchesBruteForceUnderInterleavedAppendsAndQueries) {
-  // Tiny thresholds so the stream crosses brute-force -> tree+tail ->
-  // rebuild regimes well inside 300 appends.
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 32;
-  DynamicIndex dynamic({0, 2}, dopt);
+  // The tree is rebuilt from the first append on, so the stream crosses
+  // tree+tail -> rebuild -> swap many times inside 300 appends.
+  DynamicIndex dynamic({0, 2});
 
   data::Table grown(data::Schema::Default(3));
   data::Table full = HeterogeneousTable(300, 3, 21);
@@ -67,26 +65,52 @@ TEST(DynamicIndexTest, MatchesBruteForceUnderInterleavedAppendsAndQueries) {
       EXPECT_EQ(got_all[j].index, want_all[j].index);
       EXPECT_EQ(got_all[j].distance, want_all[j].distance);
     }
+    // k past the live count returns every live row, and k = 0 nothing.
+    qopt.k = i + 5;
+    std::vector<neighbors::Neighbor> every = dynamic.Query(probe.Row(0), qopt);
+    ASSERT_EQ(every.size(), want_all.size()) << "append " << i;
+    for (size_t j = 0; j < every.size(); ++j) {
+      EXPECT_EQ(every[j].index, want_all[j].index);
+      EXPECT_EQ(every[j].distance, want_all[j].distance);
+    }
+    qopt.k = 0;
+    EXPECT_TRUE(dynamic.Query(probe.Row(0), qopt).empty());
   }
   // The stream actually exercised the tree: background builds launched,
-  // and after the flush barrier at least one is installed and covers a
-  // non-trivial prefix. (Mid-stream, results are exact regardless of
-  // whether a swap has landed — the loop above already proved that.)
+  // and after the flush barrier at least one is installed. (Mid-stream,
+  // results are exact regardless of whether a swap has landed — the loop
+  // above already proved that.) How much the installed tree covers
+  // depends on how far the appends outran the builder, so it is not
+  // checked here.
+  dynamic.WaitForRebuild();
+  DynamicIndex::Stats flushed = dynamic.stats();
+  EXPECT_GE(flushed.launches, 1u);
+  EXPECT_GE(flushed.rebuilds, 1u);
+  EXPECT_EQ(flushed.discarded, 0u);  // no compaction raced the builds
+  EXPECT_FALSE(flushed.rebuild_in_flight);
+  EXPECT_GT(flushed.tree_size, 0u);
+  EXPECT_EQ(flushed.tree_size + flushed.tail_size, flushed.slots);
+  // What the rules guarantee from there: with no build in flight, one
+  // more append either launches a build over every slot (the ceiling,
+  // tail >= tree/4, or the work rule) or leaves the flushed tree and a
+  // tail below the ceiling.
+  dynamic.Append(full.Row(0));
   dynamic.WaitForRebuild();
   DynamicIndex::Stats stats = dynamic.stats();
-  EXPECT_GE(stats.launches, 1u);
-  EXPECT_GE(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.discarded, 0u);  // no compaction raced the builds
   EXPECT_FALSE(stats.rebuild_in_flight);
-  EXPECT_GT(stats.tree_size, dopt.kdtree_threshold / 2);
-  EXPECT_LE(stats.tree_size, dynamic.size());
+  EXPECT_EQ(stats.slots, full.NumRows() + 1);
+  if (flushed.tail_size + 1 >= flushed.tree_size / 4) {
+    EXPECT_EQ(stats.tree_size, stats.slots);
+  }
+  if (stats.tree_size != stats.slots) {
+    EXPECT_EQ(stats.tree_size, flushed.tree_size);
+    EXPECT_LT(stats.tail_size, stats.tree_size / 4);
+  }
   EXPECT_EQ(stats.tree_size + stats.tail_size, stats.slots);
 }
 
 TEST(DynamicIndexTest, StatsSnapshotIsCoherent) {
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 32;
-  DynamicIndex index({0, 1}, dopt);
+  DynamicIndex index({0, 1});
   data::Table t = HeterogeneousTable(120, 3, 9);
   for (size_t i = 0; i < t.NumRows(); ++i) index.Append(t.Row(i));
   for (size_t s = 0; s < 10; ++s) ASSERT_TRUE(index.Remove(s));
@@ -101,20 +125,6 @@ TEST(DynamicIndexTest, StatsSnapshotIsCoherent) {
   EXPECT_EQ(stats.swaps + stats.discarded, stats.launches);
   EXPECT_FALSE(stats.rebuild_in_flight);
   EXPECT_EQ(stats.live, index.size());
-}
-
-TEST(DynamicIndexTest, StaysBruteForceBelowThreshold) {
-  DynamicIndex index({0});
-  data::Table t = HeterogeneousTable(50, 2, 3);
-  for (size_t i = 0; i < t.NumRows(); ++i) index.Append(t.Row(i));
-  EXPECT_EQ(index.size(), 50u);
-  EXPECT_EQ(index.stats().tree_size, 0u);  // default threshold is 4096
-  EXPECT_EQ(index.stats().rebuilds, 0u);
-  neighbors::QueryOptions qopt;
-  qopt.k = 60;  // more than n: returns all
-  EXPECT_EQ(index.Query(t.Row(0), qopt).size(), 50u);
-  qopt.k = 0;
-  EXPECT_TRUE(index.Query(t.Row(0), qopt).empty());
 }
 
 // The work rule's threshold: slot visits of one KD-tree build over n
@@ -164,9 +174,7 @@ TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
   // exact: the build an append launches is installed before the next
   // step, so the tail is empty right after it, and the work count
   // restarts there.
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 32;
-  DynamicIndex index({0, 2}, dopt);
+  DynamicIndex index({0, 2});
   // Every query below scans the tail once.
   constexpr size_t kQueriesPerAppend = 12;
 
@@ -183,20 +191,20 @@ TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
     DynamicIndex::Stats after = index.stats();
     uint64_t scanned = after.tail_rows_scanned - scanned_at_rebuild;
     uint64_t cost = BuildCost(after.slots);
+    // The two rules, as the append saw them: its row joined the tail the
+    // previous flush left behind.
+    bool ceiling = before.tail_size + 1 >= before.tree_size / 4;
+    bool work = scanned >= cost;
     if (after.rebuilds > before.rebuilds) {
       ASSERT_EQ(after.rebuilds, before.rebuilds + 1);
       EXPECT_EQ(after.tail_size, 0u);
-      if (before.rebuilds > 0) {
-        // Every rebuild after the first is the work rule's: the tail it
-        // ended was still short of the tree/4 ceiling.
-        EXPECT_LT(before.tail_size + 1, before.tree_size / 4)
-            << "append " << i;
-        EXPECT_GE(scanned, cost) << "append " << i;
-        ++work_rebuilds;
-      }
+      EXPECT_TRUE(ceiling || work) << "append " << i;
+      if (work && !ceiling) ++work_rebuilds;
       scanned_at_rebuild = after.tail_rows_scanned;
-    } else if (after.tree_size > 0) {
-      EXPECT_LT(scanned, cost) << "append " << i;
+    } else {
+      ASSERT_GT(i, 0u);  // the first append always builds
+      EXPECT_FALSE(ceiling) << "append " << i;
+      EXPECT_FALSE(work) << "append " << i;
       EXPECT_LT(after.tail_size, after.tree_size / 4) << "append " << i;
       // The bound the rule implies: a tail of t rows has drawn
       // q·(1 + ... + (t-1)) = q·t(t-1)/2 slot visits since the rebuild
@@ -236,48 +244,43 @@ TEST(DynamicIndexTest, QueryHeavyStreamRebuildsOnTailWork) {
 
 TEST(DynamicIndexTest, QueryFreeBurstRebuildsAtQuarterTreeCeiling) {
   // No query ever scans the tail, so the work count never moves and the
-  // tree/4 ceiling alone schedules rebuilds: the first at the threshold,
-  // then each once the tail reaches a quarter of the tree. Each append's
-  // build is flushed before the next, so every launch lands where it
-  // starts.
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 32;
-  DynamicIndex index({0, 1}, dopt);
+  // tree/4 ceiling alone schedules rebuilds: the first at the first
+  // append (an empty tree's ceiling is zero), then each once the tail
+  // reaches a quarter of the tree. Each append's build is flushed before
+  // the next, so every launch lands where it starts.
+  DynamicIndex index({0, 1});
   data::Table full = HeterogeneousTable(2000, 3, 13);
-  size_t tree = 0;
+  // Every append while tree/4 is 0 or 1, then the tree grows by
+  // tree/4 rows per rebuild: amortized O(log n), not one per append.
+  const std::vector<size_t> want = {
+      1,   2,   3,   4,   5,   6,   7,    8,    10,   12,   15,
+      18,  22,  27,  33,  41,  51,  63,   78,   97,   121,  151,
+      188, 235, 293, 366, 457, 571, 713,  891,  1113, 1391, 1738};
   std::vector<size_t> rebuilt_at;
+  size_t tree = 0;
   for (size_t i = 0; i < full.NumRows(); ++i) {
     index.Append(full.Row(i));
     index.WaitForRebuild();
-    size_t n = i + 1;
-    if (n >= dopt.kdtree_threshold && n - tree >= tree / 4) {
-      tree = n;
-      rebuilt_at.push_back(n);
-    }
     DynamicIndex::Stats s = index.stats();
-    ASSERT_EQ(s.tree_size, tree) << "append " << i;
+    if (s.tree_size != tree) {
+      ASSERT_EQ(s.tree_size, i + 1) << "append " << i;
+      tree = s.tree_size;
+      rebuilt_at.push_back(tree);
+    }
     ASSERT_EQ(s.rebuilds, rebuilt_at.size()) << "append " << i;
   }
-  ASSERT_GE(rebuilt_at.size(), 4u);
-  EXPECT_EQ(rebuilt_at[0], 32u);
-  EXPECT_EQ(rebuilt_at[1], 40u);  // 32 + 32/4
-  EXPECT_EQ(rebuilt_at[2], 50u);  // 40 + 40/4
-  EXPECT_EQ(rebuilt_at[3], 62u);  // 50 + 50/4
-  // Amortized O(log n): a geometric 1.25x schedule, not one per append.
-  EXPECT_LE(rebuilt_at.size(), 20u);
+  EXPECT_EQ(rebuilt_at, want);
   EXPECT_EQ(index.stats().tail_rows_scanned, 0u);
 }
 
 TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 32;
-  dopt.min_compact_tombstones = 16;
-  DynamicIndex index({0, 1}, dopt);
+  DynamicIndex index({0, 1});
   ThreadPool pool(4);
   data::Table full = HeterogeneousTable(600, 3, 23);
   Rng rng(41);
   std::vector<uint8_t> live;
-  uint64_t visited = 0;  // tail slots this test's queries scanned
+  uint64_t visited = 0;   // tail slots this test's queries scanned
+  uint64_t searches = 0;  // searches those queries made
   for (size_t i = 0; i < full.NumRows(); ++i) {
     index.Append(full.Row(i));
     index.WaitForRebuild();
@@ -305,12 +308,14 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
       case 0:
         index.Query(probe, qopt);
         visited += tail;
+        ++searches;
         break;
       case 1: {
         neighbors::Neighbor next{0, 0.0};
         index.Successor(probe, neighbors::Neighbor{0, 0.5},
                         neighbors::QueryOptions::kNoExclusion, &next);
         visited += tail;
+        ++searches;
         break;
       }
       case 2: {
@@ -318,6 +323,7 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
         std::vector<neighbors::Neighbor> nearest, admitters;
         index.QueryAdmitters(probe, qopt, &nearest, &admitters);
         visited += tail;  // one pass feeds both outputs
+        ++searches;
         break;
       }
       case 3: {
@@ -328,14 +334,15 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
         }
         index.QueryMany(batch, 3, &pool);
         visited += tail * batch.size();
+        searches += batch.size();
         break;
       }
       case 4:
-        // A full scan, not a tail scan.
+        // A full scan, not a tail scan or a search.
         index.QueryAll(probe, neighbors::QueryOptions::kNoExclusion);
         break;
       case 5:
-        // Nothing to scan: k == 0.
+        // Nothing to search: k == 0.
         qopt.k = 0;
         index.Query(probe, qopt);
         break;
@@ -343,6 +350,7 @@ TEST(DynamicIndexTest, TailRowsScannedCountsTailSlotsQueriesVisit) {
         break;
     }
     ASSERT_EQ(index.stats().tail_rows_scanned, visited) << "append " << i;
+    ASSERT_EQ(index.stats().queries, searches) << "append " << i;
   }
   EXPECT_GT(visited, 0u);
   EXPECT_GE(index.stats().compactions, 1u);

@@ -26,10 +26,7 @@ namespace {
 // DynamicIndex tombstones
 
 TEST(DynamicIndexWindowTest, QueriesNeverReturnEvictedRows) {
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 32;
-  dopt.min_compact_tombstones = 1u << 30;  // no compaction in this test
-  DynamicIndex index({0, 1}, dopt);
+  DynamicIndex index({0, 1});
 
   data::Table full = HeterogeneousTable(240, 3, 5);
   Rng rng(17);
@@ -95,10 +92,7 @@ TEST(DynamicIndexWindowTest, QueriesNeverReturnEvictedRows) {
 }
 
 TEST(DynamicIndexWindowTest, CompactionPreservesQueryResultsBitwise) {
-  DynamicIndex::Options dopt;
-  dopt.kdtree_threshold = 48;
-  dopt.min_compact_tombstones = 20;
-  DynamicIndex index({0, 2}, dopt);
+  DynamicIndex index({0, 2});
 
   data::Table full = HeterogeneousTable(200, 3, 31);
   for (size_t i = 0; i < full.NumRows(); ++i) index.Append(full.Row(i));
@@ -298,6 +292,12 @@ TEST(StreamWindowTest, FifoWindowAutoEvictsAndCompacts) {
     const OnlineIim::Stats& stats = online.stats();
     EXPECT_EQ(stats.core.evicted, 420u - kWindow);
     EXPECT_GE(stats.core.compactions, 2u) << "tombstones never compacted";
+    // A window of any size gets its KD-tree: the rebuild rules hold from
+    // the first append, with no minimum window.
+    online.WaitForIndexRebuild();
+    DynamicIndex::Stats istats = online.index().stats();
+    EXPECT_GE(istats.rebuilds, 1u);
+    EXPECT_GT(istats.tree_size, 0u);
 
     // Differential: batch refit on the window.
     data::Table snapshot = online.table();
