@@ -6,7 +6,7 @@ namespace iim::baselines {
 
 Status EracerImputer::FitImpl() {
   if (k_ == 0) return Status::InvalidArgument("ERACER: k must be positive");
-  index_ = neighbors::MakeIndex(&table(), features());
+  index_ = std::make_unique<neighbors::KdTreeIndex>(&table(), features());
 
   size_t n = table().NumRows(), q = features().size();
   linalg::Matrix x(n, q + 1);

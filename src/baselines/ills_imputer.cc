@@ -6,7 +6,7 @@ namespace iim::baselines {
 
 Status IllsImputer::FitImpl() {
   if (k_ == 0) return Status::InvalidArgument("ILLS: k must be positive");
-  index_ = neighbors::MakeIndex(&table(), features());
+  index_ = std::make_unique<neighbors::KdTreeIndex>(&table(), features());
   return Status::OK();
 }
 

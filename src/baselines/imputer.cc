@@ -52,14 +52,17 @@ Status ImputerBase::Fit(const data::Table& complete, int target,
                                      ": target cannot be a feature");
     }
   }
-  // The fitted columns must be NaN-free.
+  // The fitted columns must be finite: a tree walk from an infinite
+  // coordinate can return other neighbors than a brute-force scan.
   for (size_t i = 0; i < complete.NumRows(); ++i) {
-    if (complete.IsNaN(i, static_cast<size_t>(target))) {
-      return Status::InvalidArgument(Name() + ": NaN in target column");
+    if (!std::isfinite(complete.At(i, static_cast<size_t>(target)))) {
+      return Status::InvalidArgument(Name() +
+                                     ": non-finite value in target column");
     }
     for (int f : features) {
-      if (complete.IsNaN(i, static_cast<size_t>(f))) {
-        return Status::InvalidArgument(Name() + ": NaN in feature column");
+      if (!std::isfinite(complete.At(i, static_cast<size_t>(f)))) {
+        return Status::InvalidArgument(Name() +
+                                       ": non-finite value in feature column");
       }
     }
   }
@@ -77,9 +80,9 @@ Status ImputerBase::CheckReady(const data::RowView& tuple) const {
     return Status::InvalidArgument(Name() + ": tuple arity mismatch");
   }
   for (int f : features_) {
-    if (std::isnan(tuple[static_cast<size_t>(f)])) {
-      return Status::InvalidArgument(Name() +
-                                     ": NaN in complete attribute of tuple");
+    if (!std::isfinite(tuple[static_cast<size_t>(f)])) {
+      return Status::InvalidArgument(
+          Name() + ": non-finite complete attribute of tuple");
     }
   }
   return Status::OK();

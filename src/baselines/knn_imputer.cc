@@ -4,7 +4,7 @@ namespace iim::baselines {
 
 Status KnnImputer::FitImpl() {
   if (k_ == 0) return Status::InvalidArgument("kNN: k must be positive");
-  index_ = neighbors::MakeIndex(&table(), features());
+  index_ = std::make_unique<neighbors::KdTreeIndex>(&table(), features());
   return Status::OK();
 }
 

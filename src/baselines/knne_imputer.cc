@@ -6,7 +6,8 @@ Status KnneImputer::FitImpl() {
   if (k_ == 0) return Status::InvalidArgument("kNNE: k must be positive");
   indexes_.clear();
   // The full feature set plus each leave-one-out subset (when |F| > 1).
-  indexes_.push_back(neighbors::MakeIndex(&table(), features()));
+  indexes_.push_back(
+      std::make_unique<neighbors::KdTreeIndex>(&table(), features()));
   if (features().size() > 1) {
     for (size_t drop = 0; drop < features().size(); ++drop) {
       std::vector<int> subset;
@@ -14,7 +15,8 @@ Status KnneImputer::FitImpl() {
       for (size_t i = 0; i < features().size(); ++i) {
         if (i != drop) subset.push_back(features()[i]);
       }
-      indexes_.push_back(neighbors::MakeIndex(&table(), std::move(subset)));
+      indexes_.push_back(std::make_unique<neighbors::KdTreeIndex>(
+          &table(), std::move(subset)));
     }
   }
   return Status::OK();

@@ -8,7 +8,7 @@ namespace iim::baselines {
 
 Status LoessImputer::FitImpl() {
   if (k_ == 0) return Status::InvalidArgument("LOESS: k must be positive");
-  index_ = neighbors::MakeIndex(&table(), features());
+  index_ = std::make_unique<neighbors::KdTreeIndex>(&table(), features());
   return Status::OK();
 }
 

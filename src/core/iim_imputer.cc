@@ -10,7 +10,7 @@ Status IimImputer::FitImpl() {
   if (options_.k == 0) {
     return Status::InvalidArgument("IIM: k must be positive");
   }
-  index_ = neighbors::MakeIndex(&table(), features());
+  index_ = std::make_unique<neighbors::KdTreeIndex>(&table(), features());
   Stopwatch timer;
   if (options_.adaptive) {
     ASSIGN_OR_RETURN(models_,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "neighbors/kdtree.h"
 
@@ -37,7 +38,7 @@ Status InjectMissing(data::Table* table, data::MissingMask* mask,
   if (options.cluster_size > 1) {
     pristine = *table;
     for (size_t c = 0; c < m; ++c) all_cols.push_back(static_cast<int>(c));
-    index = neighbors::MakeIndex(&pristine, all_cols);
+    index = std::make_unique<neighbors::KdTreeIndex>(&pristine, all_cols);
   }
 
   auto mark = [&](size_t row, int attr) {

@@ -8,29 +8,36 @@
 namespace iim::neighbors {
 
 KnnScan::KnnScan(const double* points, const double* q, size_t d,
-                 const QueryOptions& options, std::vector<Neighbor>* heap,
+                 const QueryOptions& options, std::vector<Neighbor>* out,
                  const uint8_t* alive)
     : points_(points),
       q_(q),
       d_(d),
       k_(options.k),
       exclude_(options.exclude),
-      heap_(heap),
-      alive_(alive) {
-  if (k_ == 0) {
-    ceil_ = -1.0;
-  } else if (heap_->size() < k_) {
-    ceil_ = std::numeric_limits<double>::infinity();
-  } else {
-    ceil_ = SquaredCeiling(heap_->front().distance, d_);
-  }
-}
+      out_(out),
+      alive_(alive),
+      ceil_(k_ == 0 ? -1.0 : std::numeric_limits<double>::infinity()) {}
 
 void KnnScan::Push(size_t row, double dist) {
-  PushNeighborHeap(heap_, k_, Neighbor{row, dist});
-  if (heap_->size() == k_) {
-    ceil_ = SquaredCeiling(heap_->front().distance, d_);
-  }
+  out_->push_back(Neighbor{row, dist});
+  // Written as a halving so that no k, however large, overflows 2k.
+  if (out_->size() / 2 == k_) Cut();
+}
+
+void KnnScan::Cut() {
+  // The k best in NeighborLess order are the same set in whatever order
+  // the candidates arrived, so cuts change how early the ceiling
+  // tightens, never the result.
+  std::nth_element(out_->begin(), out_->begin() + static_cast<long>(k_ - 1),
+                   out_->end(), NeighborLess);
+  out_->resize(k_);
+  ceil_ = SquaredCeiling(out_->back().distance, d_);
+}
+
+void KnnScan::Finish() {
+  if (out_->size() > k_) Cut();
+  std::sort(out_->begin(), out_->end(), NeighborLess);
 }
 
 void KnnScan::Visit(size_t row) {
@@ -44,9 +51,9 @@ void KnnScan::Visit(size_t row) {
 
 AdmitScan::AdmitScan(const double* points, const double* q, size_t d,
                      const QueryOptions& options,
-                     std::vector<Neighbor>* heap, const uint8_t* alive,
+                     std::vector<Neighbor>* out, const uint8_t* alive,
                      const double* radius, std::vector<Neighbor>* admitters)
-    : KnnScan(points, q, d, options, heap, alive),
+    : KnnScan(points, q, d, options, out, alive),
       radius_(radius),
       admitters_(admitters) {}
 
@@ -220,15 +227,14 @@ KdTreeIndex::KdTreeIndex(const data::Table* table, std::vector<int> cols)
 
 std::vector<Neighbor> KdTreeIndex::Query(const data::RowView& query,
                                          const QueryOptions& options) const {
-  std::vector<Neighbor> heap;
-  if (tree_.empty() || options.k == 0) return heap;
-  heap.reserve(options.k);
+  std::vector<Neighbor> out;
+  if (tree_.empty() || options.k == 0) return out;
   std::vector<double> q = query.Gather(cols_);
-  KnnScan scan(points_.data(), q.data(), cols_.size(), options, &heap,
+  KnnScan scan(points_.data(), q.data(), cols_.size(), options, &out,
                nullptr);
   tree_.Walk(&scan);
-  std::sort(heap.begin(), heap.end(), NeighborLess);
-  return heap;
+  scan.Finish();
+  return out;
 }
 
 std::vector<Neighbor> KdTreeIndex::QueryAll(const data::RowView& query,
@@ -245,15 +251,6 @@ std::vector<Neighbor> KdTreeIndex::QueryAll(const data::RowView& query,
   }
   std::sort(out.begin(), out.end(), NeighborLess);
   return out;
-}
-
-std::unique_ptr<NeighborIndex> MakeIndex(const data::Table* table,
-                                         std::vector<int> cols,
-                                         size_t kdtree_threshold) {
-  if (table->NumRows() >= kdtree_threshold) {
-    return std::make_unique<KdTreeIndex>(table, std::move(cols));
-  }
-  return std::make_unique<BruteForceIndex>(table, std::move(cols));
 }
 
 }  // namespace iim::neighbors

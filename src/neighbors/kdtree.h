@@ -4,16 +4,16 @@
 // buffer and answers bounded top-k, per-point-radius and successor
 // searches with distances that match Formula 1 exactly, so swapping it in
 // for a brute-force scan never changes results, only speed. KdTreeIndex
-// wraps it behind the NeighborIndex contract for a frozen data::Table;
-// stream::DynamicIndex reuses the same core over the immutable prefix of
-// its growing buffer.
+// wraps it behind the NeighborIndex contract for a frozen data::Table
+// (every batch method's index); stream::DynamicIndex reuses the same core
+// over the immutable prefix of its growing buffer. Every bounded kNN
+// query of either runs one KnnScan.
 
 #ifndef IIM_NEIGHBORS_KDTREE_H_
 #define IIM_NEIGHBORS_KDTREE_H_
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "neighbors/distance.h"
@@ -31,21 +31,25 @@ namespace iim::neighbors {
 // walk whether a subtree whose box lies at squared distance >= rd (and
 // whose rows' radii are all <= max_radius) can still hold a result.
 
-// Bounded top-k into `heap`, a max-heap ordered by NeighborLess (see
-// PushNeighborHeap); the heap may arrive pre-seeded. `alive`, when
-// non-null, skips rows with alive[row] == 0 (the dynamic index's
-// tombstones).
+// Bounded top-k into `out`, which starts empty. Candidates that pass
+// the ceiling collect unsorted; once 2k have piled up they are cut back to
+// the k best in NeighborLess order by selection, and the ceiling tightens
+// to the k-th distance. Finish() makes the last cut and sorts, leaving the
+// query's result. `alive`, when non-null, skips rows with alive[row] == 0
+// (the dynamic index's tombstones).
 class KnnScan {
  public:
   KnnScan(const double* points, const double* q, size_t d,
-          const QueryOptions& options, std::vector<Neighbor>* heap,
+          const QueryOptions& options, std::vector<Neighbor>* out,
           const uint8_t* alive);
   const double* q() const { return q_; }
   bool Wants(double rd, double /*max_radius*/) const { return rd <= ceil_; }
   void Visit(size_t row);
+  // Cuts to the k best and sorts them ascending by (distance, index).
+  void Finish();
 
  protected:
-  // Offers a row that passed the ceiling to the heap.
+  // Keeps a row that passed the ceiling as a candidate.
   void Push(size_t row, double dist);
 
   const double* points_;
@@ -53,9 +57,13 @@ class KnnScan {
   size_t d_;
   size_t k_;
   size_t exclude_;
-  std::vector<Neighbor>* heap_;
+  std::vector<Neighbor>* out_;
   const uint8_t* alive_;
-  double ceil_;  // SquaredCeiling of the current k-th distance
+  double ceil_;  // SquaredCeiling of the k-th distance at the last cut
+
+ private:
+  // Selects the k best candidates and tightens the ceiling to the k-th.
+  void Cut();
 };
 
 // The arrival query: KnnScan plus every row whose distance to q is
@@ -64,7 +72,7 @@ class KnnScan {
 class AdmitScan : public KnnScan {
  public:
   AdmitScan(const double* points, const double* q, size_t d,
-            const QueryOptions& options, std::vector<Neighbor>* heap,
+            const QueryOptions& options, std::vector<Neighbor>* out,
             const uint8_t* alive, const double* radius,
             std::vector<Neighbor>* admitters);
   bool Wants(double rd, double max_radius) const {
@@ -218,8 +226,8 @@ void FlatKdTree::WalkNode(int node_id, double rd, double* off,
 }
 
 // NeighborIndex over a frozen table, tree-accelerated. Same contract and
-// bit-identical results as BruteForceIndex; used for the large-n
-// scalability experiments (SN with 100k tuples).
+// bit-identical results as BruteForceIndex, the oracle the tests compare
+// it against.
 class KdTreeIndex final : public NeighborIndex {
  public:
   KdTreeIndex(const data::Table* table, std::vector<int> cols);
@@ -237,11 +245,6 @@ class KdTreeIndex final : public NeighborIndex {
   std::vector<double> points_;  // row-major size() x cols_.size()
   FlatKdTree tree_;
 };
-
-// Picks KdTree for large tables, brute force otherwise.
-std::unique_ptr<NeighborIndex> MakeIndex(const data::Table* table,
-                                         std::vector<int> cols,
-                                         size_t kdtree_threshold = 4096);
 
 }  // namespace iim::neighbors
 

@@ -1,16 +1,15 @@
 // Nearest-neighbor search over a relation on an attribute subset F.
 //
 // NeighborIndex is the NN(t, F, l) primitive shared by IIM, kNN, kNNE,
-// LOESS, ILLS and PMM. The default implementation is an exact brute-force
-// scan (distances are cheap: |F| <= ~20); neighbors/kdtree.h provides a
-// tree-accelerated drop-in for large n. QueryMany fans a batch of queries
-// out over a ThreadPool — this is what the parallel learning phase and
-// ImputeBatch drive.
+// LOESS, ILLS and PMM. Every batch method indexes its relation with
+// neighbors/kdtree.h's KdTreeIndex; BruteForceIndex here is the exact
+// scan the tests hold every other index to, bit for bit. QueryMany fans
+// a batch of queries out over a ThreadPool — this is what the parallel
+// learning phase and ImputeBatch drive.
 
 #ifndef IIM_NEIGHBORS_KNN_H_
 #define IIM_NEIGHBORS_KNN_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -29,21 +28,6 @@ struct Neighbor {
 inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
   if (a.distance != b.distance) return a.distance < b.distance;
   return a.index < b.index;
-}
-
-// Bounded top-k insert into a max-heap ordered by NeighborLess (the heap's
-// front is the current worst kept neighbor). Shared by the KD-tree leaf
-// scan and the dynamic index's tail scan so their merge semantics match.
-inline void PushNeighborHeap(std::vector<Neighbor>* heap, size_t k,
-                             const Neighbor& cand) {
-  if (heap->size() < k) {
-    heap->push_back(cand);
-    std::push_heap(heap->begin(), heap->end(), NeighborLess);
-  } else if (NeighborLess(cand, heap->front())) {
-    std::pop_heap(heap->begin(), heap->end(), NeighborLess);
-    heap->back() = cand;
-    std::push_heap(heap->begin(), heap->end(), NeighborLess);
-  }
 }
 
 // Search options: `exclude` removes one row from consideration (used when a

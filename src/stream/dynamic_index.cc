@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -23,51 +22,6 @@ uint64_t BuildCost(size_t n) {
 
 // NearestOthers rows per pool block.
 constexpr size_t kBulkGrain = 64;
-
-// NearestOthers' top-k scan: KnnScan's ceiling and pruning test, but the
-// candidates collect unsorted in `buf` and are cut back to the k best by
-// selection whenever 2k have piled up, which costs less than a heap
-// insert per candidate once k is in the tens. Finish leaves exactly the
-// k a KnnScan keeps, ascending.
-class SelectScan {
- public:
-  SelectScan(const double* points, const double* q, size_t d, size_t k,
-             size_t exclude, const uint8_t* alive,
-             std::vector<neighbors::Neighbor>* buf)
-      : points_(points), q_(q), d_(d), k_(k), exclude_(exclude),
-        alive_(alive), buf_(buf) {}
-  const double* q() const { return q_; }
-  bool Wants(double rd, double /*max_radius*/) const { return rd <= ceil_; }
-  void Visit(size_t row) {
-    if (row == exclude_ || (alive_ != nullptr && alive_[row] == 0)) return;
-    double sq = neighbors::SquaredL2(q_, points_ + row * d_, d_);
-    if (sq > ceil_) return;
-    buf_->push_back(
-        neighbors::Neighbor{row, neighbors::DistanceFromSquared(sq, d_)});
-    if (buf_->size() == 2 * k_) Trim();
-  }
-  void Finish() {
-    if (buf_->size() > k_) Trim();
-    std::sort(buf_->begin(), buf_->end(), neighbors::NeighborLess);
-  }
-
- private:
-  void Trim() {
-    std::nth_element(buf_->begin(), buf_->begin() + (k_ - 1), buf_->end(),
-                     neighbors::NeighborLess);
-    buf_->resize(k_);
-    ceil_ = neighbors::SquaredCeiling((*buf_)[k_ - 1].distance, d_);
-  }
-
-  const double* points_;
-  const double* q_;
-  size_t d_;
-  size_t k_;
-  size_t exclude_;
-  const uint8_t* alive_;
-  std::vector<neighbors::Neighbor>* buf_;
-  double ceil_ = std::numeric_limits<double>::infinity();
-};
 
 }  // namespace
 
@@ -361,12 +315,14 @@ std::vector<std::vector<neighbors::Neighbor>> DynamicIndex::NearestOthers(
     // One candidate buffer per block; each list is copied out at its
     // final length, so no list keeps the scan's 2k capacity.
     std::vector<neighbors::Neighbor> buf;
-    buf.reserve(2 * k);
+    neighbors::QueryOptions options;
+    options.k = k;
     for (size_t i = begin; i < end; ++i) {
       if (alive_[i] == 0) continue;
       buf.clear();
-      SelectScan scan(points_.data(), points_.data() + i * d, d, k, i,
-                      AliveFilter(), &buf);
+      options.exclude = i;
+      neighbors::KnnScan scan(points_.data(), points_.data() + i * d, d,
+                              options, &buf, AliveFilter());
       CountSearch();
       tree_.Walk(&scan);
       for (size_t t = tree_.size(); t < n_; ++t) scan.Visit(t);
@@ -408,34 +364,26 @@ void DynamicIndex::CountSearch() const {
   if (tail > 0) tail_scanned_.fetch_add(tail, std::memory_order_relaxed);
 }
 
-void DynamicIndex::Collect(const std::vector<double>& q,
-                           const neighbors::QueryOptions& options,
-                           std::vector<neighbors::Neighbor>* heap) const {
-  // The tree first: its near-first walk tightens the k-th distance
-  // quickly, so most tail points then fail one squared-sum comparison
-  // without a square root or a heap push. PushNeighborHeap's
-  // (distance, index) order makes the merge exact regardless of which
-  // side a neighbor came from: the kept set is the k smallest in the
-  // (distance, slot) total order either way, so every downstream result
-  // is unchanged bit for bit. The same holds for the scans below.
-  neighbors::KnnScan scan(points_.data(), q.data(), cols_.size(), options,
-                          heap, AliveFilter());
-  CountSearch();
-  tree_.Walk(&scan);
-  for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
-}
-
 std::vector<neighbors::Neighbor> DynamicIndex::Query(
     const data::RowView& query,
     const neighbors::QueryOptions& options) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<neighbors::Neighbor> heap;
-  if (options.k == 0 || n_ - dead_ == 0) return heap;
-  heap.reserve(options.k + 1);
+  std::vector<neighbors::Neighbor> out;
+  if (options.k == 0 || n_ - dead_ == 0) return out;
   std::vector<double> q = query.Gather(cols_);
-  Collect(q, options, &heap);
-  std::sort(heap.begin(), heap.end(), neighbors::NeighborLess);
-  return heap;
+  // The tree first: its near-first walk tightens the k-th distance
+  // quickly, so most tail points then fail one squared-sum comparison
+  // without a square root. The kept set is the k smallest in the
+  // (distance, slot) total order whichever side a neighbor came from, so
+  // every downstream result is unchanged bit for bit. The same holds for
+  // the scans below.
+  neighbors::KnnScan scan(points_.data(), q.data(), cols_.size(), options,
+                          &out, AliveFilter());
+  CountSearch();
+  tree_.Walk(&scan);
+  for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
+  scan.Finish();
+  return out;
 }
 
 void DynamicIndex::QueryAdmitters(
@@ -447,7 +395,6 @@ void DynamicIndex::QueryAdmitters(
   admitters->clear();
   if (n_ - dead_ == 0) return;
   std::vector<double> q = query.Gather(cols_);
-  if (options.k > 0) nearest->reserve(options.k + 1);
   // One scan object serves the tail and the tree: each row's squared sum
   // is computed once and tested against both the kNN ceiling and the
   // row's own radius, and the walk enters a subtree if either test could
@@ -458,7 +405,7 @@ void DynamicIndex::QueryAdmitters(
   CountSearch();
   tree_.Walk(&scan);
   for (size_t i = tree_.size(); i < n_; ++i) scan.Visit(i);
-  std::sort(nearest->begin(), nearest->end(), neighbors::NeighborLess);
+  scan.Finish();
   // Tree hits come out in walk order, followed by tail hits; ascending
   // slot order is what callers replaying a scan need.
   std::sort(admitters->begin(), admitters->end(),

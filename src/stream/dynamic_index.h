@@ -215,9 +215,10 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // The k nearest live slots to each live slot, itself excluded: entry i
   // is bit for bit what Query(row i, {k, exclude = i}) returns (empty for
   // a dead slot; k above live - 1 returns every other live slot). The
-  // searches fan out over `pool` (nullptr runs serially) and keep their
-  // candidates by selection instead of in a heap, which is cheaper once
-  // k is in the tens. The bulk load's neighbor lists.
+  // bulk load's neighbor lists: one reader lock for the whole pass, the
+  // searches fanned out over `pool` (nullptr runs serially), one
+  // candidate buffer per pool block and each list copied out at its
+  // final length.
   std::vector<std::vector<neighbors::Neighbor>> NearestOthers(
       size_t k, ThreadPool* pool) const;
 
@@ -266,10 +267,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     std::promise<void> finished;
   };
 
-  // Exact top-k over tail scan + tree search, unsorted heap out.
-  void Collect(const std::vector<double>& q,
-               const neighbors::QueryOptions& options,
-               std::vector<neighbors::Neighbor>* heap) const;
   // Counts one search and the current tail it scans (reader or writer
   // lock held by caller): every tail-scanning query calls it once.
   void CountSearch() const;

@@ -16,6 +16,7 @@ namespace iim::baselines {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 data::Table MakeTable(const std::vector<std::vector<double>>& rows) {
   data::Table t(data::Schema::Default(rows.empty() ? 0 : rows[0].size()));
@@ -133,14 +134,22 @@ TEST_P(EveryBaselineTest, LifecycleErrorsReported) {
   EXPECT_FALSE(imputer->Fit(r, 2, {0, 99}).ok()) << name;      // F range
   EXPECT_FALSE(imputer->Fit(data::Table(), 0, {1}).ok()) << name;
 
-  // NaN in the fitted columns is rejected.
+  // NaN or infinity in the fitted columns is rejected.
   data::Table dirty = LinearTable(10, 13);
   dirty.Set(3, 0, kNan);
   EXPECT_FALSE(imputer->Fit(dirty, 2, {0, 1}).ok()) << name;
+  data::Table inf_feature = LinearTable(10, 13);
+  inf_feature.Set(4, 1, kInf);
+  EXPECT_FALSE(imputer->Fit(inf_feature, 2, {0, 1}).ok()) << name;
+  data::Table inf_target = LinearTable(10, 13);
+  inf_target.Set(5, 2, -kInf);
+  EXPECT_FALSE(imputer->Fit(inf_target, 2, {0, 1}).ok()) << name;
 
-  // After a good fit, a tuple with NaN features is rejected.
+  // After a good fit, a tuple with NaN or infinite features is rejected.
   ASSERT_TRUE(imputer->Fit(r, 2, {0, 1}).ok()) << name;
   EXPECT_FALSE(imputer->ImputeOne(QueryTuple(kNan, 1.0).Row(0)).ok())
+      << name;
+  EXPECT_FALSE(imputer->ImputeOne(QueryTuple(kInf, 1.0).Row(0)).ok())
       << name;
   // Arity mismatch rejected.
   data::Table wrong = MakeTable({{1.0, 2.0}});

@@ -16,6 +16,7 @@ namespace iim::core {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 data::Table QueryTuple(double a1) {
   data::Table t(data::Schema::Default(2));
@@ -225,10 +226,43 @@ TEST(IimImputerTest, LifecycleErrors) {
   IimImputer bad(bad_k);
   EXPECT_FALSE(bad.Fit(r, 1, {0}).ok());
 
+  // Non-finite fitted cells are refused, feature and target alike.
+  data::Table inf_feature = r;
+  inf_feature.Set(2, 0, kInf);
+  EXPECT_FALSE(iim.Fit(inf_feature, 1, {0}).ok());
+  data::Table inf_target = r;
+  inf_target.Set(5, 1, -kInf);
+  EXPECT_FALSE(iim.Fit(inf_target, 1, {0}).ok());
+
   ASSERT_TRUE(iim.Fit(r, 1, {0}).ok());
   data::Table nan_query(data::Schema::Default(2));
   ASSERT_TRUE(nan_query.AppendRow({kNan, kNan}).ok());
   EXPECT_FALSE(iim.ImputeOne(nan_query.Row(0)).ok());
+  EXPECT_FALSE(iim.ImputeOne(QueryTuple(kInf).Row(0)).ok());
+}
+
+TEST(IimImputerTest, HugeKImputesLikeKEqualsN) {
+  // A k far past n asks for every tuple as a neighbor, exactly as k = n
+  // does; no search sizes anything by k.
+  data::Table r = RandomHeterogeneousTable(4096, 3, 23);
+  IimOptions all;
+  all.k = r.NumRows();
+  IimOptions huge;
+  huge.k = size_t{1} << 40;
+  IimImputer a(all), b(huge);
+  ASSERT_TRUE(a.Fit(r, 2, {0, 1}).ok());
+  ASSERT_TRUE(b.Fit(r, 2, {0, 1}).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    std::vector<double> probe = r.Row(i * 1000).ToVector();
+    probe[2] = kNan;
+    data::Table t(r.schema());
+    ASSERT_TRUE(t.AppendRow(probe).ok());
+    Result<double> want = a.ImputeOne(t.Row(0));
+    Result<double> got = b.ImputeOne(t.Row(0));
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), want.value()) << "probe " << i;
+  }
 }
 
 TEST(IimImputerTest, EllClampedToRelationSize) {

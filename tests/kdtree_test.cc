@@ -1,5 +1,7 @@
 #include "neighbors/kdtree.h"
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -28,6 +30,9 @@ using Param = std::tuple<size_t, size_t, size_t, bool>;
 
 class KdTreeAgreementTest : public ::testing::TestWithParam<Param> {};
 
+// Random probes, then table rows querying their own relation with
+// themselves excluded: the tree must return the brute-force scan's
+// neighbors in its order with the same distance bits, ties included.
 TEST_P(KdTreeAgreementTest, MatchesBruteForceExactly) {
   auto [n, dims, k, ties] = GetParam();
   Rng rng(1000 * n + 10 * dims + k + (ties ? 1 : 0));
@@ -37,19 +42,28 @@ TEST_P(KdTreeAgreementTest, MatchesBruteForceExactly) {
 
   BruteForceIndex brute(&t, cols);
   KdTreeIndex tree(&t, cols);
+  EXPECT_EQ(tree.size(), n);
 
-  data::Table queries = RandomTable(25, dims, &rng, ties);
-  QueryOptions opt;
-  opt.k = k;
-  for (size_t q = 0; q < queries.NumRows(); ++q) {
-    auto expect = brute.Query(queries.Row(q), opt);
-    auto got = tree.Query(queries.Row(q), opt);
-    ASSERT_EQ(got.size(), expect.size());
+  auto agree = [&](const data::RowView& query, size_t exclude) {
+    QueryOptions opt;
+    opt.k = k;
+    opt.exclude = exclude;
+    auto expect = brute.Query(query, opt);
+    auto got = tree.Query(query, opt);
+    ASSERT_EQ(got.size(), expect.size()) << "exclude " << exclude;
     for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].index, expect[i].index) << "query " << q << " pos "
-                                               << i;
-      EXPECT_NEAR(got[i].distance, expect[i].distance, 1e-9);
+      EXPECT_EQ(got[i].index, expect[i].index) << "pos " << i;
+      EXPECT_EQ(got[i].distance, expect[i].distance) << "pos " << i;
     }
+  };
+  data::Table queries = RandomTable(25, dims, &rng, ties);
+  for (size_t q = 0; q < queries.NumRows(); ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    agree(queries.Row(q), QueryOptions::kNoExclusion);
+  }
+  for (size_t r = 0; r < n; r += std::max<size_t>(1, n / 25)) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    agree(t.Row(r), r);
   }
 }
 
@@ -59,12 +73,24 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{500, 3, 10, false}, Param{300, 5, 7, false},
                       Param{100, 2, 100, false},  // k == n
                       Param{250, 2, 5, true},     // heavy ties
-                      Param{400, 1, 9, true}));
+                      Param{400, 1, 9, true},
+                      // Thousands of selection cuts per query: every
+                      // second candidate at k = 1, and hundreds of cuts
+                      // at k = 99, over distinct and integer-grid rows.
+                      Param{2000, 2, 1, false}, Param{2000, 1, 1, true},
+                      Param{3000, 3, 99, false}, Param{3000, 2, 99, true},
+                      // Tiny relations and k past n, on the grid, where
+                      // exact duplicates tie on distance and index decides.
+                      Param{1, 2, 3, true}, Param{7, 2, 9, true},
+                      Param{40, 2, 16, true}, Param{173, 2, 175, true},
+                      // No k is too large: nothing is sized by it.
+                      Param{300, 2, size_t{1} << 40, true}));
 
 TEST(KdTreeTest, ExcludeHonored) {
   Rng rng(4);
   data::Table t = RandomTable(100, 2, &rng, false);
   KdTreeIndex tree(&t, {0, 1});
+  EXPECT_EQ(tree.size(), 100u);
   QueryOptions opt;
   opt.k = 5;
   opt.exclude = 17;
@@ -83,6 +109,7 @@ TEST(KdTreeTest, QueryAllMatchesBruteForce) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].index, b[i].index);
+    EXPECT_EQ(a[i].distance, b[i].distance);
   }
 }
 
@@ -90,21 +117,10 @@ TEST(KdTreeTest, ZeroKReturnsEmpty) {
   Rng rng(8);
   data::Table t = RandomTable(10, 2, &rng, false);
   KdTreeIndex tree(&t, {0, 1});
+  EXPECT_EQ(tree.size(), 10u);
   QueryOptions opt;
   opt.k = 0;
   EXPECT_TRUE(tree.Query(t.Row(0), opt).empty());
-}
-
-TEST(MakeIndexTest, PicksImplementationBySize) {
-  Rng rng(10);
-  data::Table small = RandomTable(10, 2, &rng, false);
-  data::Table large = RandomTable(100, 2, &rng, false);
-  auto idx_small = MakeIndex(&small, {0, 1}, /*kdtree_threshold=*/50);
-  auto idx_large = MakeIndex(&large, {0, 1}, /*kdtree_threshold=*/50);
-  EXPECT_NE(dynamic_cast<BruteForceIndex*>(idx_small.get()), nullptr);
-  EXPECT_NE(dynamic_cast<KdTreeIndex*>(idx_large.get()), nullptr);
-  EXPECT_EQ(idx_small->size(), 10u);
-  EXPECT_EQ(idx_large->size(), 100u);
 }
 
 }  // namespace

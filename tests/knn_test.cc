@@ -241,92 +241,6 @@ TEST(QueryManyTest, MatchesSingleQueries) {
   }
 }
 
-// PushNeighborHeap as a top-k merge (the KD-tree leaf scan pushes its
-// candidates through the same heap): split a point set across S shards, take
-// each shard's top-k, push every candidate — remapped to its GLOBAL id —
-// through PushNeighborHeap, and the merged top-k must equal a global
-// BruteForceIndex query bit for bit, distance ties included. The tie
-// argument: within one shard, local (distance, index) order equals the
-// global order restricted to that shard (round-robin placement is
-// monotone in the global id), and the heap breaks cross-shard ties by
-// global id — the same total order the global index sorts by.
-TEST(PushNeighborHeapTest, CrossShardMergeMatchesGlobalTopKBitwise) {
-  Rng rng(4711);
-  for (size_t n : {size_t{1}, size_t{7}, size_t{40}, size_t{173}}) {
-    // Coordinates snapped to a coarse grid so exact duplicate points —
-    // and therefore exact distance ties — are common.
-    std::vector<std::vector<double>> rows;
-    data::Table global_table(data::Schema::Default(3));
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<double> row = {
-          static_cast<double>(rng.UniformInt(-3, 3)),
-          static_cast<double>(rng.UniformInt(-3, 3)) * 0.5, rng.Uniform()};
-      rows.push_back(row);
-      ASSERT_TRUE(global_table.AppendRow(row).ok());
-    }
-    BruteForceIndex global(&global_table, {0, 1});
-
-    for (size_t shards : {size_t{2}, size_t{3}, size_t{4}, size_t{8}}) {
-      // Round-robin split; shard-local row j is global row j * S + s.
-      std::vector<data::Table> shard_tables(
-          shards, data::Table(data::Schema::Default(3)));
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(shard_tables[i % shards].AppendRow(rows[i]).ok());
-      }
-      std::vector<BruteForceIndex> shard_index;
-      shard_index.reserve(shards);
-      for (size_t s = 0; s < shards; ++s) {
-        shard_index.emplace_back(&shard_tables[s], std::vector<int>{0, 1});
-      }
-
-      data::Table probes = MakeTable({{0.0, 0.0, 0.0},
-                                      {1.0, -0.5, 0.0},
-                                      {2.5, 1.0, 0.0},
-                                      {-3.0, 0.5, 0.0}});
-      for (size_t p = 0; p < probes.NumRows(); ++p) {
-        for (size_t k : {size_t{1}, size_t{3}, size_t{7}, size_t{16},
-                         n + 2}) {
-          // Optionally exclude one global row (a tuple querying its own
-          // relation), routed to the owning shard's local exclusion.
-          size_t exclude = (p % 2 == 0 && n > 2)
-                               ? (p + k) % n
-                               : QueryOptions::kNoExclusion;
-          std::vector<Neighbor> heap;
-          for (size_t s = 0; s < shards; ++s) {
-            QueryOptions opt;
-            opt.k = k;
-            if (exclude != QueryOptions::kNoExclusion &&
-                exclude % shards == s) {
-              opt.exclude = exclude / shards;
-            }
-            for (const Neighbor& nb :
-                 shard_index[s].Query(probes.Row(p), opt)) {
-              PushNeighborHeap(&heap, k,
-                               Neighbor{nb.index * shards + s, nb.distance});
-            }
-          }
-          std::sort(heap.begin(), heap.end(), NeighborLess);
-
-          QueryOptions gopt;
-          gopt.k = k;
-          gopt.exclude = exclude;
-          std::vector<Neighbor> want = global.Query(probes.Row(p), gopt);
-          ASSERT_EQ(heap.size(), want.size())
-              << "n=" << n << " shards=" << shards << " k=" << k;
-          for (size_t j = 0; j < want.size(); ++j) {
-            EXPECT_EQ(heap[j].index, want[j].index)
-                << "n=" << n << " shards=" << shards << " k=" << k
-                << " j=" << j;
-            EXPECT_EQ(heap[j].distance, want[j].distance)
-                << "n=" << n << " shards=" << shards << " k=" << k
-                << " j=" << j;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(BruteForceTest, PaperExample1Neighbors) {
   // NN(tx, {A1}, 3) = {t5, t4, t6} in Example 3 (indices 4, 3, 5).
   data::Table r = datasets::Figure1Relation();

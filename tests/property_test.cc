@@ -133,21 +133,33 @@ TEST_P(SeededPropertyTest, RidgeResidualsOrthogonalToDesign) {
 // --- Neighbor indexes -------------------------------------------------------
 
 TEST_P(SeededPropertyTest, IndexChoiceNeverChangesIimResults) {
-  // MakeIndex may pick brute force or KD-tree depending on n; both must
-  // yield identical imputations. Force both via the threshold and compare.
+  // The KD-tree batch index and the brute-force scan must learn identical
+  // models, bit for bit, with fixed l and with Algorithm 3. The adaptive
+  // cell's learning queries ask for max_ell - 1 = 99 neighbors, so the
+  // tree's top-k scan cuts its candidates over tied integer rows.
   Rng rng(GetParam() + 6);
-  size_t n = 120;
-  data::Table t(data::Schema::Default(3), n);
-  for (size_t i = 0; i < n; ++i) {
-    double a = std::round(rng.Uniform(-8, 8));  // ties on purpose
-    double b = std::round(rng.Uniform(-8, 8));
-    t.Set(i, 0, a);
-    t.Set(i, 1, b);
-    t.Set(i, 2, 2 * a - b + rng.Gaussian(0, 0.1));
-  }
+  auto tied_table = [&rng](size_t n) {
+    data::Table t(data::Schema::Default(3), n);
+    for (size_t i = 0; i < n; ++i) {
+      double a = std::round(rng.Uniform(-8, 8));  // ties on purpose
+      double b = std::round(rng.Uniform(-8, 8));
+      t.Set(i, 0, a);
+      t.Set(i, 1, b);
+      t.Set(i, 2, 2 * a - b + rng.Gaussian(0, 0.1));
+    }
+    return t;
+  };
+  auto expect_same = [](const core::IndividualModels& a,
+                        const core::IndividualModels& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.model(i).phi, b.model(i).phi) << "tuple " << i;
+    }
+  };
+
+  data::Table t = tied_table(120);
   neighbors::BruteForceIndex brute(&t, {0, 1});
   neighbors::KdTreeIndex tree(&t, {0, 1});
-
   core::IimOptions opt;
   opt.ell = 7;
   auto models_brute = core::IndividualModels::Learn(t, 2, {0, 1}, brute,
@@ -155,13 +167,24 @@ TEST_P(SeededPropertyTest, IndexChoiceNeverChangesIimResults) {
   auto models_tree = core::IndividualModels::Learn(t, 2, {0, 1}, tree, opt);
   ASSERT_TRUE(models_brute.ok());
   ASSERT_TRUE(models_tree.ok());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(models_brute.value().model(i).phi[j],
-                  models_tree.value().model(i).phi[j], 1e-10)
-          << "tuple " << i;
-    }
-  }
+  expect_same(models_brute.value(), models_tree.value());
+
+  data::Table wide = tied_table(300);
+  neighbors::BruteForceIndex wide_brute(&wide, {0, 1});
+  neighbors::KdTreeIndex wide_tree(&wide, {0, 1});
+  core::IimOptions adaptive;
+  adaptive.adaptive = true;
+  adaptive.max_ell = 100;
+  adaptive.step_h = 2;
+  core::AdaptiveStats stats_brute, stats_tree;
+  auto adaptive_brute = core::IndividualModels::LearnAdaptive(
+      wide, 2, {0, 1}, wide_brute, adaptive, &stats_brute);
+  auto adaptive_tree = core::IndividualModels::LearnAdaptive(
+      wide, 2, {0, 1}, wide_tree, adaptive, &stats_tree);
+  ASSERT_TRUE(adaptive_brute.ok());
+  ASSERT_TRUE(adaptive_tree.ok());
+  EXPECT_EQ(stats_brute.chosen_ell, stats_tree.chosen_ell);
+  expect_same(adaptive_brute.value(), adaptive_tree.value());
 }
 
 // --- Metrics ---------------------------------------------------------------

@@ -65,13 +65,17 @@ TEST(DynamicIndexTest, MatchesBruteForceUnderInterleavedAppendsAndQueries) {
       EXPECT_EQ(got_all[j].index, want_all[j].index);
       EXPECT_EQ(got_all[j].distance, want_all[j].distance);
     }
-    // k past the live count returns every live row, and k = 0 nothing.
-    qopt.k = i + 5;
-    std::vector<neighbors::Neighbor> every = dynamic.Query(probe.Row(0), qopt);
-    ASSERT_EQ(every.size(), want_all.size()) << "append " << i;
-    for (size_t j = 0; j < every.size(); ++j) {
-      EXPECT_EQ(every[j].index, want_all[j].index);
-      EXPECT_EQ(every[j].distance, want_all[j].distance);
+    // k past the live count, however far, returns every live row, and
+    // k = 0 nothing.
+    for (size_t k : {i + 5, size_t{1} << 40}) {
+      qopt.k = k;
+      std::vector<neighbors::Neighbor> every =
+          dynamic.Query(probe.Row(0), qopt);
+      ASSERT_EQ(every.size(), want_all.size()) << "append " << i;
+      for (size_t j = 0; j < every.size(); ++j) {
+        EXPECT_EQ(every[j].index, want_all[j].index);
+        EXPECT_EQ(every[j].distance, want_all[j].distance);
+      }
     }
     qopt.k = 0;
     EXPECT_TRUE(dynamic.Query(probe.Row(0), qopt).empty());
@@ -474,6 +478,31 @@ TEST(OnlineIimTest, EllOneReducesToOnlineKnn) {
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(got.value(), want.value());
+  }
+}
+
+TEST(OnlineIimTest, HugeKImputesLikeBatchRefit) {
+  // A k far past the window asks for every live row as a neighbor, as it
+  // does of a batch fit; no search sizes anything by k.
+  data::Table full = HeterogeneousTable(30, 3, 31);
+  core::IimOptions opt = StreamOptions(1);
+  opt.k = size_t{1} << 40;
+  Result<std::unique_ptr<OnlineIim>> engine =
+      OnlineIim::Create(full.schema(), 2, {0, 1}, opt);
+  ASSERT_TRUE(engine.ok());
+  for (size_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(engine.value()->Ingest(full.Row(i)).ok());
+  }
+  core::IimImputer batch(opt);
+  ASSERT_TRUE(batch.Fit(engine.value()->table(), 2, {0, 1}).ok());
+  for (size_t i = 20; i < 30; ++i) {
+    data::Table probe(data::Schema::Default(3));
+    ASSERT_TRUE(probe.AppendRow(Probe(full, i, 2)).ok());
+    Result<double> got = engine.value()->ImputeOne(probe.Row(0));
+    Result<double> want = batch.ImputeOne(probe.Row(0));
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got.value(), want.value()) << "probe " << i;
   }
 }
 
