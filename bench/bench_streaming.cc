@@ -564,8 +564,8 @@ int main(int argc, char** argv) {
   double window_relearn_mean = Mean(window_relearn_seconds);
   double evict_speedup =
       evict_mean > 0.0 ? window_relearn_mean / evict_mean : 0.0;
-  // Every cut fold restreams in the batch fit's summation order, so the
-  // windowed engine matches the batch refit bit for bit.
+  // Every solve folds its order in the batch fit's summation order, so
+  // the windowed engine matches the batch refit bit for bit.
   bool windowed_matches = check_windowed == check_windowed_batch;
   bool evict_fast_enough = evict_speedup >= 10.0;
   iim::stream::DynamicIndex::Stats istats = online.index().stats();
@@ -854,8 +854,8 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12.6f ms\n", "full relearn per arrival",
               relearn_mean * 1e3);
   std::printf("%-34s %12.1fx\n", "speedup", speedup);
-  std::printf("engine: %zu prefix appends, %zu invalidations, %zu lazy "
-              "solves; index tree over %zu/%zu (%zu rebuilds: %zu "
+  std::printf("engine: %zu order-end appends, %zu in-order insertions, "
+              "%zu lazy solves; index tree over %zu/%zu (%zu rebuilds: %zu "
               "launched, %zu swapped, %zu discarded)\n",
               stats.core.fast_path_appends, stats.core.models_invalidated,
               stats.core.models_solved, istats.tree_size, istats.live,

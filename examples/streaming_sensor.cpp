@@ -19,8 +19,8 @@
 //
 // The epilogue replays the stream through a *sliding window*
 // (IimOptions::window_size): each arrival past the cap auto-evicts the
-// oldest reading — every model that learned from it restreams its fold
-// over the repaired learning order on next use — and memory stays
+// oldest reading — every model that learned from it refolds its
+// repaired learning order on next use — and memory stays
 // bounded no matter how long the deployment runs.
 //
 // Act three makes the deployment durable (IimOptions::persist_dir): every
@@ -180,8 +180,9 @@ int main() {
               std::sqrt(acc / static_cast<double>(served)));
 
   const auto& stats = online.stats();
-  std::printf("Engine: %zu ingested; per-arrival maintenance: %zu cheap "
-              "prefix appends, %zu invalidations, %zu lazy model solves\n",
+  std::printf("Engine: %zu ingested; per-arrival maintenance: %zu "
+              "order-end appends, %zu in-order insertions, %zu lazy model "
+              "solves\n",
               stats.ingested, stats.core.fast_path_appends,
               stats.core.models_invalidated, stats.core.models_solved);
   // One coherent index snapshot: rebuild counters, double-buffer state

@@ -80,9 +80,10 @@ constexpr size_t kMaxValidationK = 10;
 
 // Fits the model over the first `ell` tuples of `order` from scratch (a
 // plain ridge over the gathered prefix; ell == 1 applies the
-// single-neighbor rule of Section III-A2). Shared by Learn/LearnAdaptive
-// and the streaming adaptive path's orphan fallback, which must reproduce
-// this exact summation to stay bit-identical to a batch refit.
+// single-neighbor rule of Section III-A2). Shared by Learn and
+// LearnAdaptive. The streaming core folds the same prefix through
+// IncrementalRidge instead, which sums every U/V entry over the same rows
+// in the same order, so its models are bit-identical to these.
 Result<regress::LinearModel> FitOverPrefix(const data::FeatureBlock& fb,
                                            const std::vector<size_t>& order,
                                            size_t ell, double alpha);

@@ -20,28 +20,4 @@ FeatureBlock FeatureBlock::Build(const Table& r, int target,
   return fb;
 }
 
-void FeatureBlock::Append(const double* x, double y) {
-  x_.insert(x_.end(), x, x + q_);
-  y_.push_back(y);
-  ++n_;
-}
-
-void FeatureBlock::Compact(const std::vector<size_t>& remap, size_t gone) {
-  size_t next = 0;
-  for (size_t old = 0; old < n_; ++old) {
-    size_t slot = remap[old];
-    if (slot == gone) continue;
-    if (slot != old) {
-      std::copy(x_.begin() + static_cast<long>(old * q_),
-                x_.begin() + static_cast<long>((old + 1) * q_),
-                x_.begin() + static_cast<long>(slot * q_));
-      y_[slot] = y_[old];
-    }
-    ++next;
-  }
-  x_.resize(next * q_);
-  y_.resize(next);
-  n_ = next;
-}
-
 }  // namespace iim::data

@@ -11,12 +11,8 @@
 //   x_: n x q doubles, row-major  — Features(i) is q contiguous values
 //   y_: n doubles                 — Target(i) is the tuple's Am value
 //
-// Two lifecycles share the layout. Batch: Build once per Fit, shared
-// read-only by every thread. Streaming (stream::OnlineIim): construct
-// empty with the feature arity, Append one gathered row per arrival
-// (amortized O(1)), Compact along the index's slot remap when tombstoned
-// rows are physically dropped. The raw-pointer rows feed the blocked
-// distance/predict/fold kernels either way.
+// Built once per Fit and shared read-only by every thread; the raw-pointer
+// rows feed the blocked distance/predict/fold kernels.
 
 #ifndef IIM_DATA_FEATURE_BLOCK_H_
 #define IIM_DATA_FEATURE_BLOCK_H_
@@ -31,25 +27,11 @@ namespace iim::data {
 class FeatureBlock {
  public:
   FeatureBlock() = default;
-  // An empty streaming block expecting `num_features` gathered values per
-  // Append.
-  explicit FeatureBlock(size_t num_features) : q_(num_features) {}
 
   // Gathers `features` columns and the `target` column of every row of r.
   // Column indices must be valid for r (same contract as RowView::Gather).
   static FeatureBlock Build(const Table& r, int target,
                             const std::vector<int>& features);
-
-  // Appends one row from its pre-gathered coordinates: x points at
-  // num_features() values, y is the target. Amortized O(1) (capacity
-  // doubling); row i's storage stays bit-stable and contiguous forever
-  // after (until Compact moves it).
-  void Append(const double* x, double y);
-
-  // Drops rows along `remap` (old row -> new row, `gone` marking dropped
-  // rows), sliding survivors onto a dense prefix. remap must be ascending
-  // over survivors — the DynamicIndex::Compact contract.
-  void Compact(const std::vector<size_t>& remap, size_t gone);
 
   size_t rows() const { return n_; }
   size_t num_features() const { return q_; }

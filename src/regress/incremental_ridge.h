@@ -25,9 +25,8 @@ class IncrementalRidge {
   // p = number of features (the ones column is implicit).
   explicit IncrementalRidge(size_t p);
 
-  // Drops every folded row (U = 0, V = 0) keeping the allocation, so a
-  // long-lived per-tuple accumulator can restream a changed neighbor
-  // prefix without reallocating.
+  // Drops every folded row (U = 0, V = 0) keeping the allocation, so one
+  // accumulator can fold prefix after prefix without reallocating.
   void Reset();
 
   // Folds one training row into U, V (Formulas 20-21 with h = 1).

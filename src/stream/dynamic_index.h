@@ -81,6 +81,10 @@
 // can never observe a half-appended point, a buffer mid-reallocation, or
 // a half-compacted slot mapping. The background builder reads only its
 // own prefix copy (taken under a reader lock), so it races with nothing.
+// Point is the one unlocked read: the writer reads its own stored rows,
+// which nothing but that same thread ever changes (Compact already relies
+// on it being the only mutator), so other threads hold at most reader
+// locks while it reads.
 
 #ifndef IIM_STREAM_DYNAMIC_INDEX_H_
 #define IIM_STREAM_DYNAMIC_INDEX_H_
@@ -238,6 +242,14 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   size_t size() const override;
 
   const std::vector<int>& cols() const { return cols_; }
+
+  // The stored point of `slot` (cols().size() gathered values, tombstoned
+  // slots included until Compact), read without the lock: the index's
+  // single writer only. Valid until that writer's next Append, Compact or
+  // Load.
+  const double* Point(size_t slot) const {
+    return points_.data() + slot * cols_.size();
+  }
 
   Stats stats() const;
 

@@ -14,8 +14,8 @@
 //                 sliding window (options.window_size) overflows.
 //
 // The per-arrival maintenance machinery — learning orders, reverse
-// postings, lazy IncrementalRidge catch-up, dirty-holder invalidation,
-// and the adaptive candidate sweeps — lives in OrderCore
+// postings, dirty-holder invalidation with lazy re-solves, and the
+// adaptive candidate sweeps — lives in OrderCore
 // (src/stream/order_core.h); this engine owns one core over its own
 // arrivals and layers the schema-facing concerns on top: full-row
 // storage, tuple validation, Algorithm 2 aggregation, batching, and
@@ -34,9 +34,9 @@
 // and tests/stream_adaptive_test.cc): after any sequence of ingests and
 // evictions, imputations match a from-scratch IimImputer fitted on
 // table() — the live window — with the same options, bit-identical for
-// every `threads` setting, fixed or adaptive l. An eviction that cuts a
-// folded prefix resets that accumulator and the next solve refolds it,
-// so every fold runs the batch fit's exact summation order.
+// every `threads` setting, fixed or adaptive l. Every solve folds its
+// learning order from scratch, so every fold runs the batch fit's exact
+// summation order.
 //
 // Thread-safety: externally synchronized. Calls must not overlap;
 // ImputeBatch parallelizes internally (deterministically). Use
@@ -316,7 +316,7 @@ class OnlineIim {
   // table()).
   data::Table table_;
   // The per-arrival maintenance machinery: orders, postings, index,
-  // accumulators, models, adaptive sweeps. Slot-aligned with table_.
+  // models, adaptive sweeps. Slot-aligned with table_.
   OrderCore core_;
   // ImputeBatch's workers, spawned once for the engine's lifetime (a
   // 1-thread pool runs inline and spawns none).

@@ -13,7 +13,7 @@ namespace iim::stream {
 
 namespace {
 
-// The core indexes its own gathered rows, so the index's column gather is
+// The index holds the gathered rows themselves, so its column gather is
 // the identity — the same q doubles the engine's former full-row index
 // gathered from cols = features, feeding the same kernels.
 std::vector<int> IdentityCols(size_t q) {
@@ -50,7 +50,7 @@ OrderCore::OrderCore(const Config& config)
       cap_(config.adaptive ? std::max<size_t>(config.max_ell, 1)
                            : std::max<size_t>(config.ell, 1)),
       index_(IdentityCols(config.q)),
-      fb_(config.q) {}
+      fold_(config.q) {}
 
 double OrderCore::ComputeBound(size_t i) const {
   // Below capacity every arrival enters at the end (the fast-path
@@ -77,7 +77,7 @@ void OrderCore::RefreshBound(size_t i) {
 
 bool OrderCore::NextNeighbor(size_t i, const neighbors::Neighbor& after,
                              size_t rank, neighbors::Neighbor* out) const {
-  data::RowView point(fb_.Features(i), q_);
+  data::RowView point(index_.Point(i), q_);
   bool found = index_.Successor(point, after, i, out);
 #ifndef NDEBUG
   {
@@ -143,6 +143,8 @@ void OrderCore::VPostRemove(size_t s, size_t judge) {
 
 size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
                          size_t peek_k, const Peek& peek) {
+  assert((seq_of_slot_.empty() || seq_of_slot_.back() < seq) &&
+         "arrival numbers must ascend");
   size_t id = n_;
 
   // One kNN lookup serves the newcomer's learning order (cap_ - 1
@@ -177,7 +179,7 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
     std::vector<neighbors::Neighbor> scan;
     for (size_t i = 0; i < n_; ++i) {
       if (alive_[i] == 0) continue;
-      double d = neighbors::NormalizedEuclidean(fb_.Features(i), f, q_);
+      double d = neighbors::NormalizedEuclidean(index_.Point(i), f, q_);
       if (d <= ComputeBound(i)) scan.push_back(neighbors::Neighbor{i, d});
     }
     assert(scan.size() == admitters.size() &&
@@ -210,8 +212,7 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
         std::upper_bound(order.begin(), order.end(), d, DistanceBefore);
     if (pos == order.end()) {
       if (order.size() < cap_) {
-        // Prefix grows at the end: the accumulated fold stays valid and
-        // the new row is caught up lazily (Proposition 3).
+        // The order grows at its end; the model re-solves on next use.
         order.push_back(neighbors::Neighbor{id, d});
         holders_of_new.push_back(i);
         DirtyMark(i);
@@ -228,10 +229,6 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
         PostingsRemove(order.back().index, i);
         order.pop_back();
       }
-      // The fold's summation sequence changed; a rank-1 update cannot
-      // remove the displaced row, so restream from scratch on next use.
-      accums_[i].Reset();
-      consumed_[i] = 0;
       DirtyMark(i);
       ++counters_.models_invalidated;
       changed = true;
@@ -283,7 +280,6 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
     }
   }
 
-  fb_.Append(f, y);
   // The new tuple holds its own neighbors; its holders were collected in
   // the arrival loop above.
   for (const neighbors::Neighbor& nb : order_new) {
@@ -292,13 +288,11 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
   counters_.postings_edges += holders_of_new.size();
   postings_.push_back(std::move(holders_of_new));
   orders_.push_back(std::move(order_new));
-  accums_.emplace_back(q_);
-  consumed_.push_back(0);
   models_.emplace_back();
   dirty_.push_back(1);
   alive_.push_back(1);
+  targets_.push_back(y);
   seq_of_slot_.push_back(seq);
-  slot_of_seq_.emplace(seq, id);
   if (config_.adaptive) {
     vorders_.push_back(std::move(vorder_new));
     vpost_.push_back(std::move(judges_of_new));
@@ -310,12 +304,19 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
     // which holders were touched.
     global_cost_valid_ = false;
   }
-  // The index learns the new slot last, together with its admission
-  // bound; nothing above queries it.
+  // The index learns the new slot (and stores its row) last, together with
+  // its admission bound; nothing above queries it.
   index_.Append(point, ComputeBound(id));
   ++n_;
   ++live_;
   return id;
+}
+
+size_t OrderCore::SlotOf(uint64_t seq) const {
+  auto it = std::lower_bound(seq_of_slot_.begin(), seq_of_slot_.end(), seq);
+  if (it == seq_of_slot_.end() || *it != seq) return kNoSlot;
+  size_t slot = static_cast<size_t>(it - seq_of_slot_.begin());
+  return alive_[slot] != 0 ? slot : kNoSlot;
 }
 
 size_t OrderCore::OldestLiveSlot() {
@@ -330,7 +331,6 @@ void OrderCore::EvictSlot(size_t gone) {
   // own model state (the slot lingers until compaction, its payload need
   // not). It also stops holding its own neighbors.
   alive_[gone] = 0;
-  slot_of_seq_.erase(seq_of_slot_[gone]);
   index_.Remove(gone);
   --live_;
   ++counters_.evicted;
@@ -339,8 +339,6 @@ void OrderCore::EvictSlot(size_t gone) {
   }
   orders_[gone].clear();
   orders_[gone].shrink_to_fit();
-  accums_[gone].Reset();
-  consumed_[gone] = 0;
   models_[gone] = regress::LinearModel();
   dirty_[gone] = 1;
 
@@ -372,27 +370,22 @@ void OrderCore::EvictSlot(size_t gone) {
 #endif
 
   // Repair each affected learning order — the arrival-displacement logic
-  // in reverse. Cutting an entry out of the folded prefix changes the
-  // fold's summation sequence, so the accumulator restreams the new
-  // prefix on next use, as after a displacement. The survivor's order
-  // then grew a vacancy: the next nearest live tuple enters at the
-  // end (it ranked behind every remaining entry in (distance, slot)
-  // order, or it would already be a member), which is the same fast-path
-  // append an arrival takes. After the cut the order holds exactly the
-  // live neighbors ranked up to order.back(), so a single vacancy is
-  // filled by that entry's successor — bit for bit the entrant a full
-  // k = want - 1 query would keep. The full query stays for the cases
-  // with no such anchor: a one-entry order, or several vacancies.
+  // in reverse. The cut dirties the survivor's model, which refolds on
+  // next use, as after a displacement. The survivor's order then grew a
+  // vacancy: the next nearest live tuple enters at the end (it ranked
+  // behind every remaining entry in (distance, slot) order, or it would
+  // already be a member), as an arrival below capacity does. After the
+  // cut the order holds exactly the live neighbors ranked up to
+  // order.back(), so a single vacancy is filled by that entry's successor
+  // — bit for bit the entrant a full k = want - 1 query would keep. The
+  // full query stays for the cases with no such anchor: a one-entry
+  // order, or several vacancies.
   for (size_t i : affected) {
     std::vector<neighbors::Neighbor>& order = orders_[i];
     size_t p = 0;
     while (p < order.size() && order[p].index != gone) ++p;
     if (p == order.size()) continue;  // unreachable under the invariant
     order.erase(order.begin() + static_cast<long>(p));
-    if (p < consumed_[i]) {
-      accums_[i].Reset();
-      consumed_[i] = 0;
-    }
     size_t want = std::min(cap_, live_);  // self included
     neighbors::Neighbor entrant{0, 0.0};
     if (order.size() + 1 == want && order.size() > 1) {
@@ -406,7 +399,7 @@ void OrderCore::EvictSlot(size_t gone) {
       qopt.k = want - 1;
       qopt.exclude = i;
       std::vector<neighbors::Neighbor> nn =
-          index_.Query(data::RowView(fb_.Features(i), q_), qopt);
+          index_.Query(data::RowView(index_.Point(i), q_), qopt);
       // nn[0 .. order.size()-1) coincides with the order's surviving
       // neighbors; anything beyond is the entrant.
       for (size_t j = order.size() - 1; j < nn.size(); ++j) {
@@ -461,7 +454,7 @@ void OrderCore::EvictSlot(size_t gone) {
         qopt.k = want;
         qopt.exclude = j;
         std::vector<neighbors::Neighbor> nn =
-            index_.Query(data::RowView(fb_.Features(j), q_), qopt);
+            index_.Query(data::RowView(index_.Point(j), q_), qopt);
         for (size_t e = vorder.size(); e < nn.size(); ++e) {
           vorder.push_back(nn[e]);
           VPostAdd(nn[e].index, j);
@@ -482,11 +475,9 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
 
   std::vector<std::vector<neighbors::Neighbor>> orders(live_);
   std::vector<std::vector<size_t>> postings(live_);
-  std::vector<regress::IncrementalRidge> accums;
-  accums.reserve(live_);
-  std::vector<size_t> consumed(live_);
   std::vector<regress::LinearModel> models(live_);
   std::vector<uint8_t> dirty(live_);
+  std::vector<double> targets(live_);
   std::vector<uint64_t> seq_of_slot(live_);
   size_t adaptive_n = config_.adaptive ? live_ : 0;
   std::vector<std::vector<neighbors::Neighbor>> vorders(adaptive_n);
@@ -506,13 +497,12 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
     // were evicted), so the remap applies to every entry.
     postings[slot] = std::move(postings_[old]);
     for (size_t& h : postings[slot]) h = remap[h];
-    // push_back lands accums[slot]: remap is ascending over live slots.
-    accums.push_back(std::move(accums_[old]));
-    consumed[slot] = consumed_[old];
     models[slot] = std::move(models_[old]);
     dirty[slot] = dirty_[old];
+    targets[slot] = targets_[old];
+    // remap is ascending over live slots, so the arrival numbers stay
+    // ascending.
     seq_of_slot[slot] = seq_of_slot_[old];
-    slot_of_seq_[seq_of_slot_[old]] = slot;
     if (config_.adaptive) {
       vorders[slot] = std::move(vorders_[old]);
       for (neighbors::Neighbor& nb : vorders[slot]) {
@@ -526,14 +516,12 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
     }
   }
 
-  fb_.Compact(remap, DynamicIndex::kGone);
   orders_ = std::move(orders);
   postings_ = std::move(postings);
-  accums_ = std::move(accums);
-  consumed_ = std::move(consumed);
   models_ = std::move(models);
   dirty_ = std::move(dirty);
   alive_.assign(live_, 1);
+  targets_ = std::move(targets);
   seq_of_slot_ = std::move(seq_of_slot);
   if (config_.adaptive) {
     vorders_ = std::move(vorders);
@@ -560,30 +548,30 @@ Status OrderCore::EnsureModel(size_t i) {
   return EnsureModelFixed(i);
 }
 
+Result<regress::LinearModel> OrderCore::FitPrefix(size_t i, size_t ell) {
+  const std::vector<neighbors::Neighbor>& order = orders_[i];
+  if (ell == 1) {
+    // Single-neighbor rule (Section III-A2): constant model of the
+    // tuple's own value (order[0] is the tuple itself).
+    return regress::LinearModel::Constant(targets_[order[0].index], q_);
+  }
+  // Rows enter in order[0..ell) sequence, the exact summation order of a
+  // batch fit over the same prefix — that is what makes the solved model
+  // bit-identical.
+  fold_.Reset();
+  for (size_t e = 0; e < ell; ++e) {
+    size_t r = order[e].index;
+    fold_.AddRow(index_.Point(r), targets_[r]);
+  }
+  return fold_.Solve(config_.alpha);
+}
+
 Status OrderCore::EnsureModelFixed(size_t i) {
   if (!dirty_[i]) {
     ++counters_.models_reused;
     return Status::OK();
   }
-  const std::vector<neighbors::Neighbor>& order = orders_[i];
-  if (order.size() == 1) {
-    // Single-neighbor rule (Section III-A2): constant model of the
-    // tuple's own value — matches FitOverPrefix at ell == 1.
-    models_[i] = regress::LinearModel::Constant(fb_.Target(i), q_);
-    dirty_[i] = 0;
-    ++counters_.models_solved;
-    return Status::OK();
-  }
-  // Catch the accumulator up with the prefix rows it has not folded yet
-  // (all of them after an invalidation). Rows enter in order[0..s)
-  // sequence, the exact summation order of a batch FitRidge over the same
-  // prefix — that is what makes the solved model bit-identical.
-  while (consumed_[i] < order.size()) {
-    size_t r = order[consumed_[i]].index;
-    accums_[i].AddRow(fb_.Features(r), fb_.Target(r));
-    ++consumed_[i];
-  }
-  ASSIGN_OR_RETURN(models_[i], accums_[i].Solve(config_.alpha));
+  ASSIGN_OR_RETURN(models_[i], FitPrefix(i, orders_[i].size()));
   dirty_[i] = 0;
   ++counters_.models_solved;
   return Status::OK();
@@ -623,7 +611,7 @@ Status OrderCore::EvaluateSlot(size_t i) {
 
   const std::vector<neighbors::Neighbor>& order = orders_[i];
   assert(!ells_.empty() && order.size() == ells_.back());
-  regress::IncrementalRidge accum(q_);
+  fold_.Reset();
   size_t consumed = 0;
   double best_cost = std::numeric_limits<double>::infinity();
   size_t best_ell = ells_.front();
@@ -637,17 +625,17 @@ Status OrderCore::EvaluateSlot(size_t i) {
     // per evaluation).
     while (consumed < ell) {
       size_t r = order[consumed].index;
-      accum.AddRow(fb_.Features(r), fb_.Target(r));
+      fold_.AddRow(index_.Point(r), targets_[r]);
       ++consumed;
     }
     if (ell == 1) {
-      model = regress::LinearModel::Constant(fb_.Target(order[0].index), q_);
+      model = regress::LinearModel::Constant(targets_[order[0].index], q_);
     } else {
-      ASSIGN_OR_RETURN(model, accum.Solve(config_.alpha));
+      ASSIGN_OR_RETURN(model, fold_.Solve(config_.alpha));
     }
     double cost = 0.0;
     for (size_t j : judges) {
-      double err = fb_.Target(j) - model.Predict(fb_.Features(j), q_);
+      double err = targets_[j] - model.Predict(index_.Point(j), q_);
       cost += err * err;
     }
     cost_[i][e] = cost;
@@ -715,16 +703,11 @@ Status OrderCore::EnsureModelAdaptive(size_t i) {
   if (dirty_[i] == 0) return Status::OK();
 
   // Orphan fallback: nobody validates t_i, so it takes the globally best
-  // l — and the batch learner fits that model from scratch (FitOverPrefix,
-  // not the incremental fold), which this must reproduce bitwise.
+  // l — a fresh fit over that prefix, as the batch learner's (see the
+  // header on why the fold matches its FitRidge bitwise).
   RETURN_IF_ERROR(EnsureGlobalCost());
-  const std::vector<neighbors::Neighbor>& order = orders_[i];
-  assert(fallback_ell_ <= order.size());
-  std::vector<size_t> prefix;
-  prefix.reserve(fallback_ell_);
-  for (size_t e = 0; e < fallback_ell_; ++e) prefix.push_back(order[e].index);
-  ASSIGN_OR_RETURN(models_[i], core::FitOverPrefix(fb_, prefix, fallback_ell_,
-                                                   config_.alpha));
+  assert(fallback_ell_ <= orders_[i].size());
+  ASSIGN_OR_RETURN(models_[i], FitPrefix(i, fallback_ell_));
   if (chosen_ell_[i] != 0 && chosen_ell_[i] != fallback_ell_) {
     ++counters_.adaptive_l_changes;
   }
@@ -790,10 +773,7 @@ Status OrderCore::Load(const std::vector<double>& features,
   const size_t n = seqs.size();
   assert(features.size() == n * q_ && targets.size() == n);
   RETURN_IF_ERROR(index_.Load(features));
-  for (size_t i = 0; i < n; ++i) {
-    assert(i == 0 || seqs[i - 1] < seqs[i]);
-    fb_.Append(features.data() + i * q_, targets[i]);
-  }
+  for (size_t i = 1; i < n; ++i) assert(seqs[i - 1] < seqs[i]);
 
   // Every live tuple's nearest others, in one pass over the built tree.
   // One sorted top-k serves both orders (its prefix IS the shorter
@@ -861,13 +841,11 @@ Status OrderCore::Load(const std::vector<double>& features,
     }
   }
 
-  accums_.assign(n, regress::IncrementalRidge(q_));
-  consumed_.assign(n, 0);
   models_.resize(n);
   dirty_.assign(n, 1);
   alive_.assign(n, 1);
+  targets_ = targets;
   seq_of_slot_ = seqs;
-  for (size_t i = 0; i < n; ++i) slot_of_seq_.emplace(seqs[i], i);
   n_ = n;
   live_ = n;
   for (size_t i = 0; i < n; ++i) RefreshBound(i);

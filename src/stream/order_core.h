@@ -9,26 +9,26 @@
 // fresh fold. The engine layers the schema-facing concerns (full rows,
 // validation, Algorithm 2 aggregation, durability) on top.
 //
-// The core owns the gathered (F, Am) feature block and a DynamicIndex
-// built over identity columns {0..q-1} of those gathered rows. That is
-// bit-identical to the engine's former full-row index on cols = features:
-// both gather the same q doubles into the same kernel, so every query,
-// tie-break and rebuild timing is unchanged.
+// The core keeps each fact about a live tuple once. Its gathered feature
+// row lives only in the DynamicIndex, which indexes identity columns
+// {0..q-1} of those rows (bit-identical to the engine's former full-row
+// index on cols = features: both gather the same q doubles into the same
+// kernel); Features reads it back through DynamicIndex::Point. Its target,
+// arrival number and liveness sit in slot-indexed vectors, and the
+// arrival numbers ascend with the slots, so SlotOf is a binary search.
 //
 // Per tuple the core maintains: its learning order (itself first, then
 // live neighbors ascending by (distance, slot)), reverse-neighbor
-// postings (postings_[s] = holders of s, making eviction O(l)), a lazy
-// IncrementalRidge U/V accumulator over the folded prefix, and a dirty
-// flag cleared by EnsureModel. Arrivals insert/displace, evictions
-// cut + backfill, compaction replays the index remap. A change inside the
-// folded prefix (a displacement or a cut) resets the accumulator and the
-// next EnsureModel refolds it, so every accumulator is exactly AddRow
-// over order[0..consumed) in order — the batch fit's summation.
+// postings (postings_[s] = holders of s, making eviction O(l)), its solved
+// model and a dirty flag cleared by EnsureModel. Arrivals insert/displace,
+// evictions cut + backfill, compaction replays the index remap. A dirty
+// model is refolded from scratch: one scratch IncrementalRidge runs AddRow
+// over the whole order in order — the batch fit's summation.
 //
 // All of that is a function of the live window alone (the orders are the
-// window's exact neighbor lists; postings, radii and accumulators follow
-// from them), so a snapshot holds only the window's rows and Load
-// rebuilds the rest in one pass.
+// window's exact neighbor lists; postings and radii follow from them), so
+// a snapshot holds only the window's rows and Load rebuilds the rest in
+// one pass.
 //
 // Arrival cost scales with the AFFECTED orders, not n: each order carries an
 // admission bound — the worst kept distance, infinite below capacity — held
@@ -55,7 +55,11 @@
 // fall back to the globally-best l, which requires the candidate costs of
 // EVERY live tuple — those are cached per tuple and the global sum is
 // assembled in the batch learner's blocked-16 merge order, so even the
-// orphan fallback matches LearnAdaptive bitwise.
+// orphan fallback matches LearnAdaptive bitwise. (The batch learner fits
+// that fallback with FitRidge, which accumulates U's upper triangle and
+// mirrors it; the fold sums every entry over the same rows in the same
+// order, and each mirrored product is the same product, so the two agree
+// bit for bit.)
 //
 // Thread-safety: externally synchronized, like the engines that own it.
 
@@ -65,12 +69,10 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/iim_options.h"
-#include "data/feature_block.h"
 #include "regress/incremental_ridge.h"
 #include "stream/dynamic_index.h"
 
@@ -93,11 +95,11 @@ class OrderCore {
 
   struct Counters {
     size_t evicted = 0;
-    // Arrivals folded onto the end of a tuple's growing prefix (the cheap
-    // Proposition 3 path, pending a lazy re-solve).
+    // Arrivals that entered a learning order below capacity at its end,
+    // behind every kept neighbor.
     size_t fast_path_appends = 0;
-    // Arrivals that landed inside a tuple's prefix: accumulator reset,
-    // full restream on next use.
+    // Arrivals that entered a learning order ahead of its last entry (and
+    // displaced that entry when the order was at capacity).
     size_t models_invalidated = 0;
     // Lazy model (re)solves actually performed.
     size_t models_solved = 0;
@@ -146,7 +148,8 @@ class OrderCore {
   using Peek = std::function<void(const std::vector<neighbors::Neighbor>&)>;
 
   // One arrival: f points at q gathered feature values, y is the target, seq
-  // the caller's stable address (arrival number). Runs the insertion test on
+  // the caller's stable address (arrival number), which must exceed every
+  // seq passed before (debug builds assert it). Runs the insertion test on
   // every live learning (and validation) order the admitters walk returns,
   // computes the newcomer's own orders from the index BEFORE appending it
   // (the same neighbor set an exclude-self query would return), and appends
@@ -179,12 +182,11 @@ class OrderCore {
   // --- Models ----------------------------------------------------------
 
   // Re-solves slot i's model if a past arrival, eviction or
-  // validation-list change dirtied it. Fixed-l mode: catch the
-  // accumulator up over the unfolded prefix tail and solve. Adaptive
-  // mode: the per-tuple candidate sweep described above. Touches only
-  // slot i, except an adaptive orphan fallback, which refreshes the
-  // cached candidate costs of every dirty live tuple to recompute the
-  // global criterion.
+  // validation-list change dirtied it. Fixed-l mode: fold the learning
+  // order from scratch and solve. Adaptive mode: the per-tuple candidate
+  // sweep described above. Touches only slot i, except an adaptive orphan
+  // fallback, which refreshes the cached candidate costs of every dirty
+  // live tuple to recompute the global criterion.
   Status EnsureModel(size_t i);
   const regress::LinearModel& model(size_t i) const { return models_[i]; }
   bool model_dirty(size_t i) const { return dirty_[i] != 0; }
@@ -196,18 +198,17 @@ class OrderCore {
 
   size_t n() const { return n_; }        // slots, including tombstones
   size_t live() const { return live_; }  // live tuples
-  bool IsLive(uint64_t seq) const {
-    return slot_of_seq_.find(seq) != slot_of_seq_.end();
-  }
-  size_t SlotOf(uint64_t seq) const {
-    auto it = slot_of_seq_.find(seq);
-    return it == slot_of_seq_.end() ? kNoSlot : it->second;
-  }
+  bool IsLive(uint64_t seq) const { return SlotOf(seq) != kNoSlot; }
+  // The live slot of arrival `seq`, kNoSlot if none: a binary search over
+  // the ascending arrival numbers. O(log n).
+  size_t SlotOf(uint64_t seq) const;
   uint64_t SeqOf(size_t slot) const { return seq_of_slot_[slot]; }
   bool SlotAlive(size_t slot) const { return alive_[slot] != 0; }
   const std::vector<uint8_t>& alive_slots() const { return alive_; }
-  const double* Features(size_t slot) const { return fb_.Features(slot); }
-  double Target(size_t slot) const { return fb_.Target(slot); }
+  // The slot's q gathered values, read from the index. Valid until the
+  // next Arrive or compaction; the core's own thread only.
+  const double* Features(size_t slot) const { return index_.Point(slot); }
+  double Target(size_t slot) const { return targets_[slot]; }
   const std::vector<neighbors::Neighbor>& Order(size_t slot) const {
     return orders_[slot];
   }
@@ -233,11 +234,11 @@ class OrderCore {
   // Installs a window into this EMPTY core: row r has the q gathered
   // values features[r*q .. r*q+q), target targets[r] and arrival number
   // seqs[r], with seqs strictly ascending (the slot order every core
-  // keeps). Fills the feature block, loads the index with one tree build,
-  // computes every learning (and validation) order from one bulk
-  // exclude-self neighbor pass over `pool` (DynamicIndex::NearestOthers),
-  // derives the postings and admission radii from those orders, and
-  // leaves every model dirty for the lazy solve, like a fresh arrival's.
+  // keeps). Loads the index with one tree build, computes every learning
+  // (and validation) order from one bulk exclude-self neighbor pass over
+  // `pool` (DynamicIndex::NearestOthers), derives the postings and
+  // admission radii from those orders, and leaves every model dirty for
+  // the lazy solve, like a fresh arrival's.
   // Orders are sized from the window, never from l. The orders, and so
   // every later model and imputation, are bitwise those of any core whose
   // live window is these rows; the counters start from zero.
@@ -270,7 +271,11 @@ class OrderCore {
   void VPostAdd(size_t s, size_t judge);
   void VPostRemove(size_t s, size_t judge);
 
-  // Fixed-l EnsureModel body (lazy catch-up + solve).
+  // Slot i's model over the first `ell` entries of its learning order,
+  // folded from scratch into fold_ in order and solved; ell == 1 is the
+  // single-neighbor rule's constant (Section III-A2).
+  Result<regress::LinearModel> FitPrefix(size_t i, size_t ell);
+  // Fixed-l EnsureModel body (FitPrefix over the whole order).
   Status EnsureModelFixed(size_t i);
   // Adaptive EnsureModel body (candidate sweep / orphan fallback).
   Status EnsureModelAdaptive(size_t i);
@@ -291,21 +296,21 @@ class OrderCore {
   size_t q_;
   size_t cap_;  // maintained order length bound: ell (fixed) or max_ell
 
-  DynamicIndex index_;     // identity cols over the gathered rows
-  data::FeatureBlock fb_;  // gathered (F, Am), one row per slot
+  // The only store of the gathered feature rows: identity cols over them.
+  DynamicIndex index_;
+  // The one ridge accumulator every solve folds into, reset per fit.
+  regress::IncrementalRidge fold_;
 
-  // Slot-indexed state; see OnlineIim's original documentation. Between
-  // compactions slots include tombstones (alive_[i] == 0); arrival order
-  // of live slots is always ascending.
+  // Slot-indexed state. Between compactions slots include tombstones
+  // (alive_[i] == 0); seq_of_slot_ ascends over every slot, tombstones
+  // included.
   std::vector<std::vector<neighbors::Neighbor>> orders_;
   std::vector<std::vector<size_t>> postings_;
-  std::vector<regress::IncrementalRidge> accums_;
-  std::vector<size_t> consumed_;
   std::vector<regress::LinearModel> models_;
   std::vector<uint8_t> dirty_;
   std::vector<uint8_t> alive_;
+  std::vector<double> targets_;
   std::vector<uint64_t> seq_of_slot_;
-  std::unordered_map<uint64_t, size_t> slot_of_seq_;  // live tuples only
   size_t n_ = 0;
   size_t live_ = 0;
   size_t oldest_cursor_ = 0;

@@ -179,8 +179,6 @@ bool StateStore::snapshot_due() const {
          ops_ - last_checkpoint_ops_ >= opt_.snapshot_every;
 }
 
-bool StateStore::write_in_flight() const { return pending_ != nullptr; }
-
 Status StateStore::BeginSnapshot(std::string bytes) {
   if (pending_ != nullptr) {
     return Status::FailedPrecondition(

@@ -105,7 +105,6 @@ class StateStore {
   // True once snapshot_every ops accumulated since the last checkpoint
   // and no background write is still in flight.
   bool snapshot_due() const;
-  bool write_in_flight() const;
   // Rotates the WAL at the current op count and hands `bytes` (a
   // snapshot covering exactly ops_logged() ops) to the background
   // writer. The serialize itself — the only part that reads engine state

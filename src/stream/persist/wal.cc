@@ -138,7 +138,6 @@ Result<WalSegment> ReadWalSegment(const std::string& path) {
     seg.records.push_back(std::move(rec));
     pos += kRecordOverhead + len;
   }
-  seg.clean_tail = pos == b.size();
   return seg;
 }
 

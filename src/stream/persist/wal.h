@@ -44,13 +44,10 @@ struct WalRecord {
 };
 
 // A parsed segment: its starting op number and the longest valid record
-// prefix. `clean_tail` reports whether that prefix consumed the whole
-// file — false means the tail was torn or corrupted, so no LATER segment
-// may be trusted to continue the timeline.
+// prefix.
 struct WalSegment {
   uint64_t start_op = 0;
   std::vector<WalRecord> records;
-  bool clean_tail = true;
 };
 
 // Reads and validates one segment. An unreadable or header-corrupt file

@@ -53,47 +53,5 @@ TEST(FeatureBlockTest, EmptyTable) {
   EXPECT_EQ(fb.num_features(), 2u);
 }
 
-TEST(FeatureBlockTest, ZeroRowStreamingBlock) {
-  // The streaming ctor with no Appends — a just-restored cold engine.
-  // Compact with an empty remap must be a no-op, not an OOB walk.
-  const size_t kGone = static_cast<size_t>(-1);
-  FeatureBlock fb(3);
-  EXPECT_EQ(fb.rows(), 0u);
-  EXPECT_EQ(fb.num_features(), 3u);
-  fb.Compact({}, kGone);
-  EXPECT_EQ(fb.rows(), 0u);
-
-  // The block stays usable afterwards.
-  double row[3] = {1.0, 2.0, 3.0};
-  fb.Append(row, 4.0);
-  ASSERT_EQ(fb.rows(), 1u);
-  EXPECT_EQ(fb.Features(0)[2], 3.0);
-  EXPECT_EQ(fb.Target(0), 4.0);
-}
-
-TEST(FeatureBlockTest, CompactWithAllRowsTombstoned) {
-  // Every row evicted in one window slide: the remap maps all rows to the
-  // gone sentinel and the block shrinks to empty.
-  const size_t kGone = static_cast<size_t>(-1);
-  FeatureBlock fb(2);
-  double a[2] = {1.0, 2.0};
-  double b[2] = {3.0, 4.0};
-  double c[2] = {5.0, 6.0};
-  fb.Append(a, 10.0);
-  fb.Append(b, 20.0);
-  fb.Append(c, 30.0);
-  ASSERT_EQ(fb.rows(), 3u);
-
-  fb.Compact({kGone, kGone, kGone}, kGone);
-  EXPECT_EQ(fb.rows(), 0u);
-
-  // Appending after a full drain starts a fresh dense prefix.
-  fb.Append(c, 30.0);
-  ASSERT_EQ(fb.rows(), 1u);
-  EXPECT_EQ(fb.Features(0)[0], 5.0);
-  EXPECT_EQ(fb.Features(0)[1], 6.0);
-  EXPECT_EQ(fb.Target(0), 30.0);
-}
-
 }  // namespace
 }  // namespace iim::data

@@ -105,8 +105,8 @@ TEST(AdaptiveTest, IncrementalAndStraightforwardIdentical) {
   for (size_t i = 0; i < r.NumRows(); ++i) {
     EXPECT_EQ(inc_stats.chosen_ell[i], scratch_stats.chosen_ell[i]) << i;
     for (size_t j = 0; j < inc.value().model(i).phi.size(); ++j) {
-      EXPECT_NEAR(inc.value().model(i).phi[j],
-                  scratch.value().model(i).phi[j], 1e-7);
+      EXPECT_EQ(inc.value().model(i).phi[j],
+                scratch.value().model(i).phi[j]);
     }
   }
 }

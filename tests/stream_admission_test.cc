@@ -199,7 +199,8 @@ double PickRadius(Rng* rng) {
 // The model vectors track what the index should hold, slot for slot.
 // With `flush`, every append and compaction waits out the build it
 // launched, so each check sees the tree as it stands right after a
-// rebuild; without, builds race the stream and land whenever they finish.
+// rebuild; without, builds race the stream and land whenever they finish,
+// except at one fixed mid-stream step that waits in both modes.
 template <typename Check>
 void RunGridStream(bool flush, uint64_t seed, Check check) {
   DynamicIndex index({0, 1});
@@ -214,7 +215,10 @@ void RunGridStream(bool flush, uint64_t seed, Check check) {
                         : GridRow(&rng);
     double r = PickRadius(&rng);
     index.Append(data::RowView(row.data(), row.size()), r);
-    if (flush) index.WaitForRebuild();
+    // One flush mid-stream lands a tree there in either mode, so the
+    // final count below holds by construction: the build it installs
+    // (or an earlier swap), then the last one launched after it.
+    if (flush || step == 210) index.WaitForRebuild();
     rows.push_back(row);
     live.push_back(1);
     radius.push_back(r);

@@ -6,8 +6,8 @@
 // imputer says nothing otherwise), so the core of this file pins windowed
 // `OnlineIim` against a from-scratch batch `IimImputer` refit on the live
 // window, over randomized arrival/eviction schedules, several seeds and
-// thread counts: bit-identical, because an eviction that cuts a folded
-// prefix restreams that accumulator in the batch fit's summation order.
+// thread counts: bit-identical, because every solve folds its learning
+// order from scratch in the batch fit's summation order.
 
 #include <limits>
 
@@ -316,6 +316,42 @@ TEST(StreamWindowTest, FifoWindowAutoEvictsAndCompacts) {
   }
 }
 
+// A window shorter than l: every learning order holds the whole window and
+// stays below capacity, so arrivals keep entering orders at their ends
+// after an imputation solved those orders' models, and every eviction
+// cuts every order. Each step still matches a batch refit bit for bit.
+TEST(StreamWindowTest, WindowShorterThanEllMatchesBatchRefitEveryArrival) {
+  const int target = 2;
+  const std::vector<int> features = {0, 1};
+  const size_t kArrivals = 140;
+  data::Table full = HeterogeneousTable(kArrivals + 1, 3, 59);
+  data::Table probe(data::Schema::Default(3));
+  ASSERT_TRUE(probe.AppendRow(Probe(full, kArrivals, target)).ok());
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    core::IimOptions opt = WindowOptions(threads);
+    opt.window_size = 6;
+    ASSERT_LT(opt.window_size, opt.ell);
+    Result<std::unique_ptr<OnlineIim>> engine =
+        OnlineIim::Create(full.schema(), target, features, opt);
+    ASSERT_TRUE(engine.ok());
+    OnlineIim& online = *engine.value();
+
+    for (size_t i = 0; i < kArrivals; ++i) {
+      ASSERT_TRUE(online.Ingest(full.Row(i)).ok());
+      Result<double> got = online.ImputeOne(probe.Row(0));
+      core::IimImputer batch(opt);
+      ASSERT_TRUE(batch.Fit(online.table(), target, features).ok());
+      Result<double> want = batch.ImputeOne(probe.Row(0));
+      ASSERT_TRUE(got.ok()) << "arrival " << i;
+      ASSERT_TRUE(want.ok()) << "arrival " << i;
+      EXPECT_EQ(got.value(), want.value())
+          << "threads " << threads << " arrival " << i;
+    }
+    EXPECT_GT(online.stats().core.fast_path_appends, 100u);
+  }
+}
+
 // The reverse-neighbor postings invariant under randomized arrival /
 // eviction / compaction schedules: after EVERY step, postings_[s] must
 // equal the mapping recomputed from scratch out of the learning orders
@@ -418,7 +454,7 @@ TEST(StreamWindowTest, EvictToEmptyThenRevive) {
   ASSERT_TRUE(batch.Fit(online.table(), 2, {0, 1}).ok());
   Result<double> want = batch.ImputeOne(probe.Row(0));
   ASSERT_TRUE(want.ok());
-  EXPECT_EQ(got.value(), want.value());  // no eviction touched a fold
+  EXPECT_EQ(got.value(), want.value());
 }
 
 }  // namespace
