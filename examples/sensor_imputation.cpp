@@ -59,7 +59,7 @@ int main() {
     return std::unique_ptr<iim::baselines::Imputer>(
         std::make_unique<iim::core::IimImputer>(opt));
   }});
-  for (const std::string& name : {"kNN", "GLR", "LOESS", "Mean"}) {
+  for (const char* name : {"kNN", "GLR", "LOESS", "Mean"}) {
     methods.push_back({name, [name]() {
       iim::baselines::BaselineOptions opt;
       opt.k = 5;

@@ -49,9 +49,9 @@ struct IimOptions {
   // --- Streaming (stream::OnlineIim; the batch imputer ignores these) ---
   // Sliding window: keep only the most recent `window_size` live tuples.
   // Once an ingest pushes the live count past the window, the oldest live
-  // tuple is evicted (learning orders repaired, an accumulator whose
-  // folded prefix lost a row reset and refolded on next use, index
-  // tombstoned). 0 = unbounded growth.
+  // tuple is evicted (learning orders repaired, each repaired tuple's
+  // model dirtied and refolded on its next use, index tombstoned).
+  // 0 = unbounded growth.
   size_t window_size = 0;
   // --- Durability (stream engines; the batch imputer ignores these) ---
   // Directory for snapshots and the write-ahead arrival log. Empty

@@ -1,14 +1,11 @@
 #include "core/individual_models.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "data/feature_block.h"
-#include "regress/incremental_ridge.h"
-#include "regress/ridge.h"
 
 namespace iim::core {
 
@@ -24,19 +21,18 @@ constexpr size_t kTupleGrain = 16;
 // as in Example 2 where T_1 = {t1, t2, t3, t4}), then the next `need - 1`
 // tuples by ascending (distance, index). Bounding the query by `need`
 // keeps the learning phase O(n * query(need)) instead of O(n^2 log n).
-std::vector<size_t> LearningOrder(const neighbors::NeighborIndex& index,
-                                  const data::Table& r, size_t i,
-                                  size_t need) {
-  std::vector<size_t> order;
+std::vector<neighbors::Neighbor> LearningOrder(
+    const neighbors::NeighborIndex& index, const data::Table& r, size_t i,
+    size_t need) {
+  std::vector<neighbors::Neighbor> order;
   order.reserve(need);
-  order.push_back(i);
+  order.push_back(neighbors::Neighbor{i, 0.0});
   if (need > 1) {
     neighbors::QueryOptions qopt;
     qopt.k = need - 1;
     qopt.exclude = i;
-    for (const auto& nb : index.Query(r.Row(i), qopt)) {
-      order.push_back(nb.index);
-    }
+    std::vector<neighbors::Neighbor> nearest = index.Query(r.Row(i), qopt);
+    order.insert(order.end(), nearest.begin(), nearest.end());
   }
   return order;
 }
@@ -51,29 +47,6 @@ Status FirstError(const std::vector<Status>& block_status) {
 }
 
 }  // namespace
-
-// Fits the model over the first `ell` tuples of `order` (from scratch),
-// reading the gathered features from the contiguous block.
-Result<regress::LinearModel> FitOverPrefix(const data::FeatureBlock& fb,
-                                           const std::vector<size_t>& order,
-                                           size_t ell, double alpha) {
-  size_t q = fb.num_features();
-  if (ell == 1) {
-    // Single-neighbor rule (Section III-A2): a constant model predicting
-    // the tuple's own value.
-    return regress::LinearModel::Constant(fb.Target(order[0]), q);
-  }
-  linalg::Matrix x(ell, q);
-  linalg::Vector y(ell);
-  for (size_t row = 0; row < ell; ++row) {
-    const double* f = fb.Features(order[row]);
-    for (size_t j = 0; j < q; ++j) x(row, j) = f[j];
-    y[row] = fb.Target(order[row]);
-  }
-  regress::RidgeOptions ropt;
-  ropt.alpha = alpha;
-  return regress::FitRidge(x, y, ropt);
-}
 
 std::vector<size_t> CandidateEllValues(size_t n, size_t step_h,
                                        size_t max_ell) {
@@ -102,10 +75,10 @@ Result<IndividualModels> IndividualModels::Learn(
   std::vector<Status> block_status(ThreadPool::NumBlocks(n, kTupleGrain));
   pool.ParallelFor(n, kTupleGrain, [&](size_t begin, size_t end) {
     size_t block = begin / kTupleGrain;
+    regress::IncrementalRidge fold(features.size());
     for (size_t i = begin; i < end; ++i) {
-      std::vector<size_t> order = LearningOrder(index, r, i, ell);
-      Result<regress::LinearModel> model =
-          FitOverPrefix(fb, order, ell, options.alpha);
+      Result<regress::LinearModel> model = FitPrefix(
+          fb, LearningOrder(index, r, i, ell), ell, options.alpha, &fold);
       if (!model.ok()) {
         block_status[block] = model.status();
         return;
@@ -164,7 +137,7 @@ Result<IndividualModels> IndividualModels::LearnAdaptive(
   vneighbors.clear();
   vneighbors.shrink_to_fit();
 
-  // Contiguous validator features/truths (and FitOverPrefix inputs).
+  // Contiguous validator features/truths (and the fits' rows).
   data::FeatureBlock fb = data::FeatureBlock::Build(r, target, features);
 
   IndividualModels phi;
@@ -190,62 +163,26 @@ Result<IndividualModels> IndividualModels::LearnAdaptive(
   pool.ParallelFor(n, kTupleGrain, [&](size_t begin, size_t end) {
     size_t block = begin / kTupleGrain;
     Stopwatch determination_timer;
+    regress::IncrementalRidge fold(q);
+    std::vector<double> cost;
     for (size_t i = begin; i < end; ++i) {
-      std::vector<size_t> order = LearningOrder(index, r, i, ells.back());
+      std::vector<neighbors::Neighbor> order =
+          LearningOrder(index, r, i, ells.back());
       const std::vector<size_t>& judges = validated_by[i];
 
       determination_timer.Restart();
-      regress::IncrementalRidge accum(q);
-      size_t consumed = 0;
-      double best_cost = std::numeric_limits<double>::infinity();
-      size_t best_ell = ells.front();
+      size_t best = 0;
       regress::LinearModel best_model;
-
-      for (size_t e = 0; e < ells.size(); ++e) {
-        size_t ell = ells[e];
-        regress::LinearModel model;
-        if (options.incremental) {
-          // Proposition 3: fold in only the h new neighbors.
-          while (consumed < ell) {
-            accum.AddRow(fb.Features(order[consumed]),
-                         fb.Target(order[consumed]));
-            ++consumed;
-          }
-          if (ell == 1) {
-            model = regress::LinearModel::Constant(fb.Target(order[0]), q);
-          } else {
-            Result<regress::LinearModel> solved = accum.Solve(options.alpha);
-            if (!solved.ok()) {
-              block_status[block] = solved.status();
-              return;
-            }
-            model = std::move(solved).value();
-          }
-        } else {
-          // Straightforward variant (Figures 12-13 baseline): rebuild the
-          // design from scratch for every candidate l.
-          Result<regress::LinearModel> fit =
-              FitOverPrefix(fb, order, ell, options.alpha);
-          if (!fit.ok()) {
-            block_status[block] = fit.status();
-            return;
-          }
-          model = std::move(fit).value();
-        }
-
-        double cost = 0.0;
-        for (size_t j : judges) {
-          double err = fb.Target(j) - model.Predict(fb.Features(j), q);
-          cost += err * err;
-        }
-        block_cost[block][e] += cost;
-        if (!judges.empty() && cost < best_cost) {
-          best_cost = cost;
-          best_ell = ell;
-          best_model = model;
-        }
+      Status st = SweepCandidates(fb, order, ells, judges, options.alpha,
+                                  options.incremental, &fold, &cost, &best,
+                                  &best_model);
+      if (!st.ok()) {
+        block_status[block] = st;
+        return;
       }
-
+      for (size_t e = 0; e < ells.size(); ++e) {
+        block_cost[block][e] += cost[e];
+      }
       block_seconds[block] += determination_timer.ElapsedSeconds();
 
       if (judges.empty()) {
@@ -253,8 +190,8 @@ Result<IndividualModels> IndividualModels::LearnAdaptive(
       } else {
         phi.models_[i] = std::move(best_model);
         if (stats != nullptr) {
-          stats->chosen_ell[i] = best_ell;
-          block_chosen_cost[block] += best_cost;
+          stats->chosen_ell[i] = ells[best];
+          block_chosen_cost[block] += cost[best];
         }
       }
     }
@@ -289,12 +226,12 @@ Result<IndividualModels> IndividualModels::LearnAdaptive(
     pool.ParallelFor(orphan.size(), kTupleGrain,
                      [&](size_t begin, size_t end) {
       size_t block = begin / kTupleGrain;
+      regress::IncrementalRidge fold(q);
       for (size_t o = begin; o < end; ++o) {
         size_t i = orphan[o];
-        std::vector<size_t> order =
-            LearningOrder(index, r, i, fallback_ell);
         Result<regress::LinearModel> fit =
-            FitOverPrefix(fb, order, fallback_ell, options.alpha);
+            FitPrefix(fb, LearningOrder(index, r, i, fallback_ell),
+                      fallback_ell, options.alpha, &fold);
         if (!fit.ok()) {
           fallback_status[block] = fit.status();
           return;

@@ -4,17 +4,21 @@
 #include <cmath>
 
 #include "linalg/cholesky.h"
-#include "regress/ridge.h"
+#include "regress/incremental_ridge.h"
 
 namespace iim::regress {
 
 Result<BayesianDraw> DrawBayesianLinearModel(const linalg::Matrix& x,
                                              const linalg::Vector& y,
                                              Rng* rng, double alpha) {
-  RidgeOptions ropt;
-  ropt.alpha = alpha;
+  if (x.rows() == 0 || x.rows() != y.size()) {
+    return Status::InvalidArgument(
+        "DrawBayesianLinearModel: bad design dimensions");
+  }
+  IncrementalRidge fold(x.cols());
+  for (size_t r = 0; r < x.rows(); ++r) fold.AddRow(x.RowPtr(r), y[r]);
   BayesianDraw draw;
-  ASSIGN_OR_RETURN(draw.mean, FitRidge(x, y, ropt));
+  ASSIGN_OR_RETURN(draw.mean, fold.Solve(alpha));
 
   size_t n = x.rows();
   size_t p1 = x.cols() + 1;  // coefficients incl. intercept
@@ -40,19 +44,7 @@ Result<BayesianDraw> DrawBayesianLinearModel(const linalg::Matrix& x,
 
   // beta = beta_hat + sigma * L^{-T} z with (X^T X + alpha E) = L L^T:
   // then Cov(beta) = sigma^2 (X^T X + alpha E)^{-1} as required.
-  linalg::Matrix u(p1, p1);
-  u(0, 0) = static_cast<double>(n);
-  for (size_t r = 0; r < n; ++r) {
-    const double* row = x.RowPtr(r);
-    for (size_t i = 0; i < x.cols(); ++i) {
-      u(0, i + 1) += row[i];
-      for (size_t j = i; j < x.cols(); ++j) {
-        u(i + 1, j + 1) += row[i] * row[j];
-      }
-    }
-  }
-  for (size_t i = 0; i < p1; ++i)
-    for (size_t j = 0; j < i; ++j) u(i, j) = u(j, i);
+  linalg::Matrix u = fold.U();
   u.AddScaledIdentity(alpha + 1e-10);
 
   linalg::Matrix l;

@@ -1,10 +1,8 @@
 #include "regress/incremental_ridge.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "linalg/cholesky.h"
-#include "linalg/lu.h"
+#include "regress/ridge.h"
 
 namespace iim::regress {
 
@@ -83,27 +81,11 @@ bool IncrementalRidge::RemoveRow(const double* x, double y, double rel_tol) {
   return true;
 }
 
-void IncrementalRidge::AddRows(const linalg::Matrix& x,
-                               const linalg::Vector& y) {
-  for (size_t r = 0; r < x.rows(); ++r) {
-    AddRow(x.Row(r), y[r]);
-  }
-}
-
 Result<LinearModel> IncrementalRidge::Solve(double alpha) const {
   if (num_rows_ == 0) {
     return Status::FailedPrecondition("IncrementalRidge: no training rows");
   }
-  linalg::Matrix a = u_;
-  a.AddScaledIdentity(alpha);
-  LinearModel model;
-  Status st = linalg::CholeskySolve(a, v_, &model.phi);
-  if (st.ok()) return model;
-  st = linalg::LuSolve(a, v_, &model.phi);
-  if (st.ok()) return model;
-  a.AddScaledIdentity(1e-8 + 1e-8 * std::fabs(a(0, 0)));
-  RETURN_IF_ERROR(linalg::CholeskySolve(a, v_, &model.phi));
-  return model;
+  return SolveNormalEquations(u_, v_, alpha);
 }
 
 }  // namespace iim::regress

@@ -2,7 +2,13 @@
 //
 // Maintains U = X^T X and V = X^T Y so that growing the training set from
 // the l nearest neighbors to the (l+h) nearest neighbors costs O(m^2 h)
-// instead of O(m^2 (l+h)) — constant in l. Solving for phi remains O(m^3).
+// instead of O(m^2 (l+h)) — constant in l. Solving for phi remains O(m^3)
+// (SolveNormalEquations).
+//
+// This is the fold behind every unweighted ridge fit: FitRidge, the
+// Bayesian draw, the batch learners and the streaming core all sum U and V
+// here, row by row in the caller's order, so two fits over the same rows
+// in the same order are bit-identical.
 //
 // RemoveRow is the inverse rank-1 *down-date*, used only by the quality
 // monitor's global-ridge challenger (baselines::StreamingRidgeFit):
@@ -33,8 +39,6 @@ class IncrementalRidge {
   void AddRow(const std::vector<double>& x, double y);
   // Same on p contiguous values (the data::FeatureBlock fast path).
   void AddRow(const double* x, double y);
-  // Batch variant (Formulas 20-21 with h = rows).
-  void AddRows(const linalg::Matrix& x, const linalg::Vector& y);
 
   // Rank-1 down-date: subtracts a previously added row from U, V (the
   // caller asserts the row really was folded in — the accumulator cannot

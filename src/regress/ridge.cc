@@ -4,14 +4,10 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/lu.h"
+#include "regress/incremental_ridge.h"
 
 namespace iim::regress {
 
-namespace {
-
-// Solves (U + alpha I) phi = V, escalating from Cholesky to LU to a jittered
-// retry so near-singular local designs (duplicated neighbors, constant
-// attributes) still produce a usable model.
 Result<LinearModel> SolveNormalEquations(linalg::Matrix u,
                                          const linalg::Vector& v,
                                          double alpha) {
@@ -26,30 +22,14 @@ Result<LinearModel> SolveNormalEquations(linalg::Matrix u,
   return model;
 }
 
-}  // namespace
-
 Result<LinearModel> FitRidge(const linalg::Matrix& x, const linalg::Vector& y,
                              const RidgeOptions& options) {
   if (x.rows() == 0 || x.rows() != y.size()) {
     return Status::InvalidArgument("FitRidge: bad design dimensions");
   }
-  size_t n = x.rows(), p = x.cols();
-  // U = X^T X and V = X^T Y with the implicit leading ones column.
-  linalg::Matrix u(p + 1, p + 1);
-  linalg::Vector v(p + 1, 0.0);
-  for (size_t r = 0; r < n; ++r) {
-    const double* row = x.RowPtr(r);
-    u(0, 0) += 1.0;
-    v[0] += y[r];
-    for (size_t i = 0; i < p; ++i) {
-      u(0, i + 1) += row[i];
-      v[i + 1] += row[i] * y[r];
-      for (size_t j = i; j < p; ++j) u(i + 1, j + 1) += row[i] * row[j];
-    }
-  }
-  for (size_t i = 0; i < p + 1; ++i)
-    for (size_t j = 0; j < i; ++j) u(i, j) = u(j, i);
-  return SolveNormalEquations(std::move(u), v, options.alpha);
+  IncrementalRidge fold(x.cols());
+  for (size_t r = 0; r < x.rows(); ++r) fold.AddRow(x.RowPtr(r), y[r]);
+  return fold.Solve(options.alpha);
 }
 
 Result<LinearModel> FitRidgeWeighted(const linalg::Matrix& x,

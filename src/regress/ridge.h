@@ -17,8 +17,17 @@ struct RidgeOptions {
   double alpha = 1e-6;
 };
 
+// Solves (U + alpha E) phi = V for the normal equations U = X^T X,
+// V = X^T Y, escalating from Cholesky to LU to a jittered retry so
+// near-singular local designs (duplicated neighbors, constant attributes)
+// still produce a usable model. Every ridge fit ends here.
+Result<LinearModel> SolveNormalEquations(linalg::Matrix u,
+                                         const linalg::Vector& v,
+                                         double alpha);
+
 // Fits on feature rows `x` (n x p, WITHOUT the ones column; it is added
-// internally) and targets `y` (size n). Requires n >= 1.
+// internally) and targets `y` (size n), folding the rows in order through
+// one IncrementalRidge. Requires n >= 1.
 Result<LinearModel> FitRidge(const linalg::Matrix& x,
                              const linalg::Vector& y,
                              const RidgeOptions& options = {});

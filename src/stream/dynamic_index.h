@@ -81,10 +81,10 @@
 // can never observe a half-appended point, a buffer mid-reallocation, or
 // a half-compacted slot mapping. The background builder reads only its
 // own prefix copy (taken under a reader lock), so it races with nothing.
-// Point is the one unlocked read: the writer reads its own stored rows,
-// which nothing but that same thread ever changes (Compact already relies
-// on it being the only mutator), so other threads hold at most reader
-// locks while it reads.
+// Point and Alive are the unlocked reads: the writer reads its own stored
+// rows and tombstones, which nothing but that same thread ever changes
+// (Compact already relies on it being the only mutator), so other threads
+// hold at most reader locks while it reads.
 
 #ifndef IIM_STREAM_DYNAMIC_INDEX_H_
 #define IIM_STREAM_DYNAMIC_INDEX_H_
@@ -250,6 +250,9 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   const double* Point(size_t slot) const {
     return points_.data() + slot * cols_.size();
   }
+  // Whether `slot` is live (not tombstoned), read without the lock under
+  // Point's contract: the index's single writer only.
+  bool Alive(size_t slot) const { return alive_[slot] != 0; }
 
   Stats stats() const;
 

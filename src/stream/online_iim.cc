@@ -233,9 +233,8 @@ Result<size_t> OnlineIim::EvictWhere(
   // window: evictions can compact the table and move slots, so the sweep
   // must not interleave predicate evaluation with mutation.
   std::vector<uint64_t> victims;
-  const std::vector<uint8_t>& alive = core_.alive_slots();
-  for (size_t slot = 0; slot < alive.size(); ++slot) {
-    if (alive[slot] == 0) continue;
+  for (size_t slot = 0; slot < core_.n(); ++slot) {
+    if (!core_.SlotAlive(slot)) continue;
     if (pred(core_.SeqOf(slot), table_.Row(slot))) {
       victims.push_back(core_.SeqOf(slot));
     }
@@ -277,11 +276,10 @@ void OnlineIim::MaybeCompact() {
 const data::Table& OnlineIim::table() const {
   if (core_.live() == core_.n()) return table_;
   if (!live_cache_valid_) {
-    const std::vector<uint8_t>& alive = core_.alive_slots();
     std::vector<size_t> live_rows;
     live_rows.reserve(core_.live());
-    for (size_t i = 0; i < alive.size(); ++i) {
-      if (alive[i] != 0) live_rows.push_back(i);
+    for (size_t i = 0; i < core_.n(); ++i) {
+      if (core_.SlotAlive(i)) live_rows.push_back(i);
     }
     live_cache_ = table_.TakeRows(live_rows);
     live_cache_valid_ = true;

@@ -178,7 +178,7 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
     // orders whose bound the arrival's distance meets, same bits.
     std::vector<neighbors::Neighbor> scan;
     for (size_t i = 0; i < n_; ++i) {
-      if (alive_[i] == 0) continue;
+      if (!index_.Alive(i)) continue;
       double d = neighbors::NormalizedEuclidean(index_.Point(i), f, q_);
       if (d <= ComputeBound(i)) scan.push_back(neighbors::Neighbor{i, d});
     }
@@ -290,7 +290,6 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
   orders_.push_back(std::move(order_new));
   models_.emplace_back();
   dirty_.push_back(1);
-  alive_.push_back(1);
   targets_.push_back(y);
   seq_of_slot_.push_back(seq);
   if (config_.adaptive) {
@@ -316,11 +315,11 @@ size_t OrderCore::SlotOf(uint64_t seq) const {
   auto it = std::lower_bound(seq_of_slot_.begin(), seq_of_slot_.end(), seq);
   if (it == seq_of_slot_.end() || *it != seq) return kNoSlot;
   size_t slot = static_cast<size_t>(it - seq_of_slot_.begin());
-  return alive_[slot] != 0 ? slot : kNoSlot;
+  return index_.Alive(slot) ? slot : kNoSlot;
 }
 
 size_t OrderCore::OldestLiveSlot() {
-  while (oldest_cursor_ < n_ && alive_[oldest_cursor_] == 0) {
+  while (oldest_cursor_ < n_ && !index_.Alive(oldest_cursor_)) {
     ++oldest_cursor_;
   }
   return oldest_cursor_;
@@ -330,7 +329,6 @@ void OrderCore::EvictSlot(size_t gone) {
   // Detach the departing tuple: tombstone it everywhere and release its
   // own model state (the slot lingers until compaction, its payload need
   // not). It also stops holding its own neighbors.
-  alive_[gone] = 0;
   index_.Remove(gone);
   --live_;
   ++counters_.evicted;
@@ -356,7 +354,7 @@ void OrderCore::EvictSlot(size_t gone) {
     // postings must name exactly the live orders that contain `gone`.
     std::vector<size_t> scan;
     for (size_t i = 0; i < n_; ++i) {
-      if (alive_[i] == 0) continue;
+      if (!index_.Alive(i)) continue;
       for (const neighbors::Neighbor& nb : orders_[i]) {
         if (nb.index == gone) {
           scan.push_back(i);
@@ -520,7 +518,6 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
   postings_ = std::move(postings);
   models_ = std::move(models);
   dirty_ = std::move(dirty);
-  alive_.assign(live_, 1);
   targets_ = std::move(targets);
   seq_of_slot_ = std::move(seq_of_slot);
   if (config_.adaptive) {
@@ -548,30 +545,14 @@ Status OrderCore::EnsureModel(size_t i) {
   return EnsureModelFixed(i);
 }
 
-Result<regress::LinearModel> OrderCore::FitPrefix(size_t i, size_t ell) {
-  const std::vector<neighbors::Neighbor>& order = orders_[i];
-  if (ell == 1) {
-    // Single-neighbor rule (Section III-A2): constant model of the
-    // tuple's own value (order[0] is the tuple itself).
-    return regress::LinearModel::Constant(targets_[order[0].index], q_);
-  }
-  // Rows enter in order[0..ell) sequence, the exact summation order of a
-  // batch fit over the same prefix — that is what makes the solved model
-  // bit-identical.
-  fold_.Reset();
-  for (size_t e = 0; e < ell; ++e) {
-    size_t r = order[e].index;
-    fold_.AddRow(index_.Point(r), targets_[r]);
-  }
-  return fold_.Solve(config_.alpha);
-}
-
 Status OrderCore::EnsureModelFixed(size_t i) {
   if (!dirty_[i]) {
     ++counters_.models_reused;
     return Status::OK();
   }
-  ASSIGN_OR_RETURN(models_[i], FitPrefix(i, orders_[i].size()));
+  ASSIGN_OR_RETURN(models_[i],
+                   core::FitPrefix(*this, orders_[i], orders_[i].size(),
+                                   config_.alpha, &fold_));
   dirty_[i] = 0;
   ++counters_.models_solved;
   return Status::OK();
@@ -589,7 +570,7 @@ void OrderCore::RefreshElls() {
     // never fires.
     ells_ = std::move(fresh);
     for (size_t i = 0; i < n_; ++i) {
-      if (alive_[i] != 0) DirtyMark(i);
+      if (index_.Alive(i)) DirtyMark(i);
     }
     global_cost_valid_ = false;
   }
@@ -601,52 +582,21 @@ Status OrderCore::EvaluateSlot(size_t i) {
   // reverse list reproduces its cost summation order exactly.
   std::vector<size_t> judges = vpost_[i];
   std::sort(judges.begin(), judges.end());
-  cost_[i].assign(ells_.size(), 0.0);
   if (judges.empty()) {
+    cost_[i].assign(ells_.size(), 0.0);
     // Nobody validates t_i: its model comes from the global criterion,
     // which shifts with the window — never cache it (dirty stays set).
     orphan_[i] = 1;
     return Status::OK();
   }
 
-  const std::vector<neighbors::Neighbor>& order = orders_[i];
-  assert(!ells_.empty() && order.size() == ells_.back());
-  fold_.Reset();
-  size_t consumed = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  size_t best_ell = ells_.front();
-  regress::LinearModel best_model;
-
-  for (size_t e = 0; e < ells_.size(); ++e) {
-    size_t ell = ells_[e];
-    regress::LinearModel model;
-    // Proposition 3: fold in only the new neighbors since the previous
-    // candidate (the batch learner's incremental path, restreamed fresh
-    // per evaluation).
-    while (consumed < ell) {
-      size_t r = order[consumed].index;
-      fold_.AddRow(index_.Point(r), targets_[r]);
-      ++consumed;
-    }
-    if (ell == 1) {
-      model = regress::LinearModel::Constant(targets_[order[0].index], q_);
-    } else {
-      ASSIGN_OR_RETURN(model, fold_.Solve(config_.alpha));
-    }
-    double cost = 0.0;
-    for (size_t j : judges) {
-      double err = targets_[j] - model.Predict(index_.Point(j), q_);
-      cost += err * err;
-    }
-    cost_[i][e] = cost;
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_ell = ell;
-      best_model = model;
-    }
-  }
-
-  models_[i] = std::move(best_model);
+  assert(!ells_.empty() && orders_[i].size() == ells_.back());
+  size_t best = 0;
+  RETURN_IF_ERROR(core::SweepCandidates(*this, orders_[i], ells_, judges,
+                                        config_.alpha, /*incremental=*/true,
+                                        &fold_, &cost_[i], &best,
+                                        &models_[i]));
+  size_t best_ell = ells_[best];
   if (chosen_ell_[i] != 0 && chosen_ell_[i] != best_ell) {
     ++counters_.adaptive_l_changes;
   }
@@ -662,7 +612,7 @@ Status OrderCore::EnsureGlobalCost() {
   // Refresh every stale sweep (validated tuples come out solved + clean;
   // orphans refresh their zero rows and stay dirty).
   for (size_t j = 0; j < n_; ++j) {
-    if (alive_[j] != 0 && dirty_[j] != 0) {
+    if (index_.Alive(j) && dirty_[j] != 0) {
       RETURN_IF_ERROR(EvaluateSlot(j));
     }
   }
@@ -674,7 +624,7 @@ Status OrderCore::EnsureGlobalCost() {
   std::vector<double> partial(ells_.size(), 0.0);
   size_t p = 0;
   for (size_t j = 0; j < n_; ++j) {
-    if (alive_[j] == 0) continue;
+    if (!index_.Alive(j)) continue;
     if (p % 16 == 0) std::fill(partial.begin(), partial.end(), 0.0);
     for (size_t e = 0; e < ells_.size(); ++e) partial[e] += cost_[j][e];
     if (p % 16 == 15) {
@@ -703,11 +653,12 @@ Status OrderCore::EnsureModelAdaptive(size_t i) {
   if (dirty_[i] == 0) return Status::OK();
 
   // Orphan fallback: nobody validates t_i, so it takes the globally best
-  // l — a fresh fit over that prefix, as the batch learner's (see the
-  // header on why the fold matches its FitRidge bitwise).
+  // l — a fresh fit over that prefix, as the batch learner's.
   RETURN_IF_ERROR(EnsureGlobalCost());
   assert(fallback_ell_ <= orders_[i].size());
-  ASSIGN_OR_RETURN(models_[i], FitPrefix(i, fallback_ell_));
+  ASSIGN_OR_RETURN(models_[i],
+                   core::FitPrefix(*this, orders_[i], fallback_ell_,
+                                   config_.alpha, &fold_));
   if (chosen_ell_[i] != 0 && chosen_ell_[i] != fallback_ell_) {
     ++counters_.adaptive_l_changes;
   }
@@ -719,14 +670,14 @@ Status OrderCore::EnsureModelAdaptive(size_t i) {
 bool OrderCore::VerifyPostings() const {
   std::vector<std::vector<size_t>> want(n_);
   for (size_t i = 0; i < n_; ++i) {
-    if (alive_[i] == 0) continue;
+    if (!index_.Alive(i)) continue;
     for (const neighbors::Neighbor& nb : orders_[i]) {
       if (nb.index != i) want[nb.index].push_back(i);  // ascending in i
     }
   }
   size_t edges = 0;
   for (size_t s = 0; s < n_; ++s) {
-    if (alive_[s] == 0 && !postings_[s].empty()) return false;
+    if (!index_.Alive(s) && !postings_[s].empty()) return false;
     std::vector<size_t> got = postings_[s];
     std::sort(got.begin(), got.end());
     if (got != want[s]) return false;
@@ -738,7 +689,7 @@ bool OrderCore::VerifyPostings() const {
   // recomputed from the orders, and the tree's subtree maxima must cover
   // every radius — the invariants the admitters walk rides on.
   for (size_t i = 0; i < n_; ++i) {
-    if (alive_[i] != 0 && index_.radius(i) != ComputeBound(i)) return false;
+    if (index_.Alive(i) && index_.radius(i) != ComputeBound(i)) return false;
   }
   if (!index_.VerifyRadii()) return false;
 
@@ -746,13 +697,13 @@ bool OrderCore::VerifyPostings() const {
     // vpost_ must be exactly the reverse of the validation orders.
     std::vector<std::vector<size_t>> vwant(n_);
     for (size_t j = 0; j < n_; ++j) {
-      if (alive_[j] == 0) continue;
+      if (!index_.Alive(j)) continue;
       for (const neighbors::Neighbor& nb : vorders_[j]) {
         vwant[nb.index].push_back(j);  // ascending in j
       }
     }
     for (size_t s = 0; s < n_; ++s) {
-      if (alive_[s] == 0 && (!vpost_[s].empty() || !vorders_[s].empty())) {
+      if (!index_.Alive(s) && (!vpost_[s].empty() || !vorders_[s].empty())) {
         return false;
       }
       std::vector<size_t> got = vpost_[s];
@@ -843,7 +794,6 @@ Status OrderCore::Load(const std::vector<double>& features,
 
   models_.resize(n);
   dirty_.assign(n, 1);
-  alive_.assign(n, 1);
   targets_ = targets;
   seq_of_slot_ = seqs;
   n_ = n;

@@ -13,17 +13,19 @@
 // row lives only in the DynamicIndex, which indexes identity columns
 // {0..q-1} of those rows (bit-identical to the engine's former full-row
 // index on cols = features: both gather the same q doubles into the same
-// kernel); Features reads it back through DynamicIndex::Point. Its target,
-// arrival number and liveness sit in slot-indexed vectors, and the
-// arrival numbers ascend with the slots, so SlotOf is a binary search.
+// kernel); Features reads it back through DynamicIndex::Point, and its
+// liveness is the index's tombstone bitmap (DynamicIndex::Alive). Its
+// target and arrival number sit in slot-indexed vectors, and the arrival
+// numbers ascend with the slots, so SlotOf is a binary search.
 //
 // Per tuple the core maintains: its learning order (itself first, then
 // live neighbors ascending by (distance, slot)), reverse-neighbor
 // postings (postings_[s] = holders of s, making eviction O(l)), its solved
 // model and a dirty flag cleared by EnsureModel. Arrivals insert/displace,
 // evictions cut + backfill, compaction replays the index remap. A dirty
-// model is refolded from scratch: one scratch IncrementalRidge runs AddRow
-// over the whole order in order — the batch fit's summation.
+// model is refolded from scratch into one scratch IncrementalRidge by
+// core::FitPrefix, the batch learner's own prefix fit: the core is its row
+// source (Features, Target), so the two fit the same rows the same way.
 //
 // All of that is a function of the live window alone (the orders are the
 // window's exact neighbor lists; postings and radii follow from them), so
@@ -47,19 +49,16 @@
 // maintains each live tuple's VALIDATION order — its vk nearest live
 // tuples, the models it judges — plus the reverse lists vpost_[i] = the
 // judges of t_i (each arrival judges <= vk models and is judged by its
-// own neighbors). EnsureModel then reproduces the batch LearnAdaptive
-// candidate sweep for one tuple: fold the learning order incrementally,
+// own neighbors). EnsureModel then runs core::SweepCandidates, the sweep
+// LearnAdaptive runs, on the tuple's learning order and its judges sorted
+// ascending (the batch validator order): fold the order incrementally,
 // solve at every candidate l, charge each candidate the squared
-// validation error over the tuple's judges (ascending, the batch
-// validator order), and keep the strict minimum. Tuples nobody judges
-// fall back to the globally-best l, which requires the candidate costs of
-// EVERY live tuple — those are cached per tuple and the global sum is
-// assembled in the batch learner's blocked-16 merge order, so even the
-// orphan fallback matches LearnAdaptive bitwise. (The batch learner fits
-// that fallback with FitRidge, which accumulates U's upper triangle and
-// mirrors it; the fold sums every entry over the same rows in the same
-// order, and each mirrored product is the same product, so the two agree
-// bit for bit.)
+// validation error over the judges, and keep the first strict minimum.
+// Tuples nobody judges fall back to the globally-best l, which requires
+// the candidate costs of EVERY live tuple — those are cached per tuple and
+// the global sum is assembled in the batch learner's blocked-16 merge
+// order; the fallback model is core::FitPrefix at that l, as in batch, so
+// even the orphan fallback matches LearnAdaptive bitwise.
 //
 // Thread-safety: externally synchronized, like the engines that own it.
 
@@ -203,8 +202,9 @@ class OrderCore {
   // the ascending arrival numbers. O(log n).
   size_t SlotOf(uint64_t seq) const;
   uint64_t SeqOf(size_t slot) const { return seq_of_slot_[slot]; }
-  bool SlotAlive(size_t slot) const { return alive_[slot] != 0; }
-  const std::vector<uint8_t>& alive_slots() const { return alive_; }
+  // Whether `slot` is live: the index's tombstone bitmap, the only record
+  // of liveness. The core's own thread only, like Features.
+  bool SlotAlive(size_t slot) const { return index_.Alive(slot); }
   // The slot's q gathered values, read from the index. Valid until the
   // next Arrive or compaction; the core's own thread only.
   const double* Features(size_t slot) const { return index_.Point(slot); }
@@ -271,11 +271,7 @@ class OrderCore {
   void VPostAdd(size_t s, size_t judge);
   void VPostRemove(size_t s, size_t judge);
 
-  // Slot i's model over the first `ell` entries of its learning order,
-  // folded from scratch into fold_ in order and solved; ell == 1 is the
-  // single-neighbor rule's constant (Section III-A2).
-  Result<regress::LinearModel> FitPrefix(size_t i, size_t ell);
-  // Fixed-l EnsureModel body (FitPrefix over the whole order).
+  // Fixed-l EnsureModel body (core::FitPrefix over the whole order).
   Status EnsureModelFixed(size_t i);
   // Adaptive EnsureModel body (candidate sweep / orphan fallback).
   Status EnsureModelAdaptive(size_t i);
@@ -302,13 +298,12 @@ class OrderCore {
   regress::IncrementalRidge fold_;
 
   // Slot-indexed state. Between compactions slots include tombstones
-  // (alive_[i] == 0); seq_of_slot_ ascends over every slot, tombstones
+  // (!index_.Alive(i)); seq_of_slot_ ascends over every slot, tombstones
   // included.
   std::vector<std::vector<neighbors::Neighbor>> orders_;
   std::vector<std::vector<size_t>> postings_;
   std::vector<regress::LinearModel> models_;
   std::vector<uint8_t> dirty_;
-  std::vector<uint8_t> alive_;
   std::vector<double> targets_;
   std::vector<uint64_t> seq_of_slot_;
   size_t n_ = 0;

@@ -22,7 +22,7 @@ data::Table SmallDataset(uint64_t seed) {
 
 std::vector<Method> BasicMethods() {
   std::vector<Method> methods;
-  for (const std::string& name : {"Mean", "kNN", "GLR"}) {
+  for (const char* name : {"Mean", "kNN", "GLR"}) {
     methods.push_back(Method{name, [name]() {
                                baselines::BaselineOptions opt;
                                opt.k = 5;

@@ -65,29 +65,34 @@ TEST_P(IncrementalEqualsScratchTest, ProposedUpdateMatchesFromScratch) {
     y[i] = rng.Uniform(-10, 10);
   }
 
+  // The reference: U and V summed entry by entry over the augmented rows
+  // (1, x) of the prefix, then the shared solve.
+  linalg::Matrix u(p + 1, p + 1);
+  linalg::Vector v(p + 1, 0.0);
   IncrementalRidge inc(p);
   for (size_t ell = 1; ell <= n; ++ell) {
-    inc.AddRow(x.Row(ell - 1), y[ell - 1]);
-    // Compare against from-scratch fit over the first `ell` rows at a few
-    // checkpoints (every prefix for small n).
-    if (n > 24 && ell % 7 != 0 && ell != n) continue;
-    linalg::Matrix x_prefix(ell, p);
-    linalg::Vector y_prefix(ell);
-    for (size_t i = 0; i < ell; ++i) {
-      for (size_t j = 0; j < p; ++j) x_prefix(i, j) = x(i, j);
-      y_prefix[i] = y[i];
+    std::vector<double> a(p + 1, 1.0);
+    for (size_t j = 0; j < p; ++j) a[j + 1] = x(ell - 1, j);
+    for (size_t i = 0; i <= p; ++i) {
+      v[i] += a[i] * y[ell - 1];
+      for (size_t j = 0; j <= p; ++j) u(i, j) += a[i] * a[j];
     }
-    Result<LinearModel> scratch = FitRidge(x_prefix, y_prefix);
+    inc.AddRow(x.Row(ell - 1), y[ell - 1]);
+    // Compare at a few checkpoints (every prefix for small n).
+    if (n > 24 && ell % 7 != 0 && ell != n) continue;
+    Result<LinearModel> scratch = SolveNormalEquations(u, v, 1e-6);
     Result<LinearModel> incremental = inc.Solve();
     ASSERT_TRUE(scratch.ok());
     ASSERT_TRUE(incremental.ok());
-    // Bit for bit: both sum every U/V entry over the same rows in the
-    // same order (FitRidge mirrors its upper triangle, and each mirrored
-    // product is the same product). The streaming core's orphan fallback
-    // relies on this.
-    for (size_t j = 0; j <= p; ++j) {
-      EXPECT_EQ(incremental.value().phi[j], scratch.value().phi[j])
-          << "ell=" << ell << " coef=" << j;
+    // Bit for bit: both sum the same products in the same row order.
+    for (size_t i = 0; i <= p; ++i) {
+      EXPECT_EQ(inc.V()[i], v[i]) << "ell=" << ell << " i=" << i;
+      for (size_t j = 0; j <= p; ++j) {
+        EXPECT_EQ(inc.U()(i, j), u(i, j))
+            << "ell=" << ell << " i=" << i << " j=" << j;
+      }
+      EXPECT_EQ(incremental.value().phi[i], scratch.value().phi[i])
+          << "ell=" << ell << " coef=" << i;
     }
   }
 }
@@ -176,21 +181,6 @@ TEST(IncrementalRidgeTest, DowndateGuardRefusesCatastrophicCancellation) {
   EXPECT_EQ(inc.Solve().status().code(), StatusCode::kFailedPrecondition);
   // Removing from an empty accumulator is refused outright.
   EXPECT_FALSE(inc.RemoveRow(std::vector<double>{1.0, 1.0}, 0.0));
-}
-
-TEST(IncrementalRidgeTest, BatchAddMatchesRowAdds) {
-  Rng rng(9);
-  linalg::Matrix x(10, 2);
-  linalg::Vector y(10);
-  for (size_t i = 0; i < 10; ++i) {
-    for (size_t j = 0; j < 2; ++j) x(i, j) = rng.Uniform(-1, 1);
-    y[i] = rng.Uniform(-1, 1);
-  }
-  IncrementalRidge one_by_one(2), batch(2);
-  for (size_t i = 0; i < 10; ++i) one_by_one.AddRow(x.Row(i), y[i]);
-  batch.AddRows(x, y);
-  EXPECT_EQ(one_by_one.num_rows(), batch.num_rows());
-  EXPECT_LT(one_by_one.U().MaxAbsDiff(batch.U()), 1e-12);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ std::vector<eval::Method> MethodSuite(bool adaptive_iim) {
     return std::unique_ptr<baselines::Imputer>(
         std::make_unique<core::IimImputer>(opt));
   }});
-  for (const std::string& name :
+  for (const char* name :
        {"Mean", "kNN", "kNNE", "GLR", "LOESS", "XGB"}) {
     methods.push_back(eval::Method{name, [name]() {
       baselines::BaselineOptions opt;

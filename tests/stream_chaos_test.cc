@@ -122,7 +122,9 @@ void ExpectEngineStateEq(OnlineIim* got, OnlineIim* want,
     Result<double> rg = got->ImputeOne(view);
     Result<double> rw = want->ImputeOne(view);
     ASSERT_EQ(rg.ok(), rw.ok()) << where << " probe " << p;
-    if (rw.ok()) ASSERT_EQ(rg.value(), rw.value()) << where << " probe " << p;
+    if (rw.ok()) {
+      ASSERT_EQ(rg.value(), rw.value()) << where << " probe " << p;
+    }
   }
 }
 
@@ -816,7 +818,9 @@ TEST_F(ChaosServiceTest, ServiceCarriesTheEngineRecordWhole) {
     std::unique_ptr<OnlineIim> first = MakeEngine(src, popt);
     for (size_t i = 0; i < 50; ++i) {
       ASSERT_TRUE(first->Ingest(src.Row(i)).ok());
-      if (i == 39) ASSERT_TRUE(first->SaveSnapshot().ok());
+      if (i == 39) {
+        ASSERT_TRUE(first->SaveSnapshot().ok());
+      }
     }
   }
   std::unique_ptr<OnlineIim> engine = MakeEngine(src, popt);

@@ -267,12 +267,16 @@ TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngine) {
         std::vector<Result<double>> vb = b.ImputeBatch(rows);
         for (size_t r = 0; r < rows.size(); ++r) {
           ASSERT_EQ(va[r].ok(), vb[r].ok());
-          if (va[r].ok()) EXPECT_EQ(va[r].value(), vb[r].value());
+          if (va[r].ok()) {
+            EXPECT_EQ(va[r].value(), vb[r].value());
+          }
         }
         Result<double> one_a = a.ImputeOne(rows[0]);
         Result<double> one_b = b.ImputeOne(rows[0]);
         ASSERT_EQ(one_a.ok(), one_b.ok());
-        if (one_a.ok()) EXPECT_EQ(one_a.value(), one_b.value());
+        if (one_a.ok()) {
+          EXPECT_EQ(one_a.value(), one_b.value());
+        }
       }
     }
     OnlineIim::Stats sa = a.stats();

@@ -125,7 +125,9 @@ TEST(DynamicIndexWindowTest, CompactionPreservesQueryResultsBitwise) {
     EXPECT_EQ(remap[survivors[j]], j);
   }
   for (size_t i = 0; i < full.NumRows(); ++i) {
-    if (i % 3 == 1) EXPECT_EQ(remap[i], DynamicIndex::kGone);
+    if (i % 3 == 1) {
+      EXPECT_EQ(remap[i], DynamicIndex::kGone);
+    }
   }
 
   std::vector<neighbors::Neighbor> after = index.Query(probe.Row(0), qopt);
