@@ -33,11 +33,11 @@
 //
 // Act four lets every reading choose its own neighborhood size l
 // (IimOptions::adaptive — the paper's Algorithm 3), online: each arrival
-// re-validates only the tuples whose validation lists it actually
-// enters, the per-tuple l is re-determined lazily at the next query that
-// needs the model, and the chosen values drift as the window slides off
-// old regimes — yet the imputations stay bit-identical to a batch
-// Algorithm 3 refit on the live window.
+// re-validates only the tuples whose neighbor lists it enters and those
+// whose judges it changes, the per-tuple l is re-determined lazily at the
+// next query that needs the model, and the chosen values drift as the
+// window slides off old regimes — yet the imputations stay bit-identical
+// to a batch Algorithm 3 refit on the live window.
 //
 // Act five breaks the disk under act three's deployment: the wal.append
 // fail point (src/common/failpoint.h) injects IoError on every append,
@@ -410,10 +410,11 @@ int main() {
   // room alike; Algorithm 3 instead validates candidate prefixes of each
   // reading's learning order against its nearest neighbors and keeps the
   // cheapest. With options.adaptive the engine maintains that machinery
-  // on the stream: an arrival re-validates only the tuples whose
-  // validation lists it enters, and a tuple's l is re-determined lazily
-  // the next time a query needs its model — so the chosen values drift
-  // as the window slides off old regimes, at per-arrival cost.
+  // on the stream: an arrival re-validates only the tuples whose neighbor
+  // lists it enters and those whose judges it changes, and a tuple's l is
+  // re-determined lazily the next time a query needs its model — so the
+  // chosen values drift as the window slides off old regimes, at
+  // per-arrival cost.
   iim::core::IimOptions aopt = opt;
   aopt.window_size = 500;
   aopt.adaptive = true;

@@ -295,7 +295,12 @@ std::vector<neighbors::Neighbor> OnlineIim::LearningOrderByArrival(
     uint64_t arrival) const {
   size_t slot = core_.SlotOf(arrival);
   if (slot == OrderCore::kNoSlot) return {};
-  std::vector<neighbors::Neighbor> order = core_.Order(slot);
+  // The learning order is the list's first min(l, live) entries; an
+  // adaptive list runs past it when max_ell <= validation_k.
+  const std::vector<neighbors::Neighbor>& list = core_.Order(slot);
+  const OrderCore::Config& c = core_.config();
+  size_t len = std::min(list.size(), c.adaptive ? c.max_ell : c.ell);
+  std::vector<neighbors::Neighbor> order(list.begin(), list.begin() + len);
   for (neighbors::Neighbor& nb : order) nb.index = core_.SeqOf(nb.index);
   return order;
 }
@@ -821,9 +826,7 @@ Status OnlineIim::RecoverDurability() {
   if (stats_.health == HealthState::kHealthy) return Status::OK();
   // Quiesce the store: wait out any in-flight background write and clear
   // its pending slot so the blocking write below is legal.
-  RETURN_IF_ERROR(store_->Flush());
-  store_->Harvest(&stats_.snapshots_written,
-                  &stats_.snapshot_write_failures);
+  RETURN_IF_ERROR(FlushPersistence());
   // Fold the unlogged ops into the op count BEFORE serializing, so the
   // snapshot's coverage stamp matches the state it actually contains.
   // Folding is one-way: on a failed write below the debt stays folded
@@ -831,17 +834,26 @@ Status OnlineIim::RecoverDurability() {
   // advanced count — never double-counted.
   store_->AdvanceOps(nondurable_debt_);
   nondurable_debt_ = 0;
+  RETURN_IF_ERROR(WriteSnapshotNow());
+  SetHealth(HealthState::kHealthy);
+  return Status::OK();
+}
+
+std::string OnlineIim::SerializeTimed() {
   Stopwatch timer;
   std::string bytes = SerializeSnapshot();
   stats_.max_snapshot_serialize_seconds = std::max(
       stats_.max_snapshot_serialize_seconds, timer.ElapsedSeconds());
-  Status st = store_->WriteSnapshotBlocking(std::move(bytes));
+  return bytes;
+}
+
+Status OnlineIim::WriteSnapshotNow() {
+  Status st = store_->WriteSnapshotBlocking(SerializeTimed());
   if (!st.ok()) {
     ++stats_.snapshot_write_failures;
     return st;
   }
   ++stats_.snapshots_written;
-  SetHealth(HealthState::kHealthy);
   return Status::OK();
 }
 
@@ -854,13 +866,9 @@ void OnlineIim::MaybeSnapshot() {
   store_->Harvest(&stats_.snapshots_written,
                   &stats_.snapshot_write_failures);
   if (!store_->snapshot_due()) return;
-  Stopwatch timer;
-  std::string bytes = SerializeSnapshot();
-  stats_.max_snapshot_serialize_seconds = std::max(
-      stats_.max_snapshot_serialize_seconds, timer.ElapsedSeconds());
   // A failed rotation/handoff is counted, not fatal: the engine keeps
   // answering and logging; the previous checkpoint still covers recovery.
-  if (!store_->BeginSnapshot(std::move(bytes)).ok()) {
+  if (!store_->BeginSnapshot(SerializeTimed()).ok()) {
     ++stats_.snapshot_write_failures;
   }
 }
@@ -870,20 +878,8 @@ Status OnlineIim::SaveSnapshot() {
     return Status::FailedPrecondition(
         "OnlineIim: no persist_dir was configured");
   }
-  RETURN_IF_ERROR(store_->Flush());
-  store_->Harvest(&stats_.snapshots_written,
-                  &stats_.snapshot_write_failures);
-  Stopwatch timer;
-  std::string bytes = SerializeSnapshot();
-  stats_.max_snapshot_serialize_seconds = std::max(
-      stats_.max_snapshot_serialize_seconds, timer.ElapsedSeconds());
-  Status st = store_->WriteSnapshotBlocking(std::move(bytes));
-  if (!st.ok()) {
-    ++stats_.snapshot_write_failures;
-    return st;
-  }
-  ++stats_.snapshots_written;
-  return Status::OK();
+  RETURN_IF_ERROR(FlushPersistence());
+  return WriteSnapshotNow();
 }
 
 Status OnlineIim::FlushPersistence() {

@@ -22,9 +22,10 @@
 // durability (write-ahead log + snapshots).
 //
 // Adaptive per-tuple l (Algorithm 3, options.adaptive): supported online.
-// The core maintains each live tuple's validation order incrementally —
-// an arrival judges <= validation_k models and is judged by its own
-// neighbors — and a model solve sweeps the candidate l values exactly as
+// The core keeps one neighbor list per live tuple, whose prefix is the
+// learning order and whose ranks 1..validation_k are the models the tuple
+// judges — an arrival judges <= validation_k models and is judged by its
+// own neighbors — and a model solve sweeps the candidate l values exactly as
 // batch LearnAdaptive does, so imputations stay bit-identical to a batch
 // adaptive imputer fitted on table(). Requires max_ell > 0 (the candidate
 // budget must be bounded on a stream), the incremental fold, and full
@@ -255,11 +256,12 @@ class OnlineIim {
   // No-op when already healthy; FailedPrecondition without a persist_dir.
   Status RecoverDurability();
 
-  // Verifies the core's reverse-neighbor postings (and, when adaptive,
-  // the validation orders' reverse lists) against a full recomputation
-  // from the orders — the invariant the O(l) eviction path rides on.
-  // O(n·l); debug builds assert it after every eviction, tests call it
-  // directly.
+  // Verifies the core's reverse-neighbor postings, admission radii and,
+  // when adaptive, each tuple's judges against a full recomputation from
+  // the neighbor lists — the invariants the O(l) eviction path and the
+  // admitters walk ride on. O(n·l); debug builds assert it after a
+  // snapshot restore, tests call it directly (each eviction's debug
+  // check covers only the departed tuple's holders).
   bool VerifyPostings() const { return core_.VerifyPostings(); }
 
  private:
@@ -298,6 +300,13 @@ class OnlineIim {
   // Suspended while degraded: a snapshot taken then could not honestly
   // state which ops it covers.
   void MaybeSnapshot();
+  // SerializeSnapshot, timed into stats().max_snapshot_serialize_seconds
+  // (the pause every checkpoint takes on this thread).
+  std::string SerializeTimed();
+  // Serializes (timed) and publishes a snapshot with the store's
+  // blocking write, counting it written or failed. Callers flush the
+  // store first, so no background write is pending.
+  Status WriteSnapshotNow();
   // The durable-write gate every explicit mutation passes through:
   // `append` logs the op. Runs the bounded-backoff retry loop and drives
   // the health ladder. OK with *nondurable=false -> apply and ack

@@ -47,7 +47,7 @@ OrderCore::Config MakeOrderCoreConfig(const core::IimOptions& options,
 OrderCore::OrderCore(const Config& config)
     : config_(config),
       q_(config.q),
-      cap_(config.adaptive ? std::max<size_t>(config.max_ell, 1)
+      cap_(config.adaptive ? std::max<size_t>(config.max_ell, config.vk + 1)
                            : std::max<size_t>(config.ell, 1)),
       index_(IdentityCols(config.q)),
       fold_(config.q) {}
@@ -59,16 +59,8 @@ double OrderCore::ComputeBound(size_t i) const {
   // AT the bound is a no-op (the newcomer has the largest slot and loses
   // the tie), but it is still admitted as a candidate — visiting it
   // changes nothing, and including ties keeps the filter conservative.
-  double b = orders_[i].size() < cap_
-                 ? std::numeric_limits<double>::infinity()
-                 : orders_[i].back().distance;
-  if (config_.adaptive) {
-    double vb = vorders_[i].size() < config_.vk
-                    ? std::numeric_limits<double>::infinity()
-                    : vorders_[i].back().distance;
-    if (vb > b) b = vb;
-  }
-  return b;
+  return orders_[i].size() < cap_ ? std::numeric_limits<double>::infinity()
+                                  : orders_[i].back().distance;
 }
 
 void OrderCore::RefreshBound(size_t i) {
@@ -147,16 +139,14 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
          "arrival numbers must ascend");
   size_t id = n_;
 
-  // One kNN lookup serves the newcomer's learning order (cap_ - 1
-  // nearest), in adaptive mode its validation order (vk nearest), and a
-  // peek (peek_k nearest): the longest prefix is queried once and sliced
+  // One kNN lookup serves the newcomer's list (cap_ - 1 nearest) and a
+  // peek (peek_k nearest): the longer prefix is queried once and sliced
   // — a sorted top-k's prefix IS the smaller query's result, bit for
   // bit. The index does not contain `id` yet, so no exclusion is needed
   // (same set LearningOrder retrieves with exclude = id).
-  size_t order_k = cap_ > 1 ? std::min(cap_ - 1, live_) : 0;
-  size_t vorder_k = config_.adaptive ? std::min(config_.vk, live_) : 0;
+  size_t order_k = std::min(cap_ - 1, live_);
   neighbors::QueryOptions nopt;
-  nopt.k = std::max(order_k, vorder_k);
+  nopt.k = order_k;
   if (peek) nopt.k = std::max(nopt.k, std::min(peek_k, live_));
   data::RowView point(f, q_);
 
@@ -193,91 +183,68 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
 #endif
   if (peek) peek(nearest);
 
-  // How the arrival lands in each admitted tuple's learning order. The new
-  // point carries the largest slot, so it loses every distance tie — the
-  // insertion point is after all entries with distance <= d. Every tuple
-  // that adopts the arrival is also recorded as a holder in the new
-  // slot's reverse-neighbor postings. When adaptive, the same distance
-  // decides whether the arrival enters i's VALIDATION order — i then
-  // judges the newcomer, and the judge i stops granting (the displaced
-  // w) has a stale judge set, so w's candidate sweep is dirtied.
+  // How the arrival lands in each admitted tuple's list. The new point
+  // carries the largest slot, so it loses every distance tie — the
+  // insertion point is after all entries with distance <= d, so at rank
+  // >= 1, behind the holder itself. Every tuple that adopts the arrival
+  // is also recorded as a holder in the new slot's reverse-neighbor
+  // postings. When adaptive, i judges the entries at ranks 1..vk: an
+  // arrival landing there gains judge i, and the entry it pushes from
+  // rank vk to vk + 1 (or out of the list) loses it, so that entry's
+  // candidate sweep is dirtied.
+  const size_t vk = config_.adaptive ? config_.vk : 0;
   std::vector<size_t> holders_of_new;
   std::vector<size_t> judges_of_new;
   for (const neighbors::Neighbor& nb : admitters) {
     const size_t i = nb.index;
     const double d = nb.distance;
-    bool changed = false;
     std::vector<neighbors::Neighbor>& order = orders_[i];
     auto pos =
         std::upper_bound(order.begin(), order.end(), d, DistanceBefore);
-    if (pos == order.end()) {
-      if (order.size() < cap_) {
-        // The order grows at its end; the model re-solves on next use.
-        order.push_back(neighbors::Neighbor{id, d});
-        holders_of_new.push_back(i);
-        DirtyMark(i);
-        ++counters_.fast_path_appends;
-        changed = true;
+    const size_t rank = static_cast<size_t>(pos - order.begin());
+    // Strictly farther than the worst of a full list — unaffected.
+    if (rank == cap_) continue;
+    if (rank <= vk) {
+      judges_of_new.push_back(i);
+      if (order.size() > vk) {
+        VPostRemove(order[vk].index, i);
+        DirtyMark(order[vk].index);
       }
-      // else: strictly farther than the current worst — unaffected.
+    }
+    if (rank == order.size()) {
+      // The list grows at its end; the model re-solves on next use.
+      order.push_back(neighbors::Neighbor{id, d});
+      ++counters_.fast_path_appends;
     } else {
       order.insert(pos, neighbors::Neighbor{id, d});
-      holders_of_new.push_back(i);
       if (order.size() > cap_) {
-        // The displaced worst neighbor leaves i's order — and i leaves
+        // The displaced worst neighbor leaves i's list — and i leaves
         // its postings.
         PostingsRemove(order.back().index, i);
         order.pop_back();
       }
-      DirtyMark(i);
       ++counters_.models_invalidated;
-      changed = true;
     }
-    if (config_.adaptive) {
-      std::vector<neighbors::Neighbor>& vorder = vorders_[i];
-      auto vpos =
-          std::upper_bound(vorder.begin(), vorder.end(), d, DistanceBefore);
-      if (vpos == vorder.end()) {
-        if (vorder.size() < config_.vk) {
-          vorder.push_back(neighbors::Neighbor{id, d});
-          judges_of_new.push_back(i);
-          changed = true;
-        }
-      } else {
-        vorder.insert(vpos, neighbors::Neighbor{id, d});
-        judges_of_new.push_back(i);
-        if (vorder.size() > config_.vk) {
-          size_t w = vorder.back().index;
-          vorder.pop_back();
-          VPostRemove(w, i);
-          DirtyMark(w);
-        }
-        changed = true;
-      }
-    }
-    if (changed) RefreshBound(i);
+    holders_of_new.push_back(i);
+    DirtyMark(i);
+    RefreshBound(i);
   }
   counters_.orders_scanned += admitters.size();
   counters_.orders_admitted += holders_of_new.size();
   counters_.admission_skips += live_ - admitters.size();
 
-  // The new tuple's own order: itself first, then up to cap_ - 1 nearest
+  // The new tuple's own list: itself first, then up to cap_ - 1 nearest
   // live tuples.
   std::vector<neighbors::Neighbor> order_new;
   order_new.reserve(order_k + 1);
   order_new.push_back(neighbors::Neighbor{id, 0.0});
   for (size_t t = 0; t < order_k; ++t) order_new.push_back(nearest[t]);
 
-  // The newcomer's own validation order: the vk models IT judges. Each
-  // member gains a judge, so its candidate sweep is stale.
-  std::vector<neighbors::Neighbor> vorder_new;
-  if (vorder_k > 0) {
-    vorder_new.assign(nearest.begin(),
-                      nearest.begin() + static_cast<long>(vorder_k));
-    for (const neighbors::Neighbor& nb : vorder_new) {
-      VPostAdd(nb.index, id);
-      DirtyMark(nb.index);
-    }
+  // The newcomer judges its own ranks 1..vk. Each of them gains a judge,
+  // so its candidate sweep is stale.
+  for (size_t t = 0; t < std::min(vk, order_k); ++t) {
+    VPostAdd(nearest[t].index, id);
+    DirtyMark(nearest[t].index);
   }
 
   // The new tuple holds its own neighbors; its holders were collected in
@@ -293,11 +260,9 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
   targets_.push_back(y);
   seq_of_slot_.push_back(seq);
   if (config_.adaptive) {
-    vorders_.push_back(std::move(vorder_new));
     vpost_.push_back(std::move(judges_of_new));
     cost_.emplace_back();
     chosen_ell_.push_back(0);
-    orphan_.push_back(0);
     // The newcomer contributes a fresh cost row and shifts the blocked
     // merge grouping, so the global criterion is stale regardless of
     // which holders were touched.
@@ -332,8 +297,16 @@ void OrderCore::EvictSlot(size_t gone) {
   index_.Remove(gone);
   --live_;
   ++counters_.evicted;
-  for (const neighbors::Neighbor& nb : orders_[gone]) {
-    if (nb.index != gone) PostingsRemove(nb.index, gone);
+  const size_t vk = config_.adaptive ? config_.vk : 0;
+  for (size_t e = 1; e < orders_[gone].size(); ++e) {
+    const size_t s = orders_[gone][e].index;
+    PostingsRemove(s, gone);
+    if (e <= vk) {
+      // The departed tuple stops judging: the model it validated has a
+      // smaller judge set now.
+      VPostRemove(s, gone);
+      DirtyMark(s);
+    }
   }
   orders_[gone].clear();
   orders_[gone].shrink_to_fit();
@@ -367,17 +340,17 @@ void OrderCore::EvictSlot(size_t gone) {
   }
 #endif
 
-  // Repair each affected learning order — the arrival-displacement logic
-  // in reverse. The cut dirties the survivor's model, which refolds on
-  // next use, as after a displacement. The survivor's order then grew a
+  // Repair each affected list — the arrival-displacement logic in
+  // reverse. The cut dirties the survivor's model, which refolds on next
+  // use, as after a displacement. The survivor's list then grew a
   // vacancy: the next nearest live tuple enters at the end (it ranked
   // behind every remaining entry in (distance, slot) order, or it would
   // already be a member), as an arrival below capacity does. After the
-  // cut the order holds exactly the live neighbors ranked up to
+  // cut the list holds exactly the live neighbors ranked up to
   // order.back(), so a single vacancy is filled by that entry's successor
   // — bit for bit the entrant a full k = want - 1 query would keep. The
   // full query stays for the cases with no such anchor: a one-entry
-  // order, or several vacancies.
+  // list, or several vacancies.
   for (size_t i : affected) {
     std::vector<neighbors::Neighbor>& order = orders_[i];
     size_t p = 0;
@@ -406,61 +379,25 @@ void OrderCore::EvictSlot(size_t gone) {
         ++counters_.backfills;
       }
     }
+    if (p <= vk && order.size() > vk) {
+      // i judged the departed tuple: the entry the repair moved up to (or
+      // backfilled at) rank vk gains judge i.
+      VPostAdd(order[vk].index, i);
+      DirtyMark(order[vk].index);
+    }
     DirtyMark(i);
     // The cut (and any backfill) moved i's worst kept distance — or left
-    // the order below capacity, unbounding it.
+    // the list below capacity, unbounding it.
     RefreshBound(i);
   }
 
   if (config_.adaptive) {
-    // The departed tuple stops judging: every model it validated has a
-    // smaller judge set now.
-    for (const neighbors::Neighbor& nb : vorders_[gone]) {
-      VPostRemove(nb.index, gone);
-      DirtyMark(nb.index);
-    }
-    vorders_[gone].clear();
-    vorders_[gone].shrink_to_fit();
+    // Its judges were all among the affected lists, and each now judges
+    // the entry that replaced it.
+    vpost_[gone] = std::vector<size_t>();
     cost_[gone].clear();
     cost_[gone].shrink_to_fit();
     chosen_ell_[gone] = 0;
-    orphan_[gone] = 0;
-
-    // The judges of the departed tuple each grew a vacancy in their
-    // validation order: the next nearest live tuple enters at the end
-    // and gains that judge.
-    std::vector<size_t> vaffected = std::move(vpost_[gone]);
-    vpost_[gone] = std::vector<size_t>();
-    std::sort(vaffected.begin(), vaffected.end());
-    for (size_t j : vaffected) {
-      std::vector<neighbors::Neighbor>& vorder = vorders_[j];
-      size_t p = 0;
-      while (p < vorder.size() && vorder[p].index != gone) ++p;
-      if (p == vorder.size()) continue;  // unreachable under the invariant
-      vorder.erase(vorder.begin() + static_cast<long>(p));
-      size_t want = std::min(config_.vk, live_ - 1);  // self excluded
-      neighbors::Neighbor entrant{0, 0.0};
-      if (vorder.size() + 1 == want && !vorder.empty()) {
-        // One vacancy behind a kept entry: its successor (see above).
-        if (NextNeighbor(j, vorder.back(), vorder.size(), &entrant)) {
-          vorder.push_back(entrant);
-          VPostAdd(entrant.index, j);
-          DirtyMark(entrant.index);
-        }
-      } else if (vorder.size() < want) {
-        neighbors::QueryOptions qopt;
-        qopt.k = want;
-        qopt.exclude = j;
-        std::vector<neighbors::Neighbor> nn =
-            index_.Query(data::RowView(index_.Point(j), q_), qopt);
-        for (size_t e = vorder.size(); e < nn.size(); ++e) {
-          vorder.push_back(nn[e]);
-          VPostAdd(nn[e].index, j);
-          DirtyMark(nn[e].index);
-        }
-      }
-      RefreshBound(j);
-    }
     // The departed tuple's cost row leaves the global sum and the blocked
     // merge regroups.
     global_cost_valid_ = false;
@@ -478,11 +415,9 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
   std::vector<double> targets(live_);
   std::vector<uint64_t> seq_of_slot(live_);
   size_t adaptive_n = config_.adaptive ? live_ : 0;
-  std::vector<std::vector<neighbors::Neighbor>> vorders(adaptive_n);
   std::vector<std::vector<size_t>> vpost(adaptive_n);
   std::vector<std::vector<double>> cost(adaptive_n);
   std::vector<size_t> chosen(adaptive_n);
-  std::vector<uint8_t> orphan(adaptive_n);
 
   for (size_t old = 0; old < n_; ++old) {
     size_t slot = remap[old];
@@ -502,15 +437,10 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
     // ascending.
     seq_of_slot[slot] = seq_of_slot_[old];
     if (config_.adaptive) {
-      vorders[slot] = std::move(vorders_[old]);
-      for (neighbors::Neighbor& nb : vorders[slot]) {
-        nb.index = remap[nb.index];
-      }
       vpost[slot] = std::move(vpost_[old]);
       for (size_t& h : vpost[slot]) h = remap[h];
       cost[slot] = std::move(cost_[old]);
       chosen[slot] = chosen_ell_[old];
-      orphan[slot] = orphan_[old];
     }
   }
 
@@ -521,11 +451,9 @@ bool OrderCore::MaybeCompact(std::vector<size_t>* remap_out) {
   targets_ = std::move(targets);
   seq_of_slot_ = std::move(seq_of_slot);
   if (config_.adaptive) {
-    vorders_ = std::move(vorders);
     vpost_ = std::move(vpost);
     cost_ = std::move(cost);
     chosen_ell_ = std::move(chosen);
-    orphan_ = std::move(orphan);
     // The live set (and so the candidate costs and their blocked merge)
     // is unchanged — compaction only renumbers slots.
   }
@@ -586,11 +514,10 @@ Status OrderCore::EvaluateSlot(size_t i) {
     cost_[i].assign(ells_.size(), 0.0);
     // Nobody validates t_i: its model comes from the global criterion,
     // which shifts with the window — never cache it (dirty stays set).
-    orphan_[i] = 1;
     return Status::OK();
   }
 
-  assert(!ells_.empty() && orders_[i].size() == ells_.back());
+  assert(!ells_.empty() && orders_[i].size() >= ells_.back());
   size_t best = 0;
   RETURN_IF_ERROR(core::SweepCandidates(*this, orders_[i], ells_, judges,
                                         config_.alpha, /*incremental=*/true,
@@ -601,7 +528,6 @@ Status OrderCore::EvaluateSlot(size_t i) {
     ++counters_.adaptive_l_changes;
   }
   chosen_ell_[i] = best_ell;
-  orphan_[i] = 0;
   dirty_[i] = 0;
   ++counters_.models_solved;
   return Status::OK();
@@ -694,18 +620,16 @@ bool OrderCore::VerifyPostings() const {
   if (!index_.VerifyRadii()) return false;
 
   if (config_.adaptive) {
-    // vpost_ must be exactly the reverse of the validation orders.
+    // vpost_ must be exactly the reverse of every list's ranks 1..vk.
     std::vector<std::vector<size_t>> vwant(n_);
     for (size_t j = 0; j < n_; ++j) {
       if (!index_.Alive(j)) continue;
-      for (const neighbors::Neighbor& nb : vorders_[j]) {
-        vwant[nb.index].push_back(j);  // ascending in j
+      size_t judged = std::min(config_.vk + 1, orders_[j].size());
+      for (size_t e = 1; e < judged; ++e) {
+        vwant[orders_[j][e].index].push_back(j);  // ascending in j
       }
     }
     for (size_t s = 0; s < n_; ++s) {
-      if (!index_.Alive(s) && (!vpost_[s].empty() || !vorders_[s].empty())) {
-        return false;
-      }
       std::vector<size_t> got = vpost_[s];
       std::sort(got.begin(), got.end());
       if (got != vwant[s]) return false;
@@ -727,12 +651,10 @@ Status OrderCore::Load(const std::vector<double>& features,
   for (size_t i = 1; i < n; ++i) assert(seqs[i - 1] < seqs[i]);
 
   // Every live tuple's nearest others, in one pass over the built tree.
-  // One sorted top-k serves both orders (its prefix IS the shorter
-  // query's result, as in Arrive), and excluding the tuple itself is the
-  // same set Arrive's pre-append query sees. No order can hold more than
-  // the n - 1 others, however large l is.
-  size_t k = std::max(cap_ - 1, config_.adaptive ? config_.vk : size_t{0});
-  k = std::min(k, n > 0 ? n - 1 : 0);
+  // Excluding the tuple itself is the same set Arrive's pre-append query
+  // sees. No list can hold more than the n - 1 others, however large l
+  // is.
+  size_t k = std::min(cap_ - 1, n > 0 ? n - 1 : 0);
   std::vector<std::vector<neighbors::Neighbor>> nearest =
       index_.NearestOthers(k, pool);
 #ifndef NDEBUG
@@ -747,36 +669,26 @@ Status OrderCore::Load(const std::vector<double>& features,
   }
 #endif
 
-  // Each learning order is the tuple itself, then its cap_ - 1 nearest;
-  // each validation order is its vk nearest. Both are built at their
-  // final length, so neither keeps spare capacity, and each neighbor
-  // list is released once copied.
+  // Each list is the tuple itself, then its cap_ - 1 nearest, built at
+  // its final length, so it keeps no spare capacity; each neighbor list
+  // is released once copied.
   orders_.resize(n);
-  if (config_.adaptive) {
-    vorders_.resize(n);
-    vpost_.resize(n);
-    cost_.resize(n);
-    chosen_ell_.assign(n, 0);
-    orphan_.assign(n, 0);
-  }
   for (size_t i = 0; i < n; ++i) {
     const std::vector<neighbors::Neighbor>& near = nearest[i];
-    auto take = static_cast<long>(std::min(cap_ - 1, near.size()));
-    orders_[i].reserve(static_cast<size_t>(take) + 1);
+    orders_[i].reserve(near.size() + 1);
     orders_[i].push_back(neighbors::Neighbor{i, 0.0});
-    orders_[i].insert(orders_[i].end(), near.begin(), near.begin() + take);
-    if (config_.adaptive) {
-      auto vtake = static_cast<long>(std::min(config_.vk, near.size()));
-      vorders_[i].assign(near.begin(), near.begin() + vtake);
-      for (const neighbors::Neighbor& nb : vorders_[i]) {
-        vpost_[nb.index].push_back(i);
-      }
-    }
+    orders_[i].insert(orders_[i].end(), near.begin(), near.end());
     std::vector<neighbors::Neighbor>().swap(nearest[i]);
   }
   // The postings are sized before they are filled: a tuple holds about
   // cap_ - 1 others, so growing each list push by push would reallocate
-  // it log2(cap_) times.
+  // it log2(cap_) times. When adaptive, ranks 1..vk also name the judges.
+  const size_t vk = config_.adaptive ? config_.vk : 0;
+  if (config_.adaptive) {
+    vpost_.resize(n);
+    cost_.resize(n);
+    chosen_ell_.assign(n, 0);
+  }
   std::vector<size_t> holders(n, 0);
   for (size_t i = 0; i < n; ++i) {
     for (size_t e = 1; e < orders_[i].size(); ++e) {
@@ -789,6 +701,7 @@ Status OrderCore::Load(const std::vector<double>& features,
   for (size_t i = 0; i < n; ++i) {
     for (size_t e = 1; e < orders_[i].size(); ++e) {
       postings_[orders_[i][e].index].push_back(i);
+      if (e <= vk) vpost_[orders_[i][e].index].push_back(i);
     }
   }
 

@@ -18,9 +18,10 @@
 // target and arrival number sit in slot-indexed vectors, and the arrival
 // numbers ascend with the slots, so SlotOf is a binary search.
 //
-// Per tuple the core maintains: its learning order (itself first, then
-// live neighbors ascending by (distance, slot)), reverse-neighbor
-// postings (postings_[s] = holders of s, making eviction O(l)), its solved
+// Per tuple the core maintains: one neighbor list (itself first, then
+// live neighbors ascending by (distance, slot)) whose prefix is its
+// learning order, reverse-neighbor postings (postings_[s] = holders of s,
+// making eviction O(l)), its solved
 // model and a dirty flag cleared by EnsureModel. Arrivals insert/displace,
 // evictions cut + backfill, compaction replays the index remap. A dirty
 // model is refolded from scratch into one scratch IncrementalRidge by
@@ -45,15 +46,21 @@
 // with one successor query (the next live neighbor after the order's last
 // entry) instead of a full l - 1 neighbor query.
 //
-// Adaptive per-tuple l (Algorithm 3, config.adaptive): the core also
-// maintains each live tuple's VALIDATION order — its vk nearest live
-// tuples, the models it judges — plus the reverse lists vpost_[i] = the
-// judges of t_i (each arrival judges <= vk models and is judged by its
-// own neighbors). EnsureModel then runs core::SweepCandidates, the sweep
-// LearnAdaptive runs, on the tuple's learning order and its judges sorted
-// ascending (the batch validator order): fold the order incrementally,
-// solve at every candidate l, charge each candidate the squared
-// validation error over the judges, and keep the first strict minimum.
+// Adaptive per-tuple l (Algorithm 3, config.adaptive): t_j judges the
+// models of its vk nearest live tuples, and those are ranks 1..vk of its
+// own list — both are prefixes of one (distance, slot) ranking of the
+// window. So the core keeps one list per tuple, max(max_ell, vk + 1)
+// entries long: its first min(max_ell, live) entries are the learning
+// order, its ranks 1..vk the tuples it judges. The reverse lists
+// vpost_[i] = the judges of t_i follow list positions: an arrival landing
+// at rank <= vk of j's list gains judge j and pushes rank vk's entry out
+// of j's judgement; an eviction cut at rank <= vk hands judge j to the
+// entry the repair moves up to rank vk. EnsureModel then runs
+// core::SweepCandidates, the sweep LearnAdaptive runs, on the tuple's
+// learning order and its judges sorted ascending (the batch validator
+// order): fold the order incrementally, solve at every candidate l,
+// charge each candidate the squared validation error over the judges, and
+// keep the first strict minimum.
 // Tuples nobody judges fall back to the globally-best l, which requires
 // the candidate costs of EVERY live tuple — those are cached per tuple and
 // the global sum is assembled in the batch learner's blocked-16 merge
@@ -94,11 +101,11 @@ class OrderCore {
 
   struct Counters {
     size_t evicted = 0;
-    // Arrivals that entered a learning order below capacity at its end,
-    // behind every kept neighbor.
+    // Arrivals that entered a list below capacity at its end, behind
+    // every kept neighbor.
     size_t fast_path_appends = 0;
-    // Arrivals that entered a learning order ahead of its last entry (and
-    // displaced that entry when the order was at capacity).
+    // Arrivals that entered a list ahead of its last entry (and displaced
+    // that entry when the list was at capacity).
     size_t models_invalidated = 0;
     // Lazy model (re)solves actually performed.
     size_t models_solved = 0;
@@ -108,7 +115,7 @@ class OrderCore {
     // Always 0 (evictions only restream); perfbench/layers.cc reads them.
     size_t downdates = 0;
     size_t downdate_fallbacks = 0;
-    // Next-nearest live tuples pulled into a shrunken learning order.
+    // Next-nearest live tuples pulled into a shrunken list.
     size_t backfills = 0;
     // Physical compactions (tombstoned slots dropped, index rebuilt).
     size_t compactions = 0;
@@ -116,8 +123,8 @@ class OrderCore {
     // edge, self-edges excluded); a gauge, the bound EvictSlot's O(l)
     // repair rides on.
     size_t postings_edges = 0;
-    // Clean holders flipped dirty by an arrival entering their order, a
-    // validation-list change, or an eviction repair (0 -> 1 transitions
+    // Clean holders flipped dirty by an arrival entering their list, a
+    // change of their judges, or an eviction repair (0 -> 1 transitions
     // only; a tuple already pending a re-solve is not recounted).
     size_t holders_invalidated = 0;
     // Adaptive re-evaluations whose chosen l differs from the tuple's
@@ -126,8 +133,8 @@ class OrderCore {
     // Live orders actually run through an arrival's insertion test: the
     // admitters walk's candidates, each within its own admission bound.
     size_t orders_scanned = 0;
-    // Scanned orders the arrival actually entered (learning order adopted
-    // it) — the "affected orders" an arrival's cost scales with.
+    // Scanned orders the arrival actually entered (the list adopted it) —
+    // the "affected orders" an arrival's cost scales with.
     size_t orders_admitted = 0;
     // Live orders an arrival never visited because the admission bound
     // proved it could not enter them (live - scanned, accumulated).
@@ -149,8 +156,8 @@ class OrderCore {
   // One arrival: f points at q gathered feature values, y is the target, seq
   // the caller's stable address (arrival number), which must exceed every
   // seq passed before (debug builds assert it). Runs the insertion test on
-  // every live learning (and validation) order the admitters walk returns,
-  // computes the newcomer's own orders from the index BEFORE appending it
+  // every live list the admitters walk returns, computes the newcomer's
+  // own list from the index BEFORE appending it
   // (the same neighbor set an exclude-self query would return), and appends
   // the new slot, which is returned. A set `peek` runs after the index walk
   // and before any order changes. It gets the newcomer's nearest live tuples
@@ -161,9 +168,9 @@ class OrderCore {
   size_t Arrive(const double* f, double y, uint64_t seq, size_t peek_k = 0,
                 const Peek& peek = nullptr);
 
-  // Tombstones slot `gone` and repairs the surviving learning (and
-  // validation) orders that contained it, found in O(l) from the reverse
-  // postings. Callers follow up with MaybeCompact().
+  // Tombstones slot `gone` and repairs the surviving lists that contained
+  // it, found in O(l) from the reverse postings. Callers follow up with
+  // MaybeCompact().
   void EvictSlot(size_t gone);
 
   // First live slot (the oldest live tuple); n() when empty. Amortized
@@ -180,15 +187,14 @@ class OrderCore {
 
   // --- Models ----------------------------------------------------------
 
-  // Re-solves slot i's model if a past arrival, eviction or
-  // validation-list change dirtied it. Fixed-l mode: fold the learning
+  // Re-solves slot i's model if a past arrival, eviction or change of
+  // its judges dirtied it. Fixed-l mode: fold the learning
   // order from scratch and solve. Adaptive mode: the per-tuple candidate
   // sweep described above. Touches only slot i, except an adaptive orphan
   // fallback, which refreshes the cached candidate costs of every dirty
   // live tuple to recompute the global criterion.
   Status EnsureModel(size_t i);
   const regress::LinearModel& model(size_t i) const { return models_[i]; }
-  bool model_dirty(size_t i) const { return dirty_[i] != 0; }
   // Adaptive: the l chosen at the slot's last evaluation (0 before the
   // first). Fixed-l mode: the configured l.
   size_t chosen_ell(size_t i) const;
@@ -209,6 +215,10 @@ class OrderCore {
   // next Arrive or compaction; the core's own thread only.
   const double* Features(size_t slot) const { return index_.Point(slot); }
   double Target(size_t slot) const { return targets_[slot]; }
+  // The slot's kept list: itself, then its nearest live others ascending
+  // by (distance, slot). Its first min(l, live) entries are the learning
+  // order (l = max_ell when adaptive); an adaptive list runs past it when
+  // max_ell <= vk.
   const std::vector<neighbors::Neighbor>& Order(size_t slot) const {
     return orders_[slot];
   }
@@ -223,10 +233,11 @@ class OrderCore {
   const Config& config() const { return config_; }
   const Counters& counters() const { return counters_; }
 
-  // Verifies the reverse-neighbor postings (and, when adaptive, the
-  // validation orders' reverse lists) against a full recomputation from
-  // the orders. O(n·l); debug builds assert it after every eviction,
-  // tests call it directly through the owning engines.
+  // Verifies the reverse-neighbor postings, the admission radii and, when
+  // adaptive, the judges (vpost_) against a full recomputation from the
+  // lists. O(n·l); debug builds assert it at the end of Load, tests call
+  // it directly through the owning engines. (EvictSlot's own debug check
+  // covers only the departed slot's holders.)
   bool VerifyPostings() const;
 
   // --- Bulk load (snapshot restore) -------------------------------------
@@ -234,12 +245,12 @@ class OrderCore {
   // Installs a window into this EMPTY core: row r has the q gathered
   // values features[r*q .. r*q+q), target targets[r] and arrival number
   // seqs[r], with seqs strictly ascending (the slot order every core
-  // keeps). Loads the index with one tree build, computes every learning
-  // (and validation) order from one bulk exclude-self neighbor pass over
-  // `pool` (DynamicIndex::NearestOthers), derives the postings and
-  // admission radii from those orders, and leaves every model dirty for
+  // keeps). Loads the index with one tree build, computes every list from
+  // one bulk exclude-self neighbor pass over `pool`
+  // (DynamicIndex::NearestOthers), derives the postings, judges and
+  // admission radii from those lists, and leaves every model dirty for
   // the lazy solve, like a fresh arrival's.
-  // Orders are sized from the window, never from l. The orders, and so
+  // Lists are sized from the window, never from l. The lists, and so
   // every later model and imputation, are bitwise those of any core whose
   // live window is these rows; the counters start from zero.
   Status Load(const std::vector<double>& features,
@@ -247,11 +258,9 @@ class OrderCore {
               const std::vector<uint64_t>& seqs, ThreadPool* pool);
 
  private:
-  // Slot i's admission radius from its current orders: the distance an
-  // arrival must beat-or-tie to change any order of i's. Infinite while
-  // an order is below capacity (every arrival enters), else the worst
-  // kept distance; adaptive mode takes the max over the learning and
-  // validation orders.
+  // Slot i's admission radius from its current list: the distance an
+  // arrival must beat-or-tie to change it. Infinite while the list is
+  // below capacity (every arrival enters), else the worst kept distance.
   double ComputeBound(size_t i) const;
   // Hands slot i's recomputed bound to the index after its orders
   // changed (the index keeps it as the slot's radius, which Arrive's
@@ -280,8 +289,8 @@ class OrderCore {
   // sweeps are stale).
   void RefreshElls();
   // One tuple's candidate sweep: fills cost_[i] and, when the tuple has
-  // judges, models_[i]/chosen_ell_[i] (clearing dirty). A judgeless tuple
-  // is marked orphan and stays dirty (its model depends on the global
+  // judges, models_[i]/chosen_ell_[i] (clearing dirty). A judgeless
+  // (orphan) tuple stays dirty (its model depends on the global
   // criterion, which shifts with every arrival).
   Status EvaluateSlot(size_t i);
   // Refreshes every dirty live tuple's cost vector and re-assembles the
@@ -290,7 +299,9 @@ class OrderCore {
 
   Config config_;
   size_t q_;
-  size_t cap_;  // maintained order length bound: ell (fixed) or max_ell
+  // Kept list length bound: ell (fixed), or max(max_ell, vk + 1) when
+  // adaptive, so every list holds both the learning order and ranks 1..vk.
+  size_t cap_;
 
   // The only store of the gathered feature rows: identity cols over them.
   DynamicIndex index_;
@@ -311,18 +322,15 @@ class OrderCore {
   size_t oldest_cursor_ = 0;
 
   // --- Adaptive state (empty vectors in fixed-l mode) ------------------
-  // vorders_[j]: the tuples judge j validates — its vk nearest live
-  // tuples ascending by (distance, slot), self excluded. vpost_[i]: the
-  // judges of t_i, i.e. the reverse lists (unordered; sorted ascending at
-  // evaluation, reproducing the batch learner's validator order).
-  std::vector<std::vector<neighbors::Neighbor>> vorders_;
+  // vpost_[i]: the judges of t_i, the j whose list holds i at a rank in
+  // 1..vk (unordered; sorted ascending at evaluation, reproducing the
+  // batch learner's validator order).
   std::vector<std::vector<size_t>> vpost_;
   // Cached per-slot candidate sweep results: the validation cost at every
   // candidate l (zeros for an orphan — the value its empty judge set
   // contributes to the batch global sum) and the chosen l.
   std::vector<std::vector<double>> cost_;
   std::vector<size_t> chosen_ell_;
-  std::vector<uint8_t> orphan_;
   // Candidate-l sequence for the current live count (recomputed lazily;
   // kNoSlot sentinel = never computed).
   std::vector<size_t> ells_;

@@ -609,13 +609,13 @@ void ExpectPruningCounters(const OnlineIim::Stats& stats, bool windowed) {
 // Drives one randomized ingest/evict/impute schedule through one engine
 // and checks its learning orders and imputations against the oracles on
 // table() along the way.
-void RunAdmissionDifferential(uint64_t seed, size_t threads, bool adaptive) {
+void RunAdmissionDifferential(uint64_t seed, const core::IimOptions& opt) {
   const int target = 2;
   const std::vector<int> features = {0, 1};
   data::Table full = HeterogeneousTable(360, 3, seed);
 
-  Result<std::unique_ptr<OnlineIim>> engine_r = OnlineIim::Create(
-      full.schema(), target, features, AdmissionOptions(threads, adaptive));
+  Result<std::unique_ptr<OnlineIim>> engine_r =
+      OnlineIim::Create(full.schema(), target, features, opt);
   ASSERT_TRUE(engine_r.ok());
   OnlineIim& engine = *engine_r.value();
 
@@ -665,12 +665,24 @@ class StreamAdmissionDifferentialTest
 
 TEST_P(StreamAdmissionDifferentialTest, RestreamPathBitIdentical) {
   auto [seed, threads] = GetParam();
-  RunAdmissionDifferential(seed, threads, /*adaptive=*/false);
+  RunAdmissionDifferential(seed, AdmissionOptions(threads, false));
 }
 
 TEST_P(StreamAdmissionDifferentialTest, AdaptivePathBitIdentical) {
   auto [seed, threads] = GetParam();
-  RunAdmissionDifferential(seed, threads, /*adaptive=*/true);
+  RunAdmissionDifferential(seed, AdmissionOptions(threads, true));
+}
+
+// max_ell < validation_k: the core keeps validation_k + 1 entries per
+// tuple, past the learning order, and LearningOrderByArrival still
+// returns only its first min(max_ell, live).
+TEST_P(StreamAdmissionDifferentialTest,
+       AdaptiveShortLearningOrderBitIdentical) {
+  auto [seed, threads] = GetParam();
+  core::IimOptions opt = AdmissionOptions(threads, true);
+  opt.max_ell = 3;
+  opt.validation_k = 5;
+  RunAdmissionDifferential(seed, opt);
 }
 
 INSTANTIATE_TEST_SUITE_P(
