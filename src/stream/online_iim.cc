@@ -300,7 +300,8 @@ std::vector<neighbors::Neighbor> OnlineIim::LearningOrderByArrival(
   const std::vector<neighbors::Neighbor>& list = core_.Order(slot);
   const OrderCore::Config& c = core_.config();
   size_t len = std::min(list.size(), c.adaptive ? c.max_ell : c.ell);
-  std::vector<neighbors::Neighbor> order(list.begin(), list.begin() + len);
+  std::vector<neighbors::Neighbor> order(
+      list.begin(), list.begin() + static_cast<long>(len));
   for (neighbors::Neighbor& nb : order) nb.index = core_.SeqOf(nb.index);
   return order;
 }
