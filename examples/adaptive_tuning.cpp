@@ -4,13 +4,16 @@
 //   - adaptive per-tuple selection of l (Algorithm 3) and the chosen-l
 //     histogram it produces;
 //   - the stepping parameter h and the incremental-computation switch,
-//     with their accuracy/time tradeoff.
+//     with their accuracy/time tradeoff. Exits 1 unless both schemes
+//     report bitwise-identical RMS at every h.
 //
 //   ./examples/adaptive_tuning
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
+#include <vector>
 
 #include "core/iim_imputer.h"
 #include "datasets/specs.h"
@@ -103,21 +106,32 @@ int main() {
   std::printf("\nPart 3: stepping h and incremental learning (Fig. 12-13)\n");
   iim::eval::TablePrinter tradeoff(
       {"h", "scheme", "RMS", "determination time"});
+  std::vector<size_t> differing;
   for (size_t h : {1ul, 20ul, 100ul}) {
+    double scheme_rms[2];
     for (bool incremental : {false, true}) {
       iim::core::IimOptions opt = adaptive;
       opt.step_h = h;
       opt.incremental = incremental;
       double secs = 0.0;
       double rms = RunRms(dataset, opt, &secs);
+      scheme_rms[incremental] = rms;
       tradeoff.AddRow({std::to_string(h),
                        incremental ? "incremental" : "straightforward",
                        iim::eval::FormatMetric(rms, 3),
                        iim::eval::FormatSeconds(secs)});
     }
+    if (scheme_rms[0] < 0 ||
+        std::memcmp(&scheme_rms[0], &scheme_rms[1], sizeof(double)) != 0) {
+      differing.push_back(h);
+    }
   }
   std::printf("%s", tradeoff.ToString().c_str());
   std::printf("\nSame h => identical RMS for both schemes; incremental is\n"
               "the same math with O(m^2 h) updates instead of O(m^2 l).\n");
-  return 0;
+  for (size_t h : differing) {
+    std::printf("FAILED: at h = %zu the two schemes' RMS differ (or a run "
+                "failed)\n", h);
+  }
+  return differing.empty() ? 0 : 1;
 }

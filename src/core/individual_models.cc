@@ -164,6 +164,7 @@ Result<IndividualModels> IndividualModels::LearnAdaptive(
     size_t block = begin / kTupleGrain;
     Stopwatch determination_timer;
     regress::IncrementalRidge fold(q);
+    regress::RidgeLanes lanes(q);
     std::vector<double> cost;
     for (size_t i = begin; i < end; ++i) {
       std::vector<neighbors::Neighbor> order =
@@ -174,8 +175,8 @@ Result<IndividualModels> IndividualModels::LearnAdaptive(
       size_t best = 0;
       regress::LinearModel best_model;
       Status st = SweepCandidates(fb, order, ells, judges, options.alpha,
-                                  options.incremental, &fold, &cost, &best,
-                                  &best_model);
+                                  options.incremental, &fold, &lanes, &cost,
+                                  &best, &best_model);
       if (!st.ok()) {
         block_status[block] = st;
         return;

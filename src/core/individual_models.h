@@ -19,6 +19,7 @@
 #include "neighbors/knn.h"
 #include "regress/incremental_ridge.h"
 #include "regress/linear_model.h"
+#include "regress/ridge.h"
 
 namespace iim::core {
 
@@ -124,19 +125,49 @@ Result<regress::LinearModel> FitPrefix(
 // order given, into (*cost)[e]. The first strict minimum is returned as
 // *best (an index into ells) and *best_model. With no judges every cost
 // is 0 and *best is 0.
+//
+// The models are solved in groups: each candidate's (U, V) is copied into
+// the next lane of `lanes` (the caller's scratch over q features, like
+// `fold`) after its fold, and every full group of RidgeLanes::kLanes, and
+// the tail, is solved at once. The judges then charge the group's models
+// candidate by candidate in ascending order, so the costs, the first
+// strict minimum and its model are those of solving each candidate alone
+// with SolveNormalEquations. On error the outputs are unspecified.
 template <typename Rows>
 Status SweepCandidates(const Rows& rows,
                        const std::vector<neighbors::Neighbor>& order,
                        const std::vector<size_t>& ells,
                        const std::vector<size_t>& judges, double alpha,
                        bool incremental, regress::IncrementalRidge* fold,
-                       std::vector<double>* cost, size_t* best,
-                       regress::LinearModel* best_model) {
+                       regress::RidgeLanes* lanes, std::vector<double>* cost,
+                       size_t* best, regress::LinearModel* best_model) {
   const size_t q = fold->num_features();
   cost->assign(ells.size(), 0.0);
   *best = 0;
-  *best_model = regress::LinearModel();
+  best_model->phi.clear();
   double best_cost = std::numeric_limits<double>::infinity();
+  auto charge = [&](size_t e, const regress::LinearModel& model) {
+    double c = 0.0;
+    for (size_t j : judges) {
+      double err = rows.Target(j) - model.Predict(rows.Features(j), q);
+      c += err * err;
+    }
+    (*cost)[e] = c;
+    if (c < best_cost) {
+      best_cost = c;
+      *best = e;
+      *best_model = model;
+    }
+  };
+  // Candidates [first, first + loaded) wait in lanes [0, loaded).
+  size_t first = 0, loaded = 0;
+  auto flush = [&]() -> Status {
+    if (loaded == 0) return Status::OK();
+    RETURN_IF_ERROR(lanes->Solve(loaded, alpha));
+    for (size_t w = 0; w < loaded; ++w) charge(first + w, lanes->model(w));
+    loaded = 0;
+    return Status::OK();
+  };
   fold->Reset();
   size_t folded = 0;
   for (size_t e = 0; e < ells.size(); ++e) {
@@ -149,25 +180,17 @@ Status SweepCandidates(const Rows& rows,
       size_t r = order[folded].index;
       fold->AddRow(rows.Features(r), rows.Target(r));
     }
-    regress::LinearModel model;
     if (ell == 1) {
-      model = regress::LinearModel::Constant(rows.Target(order[0].index), q);
-    } else {
-      ASSIGN_OR_RETURN(model, fold->Solve(alpha));
+      RETURN_IF_ERROR(flush());
+      charge(e, regress::LinearModel::Constant(rows.Target(order[0].index),
+                                               q));
+      continue;
     }
-    double c = 0.0;
-    for (size_t j : judges) {
-      double err = rows.Target(j) - model.Predict(rows.Features(j), q);
-      c += err * err;
-    }
-    (*cost)[e] = c;
-    if (c < best_cost) {
-      best_cost = c;
-      *best = e;
-      *best_model = std::move(model);
-    }
+    if (loaded == 0) first = e;
+    lanes->Load(loaded++, fold->U(), fold->V());
+    if (loaded == regress::RidgeLanes::kLanes) RETURN_IF_ERROR(flush());
   }
-  return Status::OK();
+  return flush();
 }
 
 }  // namespace iim::core

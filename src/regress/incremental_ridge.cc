@@ -20,27 +20,6 @@ void IncrementalRidge::AddRow(const std::vector<double>& x, double y) {
   AddRow(x.data(), y);
 }
 
-void IncrementalRidge::AddRow(const double* x, double y) {
-  // Rank-1 update with the augmented row (1, x). The outer-product rows
-  // are updated through raw row pointers with the scalar x_i hoisted: the
-  // inner loop is a plain contiguous axpy the compiler vectorizes and
-  // FMA-contracts (each u element has its own accumulation chain, so no
-  // reassociation is involved and results are unchanged).
-  u_(0, 0) += 1.0;
-  v_[0] += y;
-  double* top = u_.RowPtr(0) + 1;
-  for (size_t i = 0; i < p_; ++i) {
-    double xi = x[i];
-    top[i] += xi;
-    double* row = u_.RowPtr(i + 1);
-    row[0] += xi;
-    v_[i + 1] += xi * y;
-    double* out = row + 1;
-    for (size_t j = 0; j < p_; ++j) out[j] += xi * x[j];
-  }
-  ++num_rows_;
-}
-
 bool IncrementalRidge::RemoveRow(const std::vector<double>& x, double y,
                                  double rel_tol) {
   return RemoveRow(x.data(), y, rel_tol);

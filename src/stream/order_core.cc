@@ -50,7 +50,8 @@ OrderCore::OrderCore(const Config& config)
       cap_(config.adaptive ? std::max<size_t>(config.max_ell, config.vk + 1)
                            : std::max<size_t>(config.ell, 1)),
       index_(IdentityCols(config.q)),
-      fold_(config.q) {}
+      fold_(config.q),
+      lanes_(config.q) {}
 
 double OrderCore::ComputeBound(size_t i) const {
   // Below capacity every arrival enters at the end (the fast-path
@@ -89,6 +90,10 @@ bool OrderCore::NextNeighbor(size_t i, const neighbors::Neighbor& after,
   (void)rank;
 #endif
   return found;
+}
+
+size_t OrderCore::LearningLength() const {
+  return config_.adaptive ? config_.max_ell : cap_;
 }
 
 void OrderCore::DirtyMark(size_t i) {
@@ -193,6 +198,7 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
   // rank vk to vk + 1 (or out of the list) loses it, so that entry's
   // candidate sweep is dirtied.
   const size_t vk = config_.adaptive ? config_.vk : 0;
+  const size_t learn = LearningLength();
   std::vector<size_t> holders_of_new;
   std::vector<size_t> judges_of_new;
   for (const neighbors::Neighbor& nb : admitters) {
@@ -226,7 +232,9 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq,
       ++counters_.models_invalidated;
     }
     holders_of_new.push_back(i);
-    DirtyMark(i);
+    // Landing past the learning order (an adaptive list longer than
+    // max_ell) moves neither i's learning prefix nor its judges.
+    if (rank < learn) DirtyMark(i);
     RefreshBound(i);
   }
   counters_.orders_scanned += admitters.size();
@@ -298,6 +306,7 @@ void OrderCore::EvictSlot(size_t gone) {
   --live_;
   ++counters_.evicted;
   const size_t vk = config_.adaptive ? config_.vk : 0;
+  const size_t learn = LearningLength();
   for (size_t e = 1; e < orders_[gone].size(); ++e) {
     const size_t s = orders_[gone][e].index;
     PostingsRemove(s, gone);
@@ -385,7 +394,9 @@ void OrderCore::EvictSlot(size_t gone) {
       VPostAdd(order[vk].index, i);
       DirtyMark(order[vk].index);
     }
-    DirtyMark(i);
+    // A cut past the learning order leaves i's prefix whole (the list
+    // held more than max_ell entries) and its judges as they were.
+    if (p < learn) DirtyMark(i);
     // The cut (and any backfill) moved i's worst kept distance — or left
     // the list below capacity, unbounding it.
     RefreshBound(i);
@@ -521,7 +532,7 @@ Status OrderCore::EvaluateSlot(size_t i) {
   size_t best = 0;
   RETURN_IF_ERROR(core::SweepCandidates(*this, orders_[i], ells_, judges,
                                         config_.alpha, /*incremental=*/true,
-                                        &fold_, &cost_[i], &best,
+                                        &fold_, &lanes_, &cost_[i], &best,
                                         &models_[i]));
   size_t best_ell = ells_[best];
   if (chosen_ell_[i] != 0 && chosen_ell_[i] != best_ell) {

@@ -4,9 +4,9 @@
 // The paper's central object — the learning order NN(t_i, F, l) backing
 // each individual model — is maintained incrementally here, one core per
 // engine, with slots addressing the engine's own arrivals. An arrival
-// invalidates only the holders whose order it actually enters, so a
-// query-time model is usually a cache hit (models_reused) instead of a
-// fresh fold. The engine layers the schema-facing concerns (full rows,
+// invalidates only the holders whose learning order it actually enters,
+// so a query-time model is usually a cache hit (models_reused) instead of
+// a fresh fold. The engine layers the schema-facing concerns (full rows,
 // validation, Algorithm 2 aggregation, durability) on top.
 //
 // The core keeps each fact about a live tuple once. Its gathered feature
@@ -80,6 +80,7 @@
 #include "common/thread_pool.h"
 #include "core/iim_options.h"
 #include "regress/incremental_ridge.h"
+#include "regress/ridge.h"
 #include "stream/dynamic_index.h"
 
 namespace iim::stream {
@@ -123,9 +124,10 @@ class OrderCore {
     // edge, self-edges excluded); a gauge, the bound EvictSlot's O(l)
     // repair rides on.
     size_t postings_edges = 0;
-    // Clean holders flipped dirty by an arrival entering their list, a
-    // change of their judges, or an eviction repair (0 -> 1 transitions
-    // only; a tuple already pending a re-solve is not recounted).
+    // Clean holders flipped dirty by an arrival entering their learning
+    // order, a change of their judges, or an eviction cutting their
+    // learning order (0 -> 1 transitions only; a tuple already pending a
+    // re-solve is not recounted).
     size_t holders_invalidated = 0;
     // Adaptive re-evaluations whose chosen l differs from the tuple's
     // previously chosen l.
@@ -272,6 +274,10 @@ class OrderCore {
   bool NextNeighbor(size_t i, const neighbors::Neighbor& after, size_t rank,
                     neighbors::Neighbor* out) const;
 
+  // The kept ranks a model folds: max_ell when adaptive (a list runs
+  // past it when max_ell <= vk), the whole list (cap_) at fixed l. A
+  // change at a rank at or past it leaves the holder's model clean.
+  size_t LearningLength() const;
   // Flips a live holder dirty, counting only clean -> dirty transitions,
   // and invalidates the adaptive global-cost cache.
   void DirtyMark(size_t i);
@@ -307,6 +313,8 @@ class OrderCore {
   DynamicIndex index_;
   // The one ridge accumulator every solve folds into, reset per fit.
   regress::IncrementalRidge fold_;
+  // The candidate sweep's lane scratch (adaptive EnsureModel).
+  regress::RidgeLanes lanes_;
 
   // Slot-indexed state. Between compactions slots include tombstones
   // (!index_.Alive(i)); seq_of_slot_ ascends over every slot, tombstones

@@ -1,11 +1,18 @@
 #include "regress/ridge.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "datasets/paper_example.h"
+#include "linalg/cholesky.h"
+#include "linalg/lu.h"
+#include "regress/incremental_ridge.h"
 
 namespace iim::regress {
 namespace {
@@ -147,6 +154,206 @@ TEST(WeightedRidgeTest, UniformWeightsMatchUnweighted) {
   for (size_t i = 0; i < a.value().phi.size(); ++i) {
     EXPECT_EQ(a.value().phi[i], b.value().phi[i]);
   }
+}
+
+// --- The lane kernel against the ladder, bit for bit -------------------
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(Bits(got[i]), Bits(want[i]))
+        << what << " phi[" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+// The solve ladder exactly as it read before its Cholesky rung became the
+// one-lane kernel: linalg's CholeskySolve on U + alpha E, then LU, then
+// Cholesky on a jittered copy.
+Result<LinearModel> ReferenceLadder(linalg::Matrix u, const linalg::Vector& v,
+                                    double alpha) {
+  u.AddScaledIdentity(alpha);
+  LinearModel model;
+  if (linalg::CholeskySolve(u, v, &model.phi).ok()) return model;
+  if (linalg::LuSolve(u, v, &model.phi).ok()) return model;
+  u.AddScaledIdentity(1e-8 + 1e-8 * std::fabs(u(0, 0)));
+  RETURN_IF_ERROR(linalg::CholeskySolve(u, v, &model.phi));
+  return model;
+}
+
+// Normal equations of `rows` random rows over m - 1 features, folded the
+// way every fit folds them (so U is symmetric bit for bit).
+IncrementalRidge RandomFold(size_t m, size_t rows, Rng* rng) {
+  IncrementalRidge fold(m - 1);
+  std::vector<double> x(m - 1);
+  for (size_t r = 0; r < rows; ++r) {
+    for (double& xi : x) xi = rng->Gaussian(0.0, 3.0);
+    fold.AddRow(x, rng->Gaussian(1.0, 2.0));
+  }
+  return fold;
+}
+
+// One system of each kind the ladder distinguishes.
+enum class Kind { kSpd, kIndefinite, kZero, kHopeless };
+
+struct System {
+  linalg::Matrix u;
+  linalg::Vector v;
+};
+
+// kSpd: a well-posed fold. kIndefinite: symmetric with a negative
+// diagonal entry, so a Cholesky pivot fails and LU solves it. kZero:
+// U = 0 under alpha = 0, so Cholesky and LU both fail and the jittered
+// retry solves it. kHopeless: every rung fails (an error).
+System MakeSystem(Kind kind, size_t m, Rng* rng) {
+  IncrementalRidge fold = RandomFold(m, m + 3, rng);
+  System s{fold.U(), fold.V()};
+  switch (kind) {
+    case Kind::kSpd:
+      break;
+    case Kind::kIndefinite:
+      s.u(m - 1, m - 1) = -s.u(m - 1, m - 1);
+      break;
+    case Kind::kZero:
+      s.u = linalg::Matrix(m, m);
+      break;
+    case Kind::kHopeless:
+      s.u = linalg::Matrix(m, m);
+      s.u(m - 1, m - 1) = -1.0;
+      break;
+  }
+  return s;
+}
+
+TEST(SolveNormalEquationsTest, MatchesTheReferenceLadderBitwise) {
+  // Covers the stack-held factor (m <= 16) and the heap-held one, every
+  // rung, and alpha 0 (pure OLS) beside a ridge alpha.
+  Rng rng(11);
+  for (size_t m = 1; m <= 20; ++m) {
+    for (Kind kind :
+         {Kind::kSpd, Kind::kIndefinite, Kind::kZero, Kind::kHopeless}) {
+      for (double alpha : {0.0, 1e-6, 1.0}) {
+        System s = MakeSystem(kind, m, &rng);
+        if (kind == Kind::kZero || kind == Kind::kHopeless) alpha = 0.0;
+        Result<LinearModel> got = SolveNormalEquations(s.u, s.v, alpha);
+        Result<LinearModel> want = ReferenceLadder(s.u, s.v, alpha);
+        std::string what = "m=" + std::to_string(m) + " kind=" +
+                           std::to_string(static_cast<int>(kind)) +
+                           " alpha=" + std::to_string(alpha);
+        ASSERT_EQ(got.ok(), want.ok()) << what;
+        if (!want.ok()) {
+          EXPECT_EQ(got.status().ToString(), want.status().ToString());
+          continue;
+        }
+        ExpectSameBits(got.value().phi, want.value().phi, what);
+      }
+    }
+  }
+}
+
+TEST(SolveNormalEquationsTest, EachKindTakesTheRungItIsMeantFor) {
+  // Guards the kernel tests below: they mean to hit every rung.
+  Rng rng(12);
+  const size_t m = 5;
+  auto rung = [&](Kind kind) {
+    System s = MakeSystem(kind, m, &rng);
+    linalg::Matrix a = s.u;
+    linalg::Vector phi;
+    if (linalg::CholeskySolve(a, s.v, &phi).ok()) return 0;
+    if (linalg::LuSolve(a, s.v, &phi).ok()) return 1;
+    a.AddScaledIdentity(1e-8 + 1e-8 * std::fabs(a(0, 0)));
+    if (linalg::CholeskySolve(a, s.v, &phi).ok()) return 2;
+    return 3;
+  };
+  EXPECT_EQ(rung(Kind::kSpd), 0);
+  EXPECT_EQ(rung(Kind::kIndefinite), 1);
+  EXPECT_EQ(rung(Kind::kZero), 2);
+  EXPECT_EQ(rung(Kind::kHopeless), 3);
+}
+
+TEST(RidgeLanesTest, EveryLaneMatchesTheLadderBitwise) {
+  // m = 2..13, every lane count, random SPD systems with indefinite and
+  // all-zero ones mixed in at random lanes: each lane's phi is its
+  // system's SolveNormalEquations phi, bit for bit, whatever its
+  // neighbours do. The lanes keep stale systems from the previous solve
+  // past `count`; those must not leak into the solved ones.
+  Rng rng(13);
+  for (size_t m = 2; m <= 13; ++m) {
+    RidgeLanes lanes(m - 1);
+    for (size_t count = 1; count <= RidgeLanes::kLanes; ++count) {
+      for (int round = 0; round < 3; ++round) {
+        const double alpha = round == 0 ? 0.0 : 1e-6 * round;
+        std::vector<System> systems;
+        for (size_t w = 0; w < count; ++w) {
+          int draw = static_cast<int>(rng.UniformInt(0, 5));
+          Kind kind = draw == 0   ? Kind::kIndefinite
+                      : draw == 1 ? Kind::kZero
+                                  : Kind::kSpd;
+          systems.push_back(MakeSystem(kind, m, &rng));
+          lanes.Load(w, systems[w].u, systems[w].v);
+        }
+        ASSERT_TRUE(lanes.Solve(count, alpha).ok());
+        for (size_t w = 0; w < count; ++w) {
+          Result<LinearModel> want =
+              SolveNormalEquations(systems[w].u, systems[w].v, alpha);
+          ASSERT_TRUE(want.ok());
+          ExpectSameBits(lanes.model(w).phi, want.value().phi,
+                         "m=" + std::to_string(m) +
+                             " count=" + std::to_string(count) +
+                             " lane=" + std::to_string(w));
+        }
+      }
+    }
+  }
+}
+
+TEST(RidgeLanesTest, FallbackLanesLeaveTheirNeighboursAlone) {
+  // One group, lanes alternating SPD / indefinite / zero, solved once
+  // together and once each alone in lane 0: identical bits both ways.
+  Rng rng(14);
+  const size_t m = 7;
+  const double alpha = 0.0;
+  std::vector<System> systems;
+  RidgeLanes group(m - 1);
+  for (size_t w = 0; w < RidgeLanes::kLanes; ++w) {
+    Kind kind = w % 3 == 0 ? Kind::kSpd
+                : w % 3 == 1 ? Kind::kIndefinite
+                             : Kind::kZero;
+    systems.push_back(MakeSystem(kind, m, &rng));
+    group.Load(w, systems[w].u, systems[w].v);
+  }
+  ASSERT_TRUE(group.Solve(RidgeLanes::kLanes, alpha).ok());
+  RidgeLanes alone(m - 1);
+  for (size_t w = 0; w < RidgeLanes::kLanes; ++w) {
+    alone.Load(0, systems[w].u, systems[w].v);
+    ASSERT_TRUE(alone.Solve(1, alpha).ok());
+    ExpectSameBits(group.model(w).phi, alone.model(0).phi,
+                   "lane " + std::to_string(w));
+  }
+}
+
+TEST(RidgeLanesTest, AHopelessLaneReturnsTheLaddersError) {
+  Rng rng(15);
+  const size_t m = 4;
+  RidgeLanes lanes(m - 1);
+  System good = MakeSystem(Kind::kSpd, m, &rng);
+  System bad = MakeSystem(Kind::kHopeless, m, &rng);
+  lanes.Load(0, good.u, good.v);
+  lanes.Load(1, good.u, good.v);
+  lanes.Load(2, bad.u, bad.v);
+  Status st = lanes.Solve(3, 0.0);
+  Result<LinearModel> want = SolveNormalEquations(bad.u, bad.v, 0.0);
+  ASSERT_FALSE(want.ok());
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.ToString(), want.status().ToString());
+  // A hopeless system in a lane past `count` is ignored.
+  EXPECT_TRUE(lanes.Solve(2, 0.0).ok());
 }
 
 }  // namespace

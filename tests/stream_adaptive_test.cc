@@ -19,6 +19,7 @@
 #include "core/iim_imputer.h"
 #include "stream/imputation_service.h"
 #include "stream/online_iim.h"
+#include "stream/order_core.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -148,6 +149,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveBatchDifferentialTest,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "Seed" + std::to_string(info.param);
                          });
+
+// At max_ell <= validation_k each kept list runs past the learning order
+// to hold the tuple's judged ranks. An arrival landing there, or an
+// eviction cut there, moves neither the holder's learning prefix nor its
+// judges, so its clean model must be served again without a re-solve.
+TEST(AdaptiveOrderCoreTest, ChangesPastTheLearningOrderKeepTheModelClean) {
+  OrderCore::Config config;
+  config.q = 1;
+  config.alpha = 1e-6;
+  config.adaptive = true;
+  config.max_ell = 2;
+  config.step_h = 1;
+  config.vk = 5;
+  OrderCore core(config);
+  // Holder h at 0 and its one judge at -1 (h is rank 1 of the judge's
+  // list); a cluster of six at 100..105 whose lists hold only each other.
+  uint64_t seq = 0;
+  auto arrive = [&](double x) { return core.Arrive(&x, 2.0 * x, ++seq); };
+  const size_t h = arrive(0.0);
+  arrive(-1.0);
+  std::vector<size_t> cluster;
+  for (double x = 100.0; x <= 105.0; x += 1.0) cluster.push_back(arrive(x));
+  ASSERT_TRUE(core.EnsureModel(h).ok());
+  ASSERT_EQ(core.Order(h).size(), 6u);  // max(max_ell, vk + 1)
+  const regress::LinearModel before = core.model(h);
+
+  // Lands at rank 3 of h's list (behind the judge and 100), past the
+  // learning order [h, judge].
+  const size_t newcomer = arrive(100.5);
+  ASSERT_EQ(core.Order(h)[3].index, newcomer);
+  size_t solved = core.counters().models_solved;
+  size_t reused = core.counters().models_reused;
+  ASSERT_TRUE(core.EnsureModel(h).ok());
+  EXPECT_EQ(core.counters().models_solved, solved);
+  EXPECT_EQ(core.counters().models_reused, reused + 1);
+
+  // Evicting 102 cuts h's list at rank 5, past the learning order too.
+  ASSERT_EQ(core.Order(h)[5].index, cluster[2]);
+  core.EvictSlot(cluster[2]);
+  ASSERT_TRUE(core.EnsureModel(h).ok());
+  EXPECT_EQ(core.counters().models_solved, solved);
+  EXPECT_EQ(core.counters().models_reused, reused + 2);
+  EXPECT_EQ(core.model(h).phi, before.phi);
+  EXPECT_TRUE(core.VerifyPostings());
+}
 
 // Per-tuple chosen l, compared head-on. k = n makes one imputation ensure
 // EVERY live model, so every slot's last evaluation is current and
